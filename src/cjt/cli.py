@@ -33,7 +33,7 @@ from .chowring import (
     twist as chow_twist,
     ChowClass,
 )
-from .gfalg import build_field
+from .gfalg import SUPPORTED_PRIMES, build_field
 from .kemod import (
     ConstantSoFar,
     Falsified,
@@ -248,6 +248,8 @@ def resolve_module(ref: str, args) -> KEModule:
     p, r = args.p, args.r
     if p is None or r is None:
         raise ModuleError("builtin modules need --p and --r")
+    if p not in SUPPORTED_PRIMES or r < 1:
+        raise ModuleError(f"builtin modules need --p in {SUPPORTED_PRIMES}, --r >= 1")
     if name == "trivial":
         return builtin("trivial", p, r)
     if name == "regular":
@@ -264,14 +266,20 @@ def resolve_module(ref: str, args) -> KEModule:
 
 
 def parse_point(M: KEModule, text: str, ext: int) -> Point:
-    ctx = build_field(M.p, ext)
-    coords = tuple(int(x) % ctx.q for x in text.replace(",", " ").split())
+    try:
+        ctx = build_field(M.p, ext)
+        coords = tuple(int(x) % ctx.q for x in text.replace(",", " ").split())
+        point = Point(ctx, coords)
+    except ValueError as exc:
+        raise ModuleError(f"bad point {text!r} over GF({M.p}^{ext}): {exc}") from None
     if len(coords) != M.r:
         raise ModuleError(f"point needs {M.r} coordinates")
-    return Point(ctx, coords)
+    return point
 
 
 def sampling_plan(args) -> SamplingPlan:
+    if args.field_ext < 1:
+        raise ModuleError(f"--field-ext must be >= 1, got {args.field_ext}")
     return SamplingPlan(
         extra=args.samples,
         max_ext_degree=args.field_ext,

@@ -9,6 +9,10 @@ Extension moduli are never looked up in a table: ``build_field`` scans
 monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
+Ranks over GF(p^e) are ranks over GF(p) of the companion-blocked matrix,
+divided by e.  Only ``kernel_basis`` and ``solve``, whose outputs are
+encoded, eliminate on encoded entries.
+
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
 construction; every function here is pure.
@@ -22,6 +26,10 @@ import itertools
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# largest p^e build_field accepts (GF(13^4), the largest field a default
+# SamplingPlan reaches): building scans p^e polynomials and fills p^e tables
+MAX_FIELD_ORDER = 13**4
 
 
 def _is_prime(n: int) -> bool:
@@ -192,7 +200,6 @@ class FieldCtx:
 
         # find a generator of the multiplicative group
         for g in range(2, q):
-            seen = 1
             x = g
             order = 1
             while x != 1:
@@ -263,16 +270,6 @@ class FieldCtx:
             pk *= self.p
         return out
 
-    def arr_neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        out = np.zeros_like(a)
-        pk = 1
-        for _ in range(self.e):
-            out += pk * ((-(a // pk)) % self.p)
-            pk *= self.p
-        return out
-
     def arr_mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
@@ -332,6 +329,8 @@ def build_field(p: int, e: int = 1) -> FieldCtx:
         raise ValueError(f"p = {p} outside the supported range {SUPPORTED_PRIMES}")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
+    if p**e > MAX_FIELD_ORDER:
+        raise ValueError(f"GF({p}^{e}) exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
     return FieldCtx(p, e, _least_irreducible(p, e))
 
 
@@ -376,10 +375,6 @@ class FFMatrix:
 
     def __repr__(self):
         return f"FFMatrix({self.ctx}, {self.array.tolist()})"
-
-
-def ff_zeros(ctx: FieldCtx, rows: int, cols: int) -> FFMatrix:
-    return FFMatrix(ctx, np.zeros((rows, cols), dtype=np.int64))
 
 
 def ff_identity(ctx: FieldCtx, n: int) -> FFMatrix:
@@ -530,10 +525,8 @@ def _rref_ext(ctx: FieldCtx, A):
 
 
 def rank(m: FFMatrix) -> int:
-    """Rank of m over its field."""
-    if m.ctx.e == 1:
-        return rank_p(m.array.astype(np.uint8), m.ctx.p)
-    return len(_rref_ext(m.ctx, m.array)[1])
+    """Rank of m over its field (over GF(p^e), via companion blocks)."""
+    return rank_ext(m.ctx, m.array)
 
 
 def kernel_basis(m: FFMatrix) -> FFMatrix:
@@ -550,10 +543,6 @@ def kernel_basis(m: FFMatrix) -> FFMatrix:
         for t, c in enumerate(pivots):
             K[c, k] = ctx.neg(int(R[t, f]))
     return FFMatrix(ctx, K)
-
-
-class NoSolution:
-    """Marker type: solve() returns None instead; kept for documentation."""
 
 
 def solve(a: FFMatrix, b: FFMatrix):

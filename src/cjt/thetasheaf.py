@@ -23,8 +23,12 @@ what keeps desk-scale Hilbert functions affordable; assembling the full
 degree-e matrix of theta^a from scratch per degree is kept (as
 ThetaOp.degree_matrix) for audits and small cases.
 
-Fibers at points are computed independently, from explicit kernel and
-image bases of powers of X_alpha.
+Fibers at points are computed independently of jordan_type_at, from
+explicit kernel and image bases of powers of X_alpha, over GF(p) on the
+companion-blocked X_alpha.  fiber blocks the encoded matrix (x_alpha,
+then gfalg.blocked_over_prime); jordan_type_at sums Kronecker products
+of the actions with element matrices.  Sharing neither that construction
+nor the dimension formula, each route checks the other.
 """
 
 from __future__ import annotations
@@ -367,50 +371,30 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
 
     Computed from dim(Ker X n Im X^i) = dim Ker X + dim Im X^i - rank[K | W_i]
     rather than from the Jordan-type rank formula, so the two routes check
-    each other.
+    each other.  K is a kernel basis of X = X_alpha, W_i the pivot columns
+    of X^i, all over GF(p) with each GF(p^e) entry of X_alpha replaced by
+    its e x e companion block.  Kernels, images and their intersections
+    under a GF(p^e)-linear map are GF(p^e)-subspaces, so each dimension
+    over GF(p) is exactly e times the one over GF(p^e).
     """
     ctx = alpha.ctx
-    p = M.p
-    Xa = x_alpha(M, alpha)
-    K = gfalg.kernel_basis(Xa)  # n x kappa
-    kerdim = K.cols
-    powers = [np.eye(M.n, dtype=np.int64)]
-    for _ in range(p):
-        powers.append(_ext_matmul(ctx, Xa.array, powers[-1]))
+    p, e = M.p, ctx.e
+    Xa = x_alpha(M, alpha).array
+    B = gfalg.blocked_over_prime(ctx, Xa) if e > 1 else Xa.astype(np.uint8)
+    K = gfalg.kernel_p(B, p)
+    kerdim = K.shape[1]
     meets = []
+    Bi = np.eye(B.shape[0], dtype=np.uint8)
     for i in range(p + 1):
-        W = _column_space(ctx, powers[i])
-        if W.shape[1] == 0 or kerdim == 0:
-            meets.append(0)
-            continue
-        stacked = np.hstack([K.array, W])
-        meets.append(kerdim + W.shape[1] - gfalg.rank_ext(ctx, stacked))
+        if i:
+            Bi = matmul_p(B, Bi, p)
+        _, pivots = gfalg.rref_p(Bi, p)
+        stacked = np.hstack([K, Bi[:, pivots]])
+        meet = kerdim + len(pivots) - gfalg.rank_p(stacked, p)
+        assert meet % e == 0
+        meets.append(meet // e)
     dims = tuple(meets[i - 1] - meets[i] for i in range(1, p + 1))
     return FiberReport(alpha, dims)
-
-
-def _ext_matmul(ctx, A, B):
-    if ctx.e == 1:
-        return matmul_p(A.astype(np.uint8), B.astype(np.uint8), ctx.p).astype(
-            np.int64
-        )
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = 0
-            for k in range(A.shape[1]):
-                acc = ctx.add(acc, ctx.mul(int(A[i, k]), int(B[k, j])))
-            out[i, j] = acc
-    return out
-
-
-def _column_space(ctx, A):
-    """A deterministic basis of the column space (pivot columns)."""
-    if ctx.e == 1:
-        _, pivots = gfalg.rref_p(A.astype(np.uint8), ctx.p)
-    else:
-        _, pivots = gfalg._rref_ext(ctx, A)
-    return A[:, pivots] if pivots else np.zeros((A.shape[0], 0), dtype=A.dtype)
 
 
 # ---------------------------------------------------------------------------

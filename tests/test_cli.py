@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cjt
 from cjt.cli import main, parse_module, parse_spec, print_module
 from cjt.kemod import builtin, jordan_type_at, projective_points
 
@@ -267,6 +270,26 @@ class TestCommands:
         code, _, _ = run_cli(["jordan-type", str(tmp_path / "nope.txt")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fiber", "builtin:trivial", "--p", "2", "--r", "2", "--point", "0,0"],
+            ["fiber", "builtin:trivial", "--p", "2", "--r", "2", "--point", "1,x"],
+            ["fiber", "builtin:trivial", "--p", "2", "--r", "2", "--point", "1,0",
+             "--field-ext-point", "0"],
+            ["fiber", "builtin:trivial", "--p", "4", "--r", "2", "--point", "1,0"],
+            ["check-constant", "builtin:trivial", "--p", "2", "--r", "2",
+             "--field-ext", "0"],
+            ["fiber", "builtin:trivial", "--p", "13", "--r", "2", "--point", "1,0",
+             "--field-ext-point", "10"],
+        ],
+    )
+    def test_bad_point_and_field_exit_2(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_hm_obstruction_suite(self, capsys):
@@ -298,10 +321,15 @@ class TestVerify:
 
 class TestConsoleEntry:
     def test_installed_script(self):
+        # the child imports cjt from where this process found it, so the test
+        # also runs from a checkout whose src is only on pytest's pythonpath
+        src = str(Path(cjt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "cjt.cli", "verify", "hm-obstruction"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "pass" in proc.stdout

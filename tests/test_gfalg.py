@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,14 @@ class TestBuildField:
     @pytest.mark.parametrize("p,e", [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
     def test_matches_exhaustive_scan(self, p, e):
         assert build_field(p, e).modulus == brute_irreducible(p, e)
+
+    def test_rejects_fields_above_the_order_cap(self):
+        start = time.perf_counter()
+        for p, e in ((13, 10), (2, 15)):
+            assert p**e > gfalg.MAX_FIELD_ORDER
+            with pytest.raises(ValueError):
+                build_field(p, e)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -135,6 +145,21 @@ class TestRank:
         m = FFMatrix(F, [[t, 1], [tp1, t]])
         assert rank(m) == 1
         assert rank_ext(F, m.array) == 1
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (5, 2), (13, 2)])
+    def test_blocked_rank_against_encoded_kernel(self, p, e):
+        # rank() goes through companion blocks, kernel_basis() through
+        # elimination on encoded entries; rank-nullity ties them together
+        F = build_field(p, e)
+        rng = np.random.default_rng(7 * p + e)
+        for _ in range(20):
+            rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+            A = rng.integers(0, F.q, size=(rows, cols))
+            A[rng.random((rows, cols)) < 0.4] = 0
+            if rows >= 3:  # a dependent row: c * row 0 + row 1
+                A[2] = F.arr_add(F.arr_scale(int(rng.integers(F.q)), A[0]), A[1])
+            m = FFMatrix(F, A)
+            assert rank(m) + kernel_basis(m).cols == cols
 
     @settings(max_examples=60, deadline=None)
     @given(

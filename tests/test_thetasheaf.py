@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from math import comb
 
+from cjt.gfalg import build_field
 from cjt.kemod import (
+    Point,
     builtin,
     direct_sum,
     dual,
@@ -130,6 +134,13 @@ class TestFiber:
     @pytest.mark.parametrize("name,M", battery())
     def test_fiber_matches_jordan_type(self, name, M):
         pts = projective_points(M.p, M.r) + projective_points(M.p, M.r, 2)[:3]
+        # generic points: every coordinate nonzero, over GF(p^3) and GF(p^4)
+        rng = random.Random(20240)
+        for e in (3, 4):
+            ctx = build_field(M.p, e)
+            for _ in range(3):
+                coords = tuple(rng.randrange(1, ctx.q) for _ in range(M.r))
+                pts.append(Point(ctx, coords))
         for pt in pts:
             assert fiber(M, pt).dims == jordan_type_at(M, pt).a, name
 
