@@ -255,14 +255,37 @@ def resolve_module(ref: str, args) -> KEModule:
     if name == "regular":
         return builtin("regular", p, r)
     if name.startswith("radq"):
-        return builtin("rad_quotient", p, r, m=int(name[4:]))
+        return builtin("rad_quotient", p, r, m=_builtin_index(name, "radq"))
     if name.startswith("perm"):
-        return builtin("perm", p, r, i=int(name[4:]))
+        return builtin("perm", p, r, i=_builtin_index(name, "perm"))
     if name.startswith("zigzag"):
-        return builtin("zigzag", p, r, n=int(name[6:]))
+        return builtin("zigzag", p, r, n=_builtin_index(name, "zigzag"))
     if name.startswith("omega"):
-        return omega(builtin("trivial", p, r), int(name[5:]))
+        return omega(builtin("trivial", p, r), _builtin_index(name, "omega"))
     raise ModuleError(f"unknown builtin module {name!r}")
+
+
+def _builtin_index(name: str, prefix: str) -> int:
+    try:
+        return int(name[len(prefix) :])
+    except ValueError:
+        raise ModuleError(f"builtin:{prefix}<N> needs an integer N, got {name!r}") from None
+
+
+def _functor_module(args) -> KEModule:
+    """The module for hilbert/chern, once --functor is known to be in 1..p."""
+    M = resolve_module(args.module, args)
+    if not 1 <= args.functor <= M.p:
+        raise ModuleError(f"--functor must be in 1..{M.p}, got {args.functor}")
+    return M
+
+
+def _env_seed() -> int:
+    env = os.environ.get("CJT_SEED")
+    try:
+        return int(env, 0) if env else DEFAULT_SEED
+    except ValueError:
+        raise ModuleError(f"CJT_SEED must be an integer, got {env!r}") from None
 
 
 def parse_point(M: KEModule, text: str, ext: int) -> Point:
@@ -809,7 +832,7 @@ def _cmd_fiber(args, out):
 
 
 def _cmd_hilbert(args, out):
-    M = resolve_module(args.module, args)
+    M = _functor_module(args)
     hd = hilbert(M, args.functor, d_max=args.degree_cap)
     samples = " ".join(f"{d}:{hd.samples[d]}" for d in sorted(hd.samples))
     print(f"samples: {samples}", file=out)
@@ -825,7 +848,7 @@ def _cmd_hilbert(args, out):
 
 
 def _cmd_chern(args, out):
-    M = resolve_module(args.module, args)
+    M = _functor_module(args)
     hd = hilbert(M, args.functor, d_max=args.degree_cap)
     rk, c = chern_from_hilbert(hd)
     print(f"rank {rk}, c = {c}", file=out)
@@ -976,10 +999,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.seed is None:
-        env = os.environ.get("CJT_SEED")
-        args.seed = int(env, 0) if env else DEFAULT_SEED
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.fn(args, sys.stdout)
     except (ParseError, ModuleError, SpecInvalidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

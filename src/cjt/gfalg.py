@@ -9,9 +9,12 @@ Extension moduli are never looked up in a table: ``build_field`` scans
 monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
-Ranks over GF(p^e) are ranks over GF(p) of the companion-blocked matrix,
-divided by e.  Only ``kernel_basis`` and ``solve``, whose outputs are
-encoded, eliminate on encoded entries.
+Every elimination runs over GF(p).  A GF(p^e) matrix is blocked by
+replacing each entry with its e x e companion matrix; ranks are blocked
+ranks divided by e.  Blocking is a ring embedding that maps the reduced
+echelon form of A to that of blocked(A) (both are unique), so kernels and
+solutions over GF(p^e) are read back from the GF(p) ones by
+``_unblock``.  Encoded arithmetic only builds matrices such as X_alpha.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -299,16 +302,21 @@ class FieldCtx:
             C[j, e - 1] = (-self.modulus[j]) % p
         return C
 
+    @functools.cached_property
+    def companion_powers(self):
+        """C^0 .. C^(e-1) over GF(p), stacked as an e x e x e array."""
+        e, p = self.e, self.p
+        out = np.zeros((e, e, e), dtype=np.int64)
+        out[0] = np.eye(e, dtype=np.int64)
+        for k in range(1, e):
+            out[k] = (out[k - 1] @ self.companion) % p
+        out.setflags(write=False)
+        return out
+
     def element_matrix(self, a: int):
         """The e x e matrix of multiplication by the encoded element a."""
-        e, p = self.e, self.p
-        out = np.zeros((e, e), dtype=np.uint8)
-        Ck = np.eye(e, dtype=np.uint8)
-        for d in self.digits(a):
-            if d:
-                out = (out + d * Ck.astype(np.int64)) % p
-            Ck = (Ck.astype(np.int64) @ self.companion) % p
-            Ck = Ck.astype(np.uint8)
+        digits = np.array(self.digits(a), dtype=np.int64)
+        out = np.einsum("k,kab->ab", digits, self.companion_powers) % self.p
         return out.astype(np.uint8)
 
     def __repr__(self):
@@ -458,18 +466,25 @@ def rank_p(A, p) -> int:
     return rank
 
 
+def kernel_from_rref(R, pivots, cols, p):
+    """Kernel basis (columns, uint8) of any matrix whose RREF is (R, pivots).
+
+    Column k sets the k-th free variable to 1 and the other free ones to 0.
+    """
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    K = np.zeros((cols, free.size), dtype=np.uint8)
+    K[free, np.arange(free.size)] = 1
+    K[pivots] = (-R[: len(pivots), free].astype(np.int64)) % p
+    return K
+
+
 def kernel_p(A, p):
     """Columns form a basis of the right kernel over GF(p) (uint8)."""
     A = np.asarray(A, dtype=np.uint8)
-    rows, cols = A.shape
     R, pivots = rref_p(A, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    K = np.zeros((cols, len(free)), dtype=np.uint8)
-    for k, f in enumerate(free):
-        K[f, k] = 1
-        for t, c in enumerate(pivots):
-            K[c, k] = (-int(R[t, f])) % p
-    return K
+    return kernel_from_rref(R, pivots, A.shape[1], p)
 
 
 def solve_p(A, B, p):
@@ -481,68 +496,30 @@ def solve_p(A, B, p):
     B = np.asarray(B, dtype=np.uint8)
     if B.ndim == 1:
         B = B[:, None]
-    rows, cols = A.shape
-    aug = np.hstack([A, B])
-    R, pivots = rref_p(aug, p)
-    for t, c in enumerate(pivots):
-        if c >= cols:
-            return None
+    cols = A.shape[1]
+    R, pivots = rref_p(np.hstack([A, B]), p)
+    # a pivot among B's columns is a row 0 = nonzero; pivots increase
+    if pivots and pivots[-1] >= cols:
+        return None
     X = np.zeros((cols, B.shape[1]), dtype=np.uint8)
-    for t, c in enumerate(pivots):
-        X[c] = R[t, cols:]
+    X[pivots] = R[: len(pivots), cols:]
     return X
 
 
 # ---------------------------------------------------------------------------
-# generic elimination over GF(p^e) (encoded int64 arrays; small scale only)
-
-
-def _rref_ext(ctx: FieldCtx, A):
-    R = np.array(A, dtype=np.int64, copy=True)
-    rows, cols = R.shape
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.flatnonzero(R[rank:, c])
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            R[[rank, pr]] = R[[pr, rank]]
-        pv = int(R[rank, c])
-        if pv != 1:
-            R[rank] = ctx.arr_scale(ctx.inv(pv), R[rank])
-        other = np.flatnonzero(R[:, c])
-        other = other[other != rank]
-        for o in other:
-            f = ctx.neg(int(R[o, c]))
-            R[o] = ctx.arr_add(R[o], ctx.arr_scale(f, R[rank]))
-        pivots.append(c)
-        rank += 1
-    return R, pivots
+# linear algebra over GF(p^e), through companion blocks over GF(p)
 
 
 def rank(m: FFMatrix) -> int:
-    """Rank of m over its field (over GF(p^e), via companion blocks)."""
+    """Rank of m over its field."""
     return rank_ext(m.ctx, m.array)
 
 
 def kernel_basis(m: FFMatrix) -> FFMatrix:
     """Basis of the right kernel; columns echelon-normalized and deterministic."""
     ctx = m.ctx
-    if ctx.e == 1:
-        return FFMatrix(ctx, kernel_p(m.array.astype(np.uint8), ctx.p))
-    R, pivots = _rref_ext(ctx, m.array)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in set(pivots)]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        K[f, k] = 1
-        for t, c in enumerate(pivots):
-            K[c, k] = ctx.neg(int(R[t, f]))
-    return FFMatrix(ctx, K)
+    K = kernel_p(blocked_over_prime(ctx, m.array), ctx.p)
+    return FFMatrix(ctx, _unblock(ctx, K))
 
 
 def solve(a: FFMatrix, b: FFMatrix):
@@ -552,19 +529,9 @@ def solve(a: FFMatrix, b: FFMatrix):
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch: {a.rows} rows vs {b.rows}")
     ctx = a.ctx
-    if ctx.e == 1:
-        X = solve_p(a.array.astype(np.uint8), b.array.astype(np.uint8), ctx.p)
-        return None if X is None else FFMatrix(ctx, X)
-    aug = np.hstack([a.array, b.array])
-    R, pivots = _rref_ext(ctx, aug)
-    cols = a.cols
-    for c in pivots:
-        if c >= cols:
-            return None
-    X = np.zeros((cols, b.cols), dtype=np.int64)
-    for t, c in enumerate(pivots):
-        X[c] = R[t, cols:]
-    return FFMatrix(ctx, X)
+    A, B = (blocked_over_prime(ctx, m.array) for m in (a, b))
+    X = solve_p(A, B, ctx.p)
+    return None if X is None else FFMatrix(ctx, _unblock(ctx, X))
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +567,28 @@ def blocked_over_prime(ctx: FieldCtx, M):
     """Replace each encoded GF(p^e) entry of M by its e x e matrix over GF(p).
 
     rank over GF(p^e) equals rank of the blocked matrix over GF(p),
-    divided by e.
+    divided by e.  At e = 1 this is M itself, as uint8.
     """
+    e, p = ctx.e, ctx.p
+    if e == 1:
+        return np.asarray(M, dtype=np.uint8)
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
+    digits = (M[..., None] // p ** np.arange(e)) % p
+    blocks = np.einsum("ijk,kab->iajb", digits, ctx.companion_powers) % p
+    return blocks.reshape(rows * e, cols * e).astype(np.uint8)
+
+
+def _unblock(ctx: FieldCtx, B):
+    """Inverse of blocked_over_prime: encode column 0 of each e x e block."""
     e = ctx.e
-    out = np.zeros((rows * e, cols * e), dtype=np.uint8)
-    cache = {}
-    for i in range(rows):
-        for j in range(cols):
-            v = int(M[i, j])
-            if v == 0:
-                continue
-            blk = cache.get(v)
-            if blk is None:
-                blk = cache[v] = ctx.element_matrix(v)
-            out[i * e : (i + 1) * e, j * e : (j + 1) * e] = blk
-    return out
+    digits = B[:, ::e].astype(np.int64)
+    digits = digits.reshape(B.shape[0] // e, e, digits.shape[1])
+    return np.einsum("iej,e->ij", digits, ctx.p ** np.arange(e))
 
 
 def rank_ext(ctx: FieldCtx, M) -> int:
     """Rank over GF(p^e) of an encoded matrix, via the blocked embedding."""
-    if ctx.e == 1:
-        return rank_p(np.asarray(M, dtype=np.uint8), ctx.p)
     r = rank_p(blocked_over_prime(ctx, M), ctx.p)
     assert r % ctx.e == 0
     return r // ctx.e

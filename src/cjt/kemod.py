@@ -547,15 +547,11 @@ def _column_complement(U, n, p):
         C = list(range(n))
         return [], C, np.eye(n, dtype=np.uint8)
     R, pivots = gfalg.rref_p(U.T, p)  # rows of R span the same row space
-    R = R[: len(pivots)]
-    P = list(pivots)
-    C = [c for c in range(n) if c not in set(pivots)]
-    proj = np.zeros((len(C), n), dtype=np.uint8)
-    for k, c in enumerate(C):
-        proj[k, c] = 1
-        for t, pr in enumerate(P):
-            proj[k, pr] = (-int(R[t, c])) % p
-    return P, C, proj
+    pivot_set = set(pivots)
+    C = [c for c in range(n) if c not in pivot_set]
+    # rows of proj: the kernel basis of U^T, which vanishes on span(U)
+    proj = gfalg.kernel_from_rref(R, pivots, n, p).T
+    return pivots, C, proj
 
 
 # ---------------------------------------------------------------------------

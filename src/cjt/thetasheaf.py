@@ -174,15 +174,13 @@ def _apply_theta(M: KEModule, V, d):
 class _ImageTracker:
     """Echelonized basis of (Im theta^a)_t, advanced one degree at a time."""
 
-    def __init__(self, module: KEModule, a: int, budget=DEFAULT_MEMORY_BUDGET):
+    def __init__(self, module: KEModule, a: int):
         assert a >= 1
         self.M = module
         self.a = a
         self.p = module.p
         self.r = module.r
         self.n = module.n
-        self.budget = budget
-        self.capped = False
         self._inv = [0] * self.p
         for v in range(1, self.p):
             self._inv[v] = pow(v, self.p - 2, self.p)
@@ -301,19 +299,18 @@ class _ImageTracker:
     def extend_to(self, t_target) -> bool:
         """Advance to degree t_target; False if the memory budget stops us."""
         while self.t < t_target:
-            if self.basis_bytes_next() > self.budget:
-                self.capped = True
+            if self.basis_bytes_next() > DEFAULT_MEMORY_BUDGET:
                 return False
             self.step()
         return True
 
 
-def _image_dims(M: KEModule, a: int, t_target: int, budget=DEFAULT_MEMORY_BUDGET):
+def _image_dims(M: KEModule, a: int, t_target: int):
     """Cached dims of (Im theta^a)_t for t = 0..t_reached, t_reached <= t_target.
 
-    Returns (dims list, reached flag).  a >= p gives zero image.  The
-    cache records the budget a capped run used, so a bigger budget can
-    retry while an equal one is served the truncated list.
+    Returns (dims list, reached flag).  a >= p gives zero image.  A run
+    capped by the memory budget is cached as capped: a rerun would stop
+    at the same degree.
     """
     if a == 0:
         return [M.n * s_dim(M.r, t) for t in range(t_target + 1)], True
@@ -322,32 +319,32 @@ def _image_dims(M: KEModule, a: int, t_target: int, budget=DEFAULT_MEMORY_BUDGET
     cache = M._cache.setdefault("image_dims", {})
     entry = cache.get(a)
     if entry is not None:
-        dims, capped_at = entry
+        dims, capped = entry
         if len(dims) > t_target:
             return dims[: t_target + 1], True
-        if capped_at is not None and budget <= capped_at:
+        if capped:
             return list(dims), False
-    tracker = _ImageTracker(M, a, budget)
+    tracker = _ImageTracker(M, a)
     reached = tracker.extend_to(t_target)
     dims = list(tracker.dims)
-    cache[a] = (dims, None if reached else budget)
+    cache[a] = (dims, not reached)
     del tracker
     return dims, reached
 
 
-def prefetch_image_dims(M: KEModule, max_power: int, t_target: int, budget=DEFAULT_MEMORY_BUDGET):
+def prefetch_image_dims(M: KEModule, max_power: int, t_target: int):
     """Warm the per-module cache so graded_dim calls never restart a tracker."""
     for a in range(1, min(max_power, M.p - 1) + 1):
-        _image_dims(M, a, t_target, budget)
+        _image_dims(M, a, t_target)
 
 
-def _rank_theta(M: KEModule, a: int, e: int, budget=DEFAULT_MEMORY_BUDGET):
+def _rank_theta(M: KEModule, a: int, e: int):
     """R(a, e): rank of theta^a on the degree-e piece; None past the budget."""
     if e < 0:
         return 0
     if a == 0:
         return M.n * s_dim(M.r, e)
-    dims, reached = _image_dims(M, a, e + a, budget)
+    dims, _ = _image_dims(M, a, e + a)
     if e + a < len(dims):
         return dims[e + a]
     return None
@@ -379,8 +376,7 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
     """
     ctx = alpha.ctx
     p, e = M.p, ctx.e
-    Xa = x_alpha(M, alpha).array
-    B = gfalg.blocked_over_prime(ctx, Xa) if e > 1 else Xa.astype(np.uint8)
+    B = gfalg.blocked_over_prime(ctx, x_alpha(M, alpha).array)
     K = gfalg.kernel_p(B, p)
     kerdim = K.shape[1]
     meets = []
@@ -401,7 +397,7 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
 # graded dimensions
 
 
-def graded_dim(M: KEModule, i: int, j: int, d: int, budget=DEFAULT_MEMORY_BUDGET):
+def graded_dim(M: KEModule, i: int, j: int, d: int):
     """Dimension of the degree-d piece of the (i, j) graded subquotient."""
     if not (0 <= j < i <= M.p):
         raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
@@ -409,10 +405,10 @@ def graded_dim(M: KEModule, i: int, j: int, d: int, budget=DEFAULT_MEMORY_BUDGET
         raise ValueError("degree must be nonnegative")
     e = d - i + j
     parts = [
-        _rank_theta(M, i - 1, e + 1, budget),
-        _rank_theta(M, i + 1, e, budget),
-        _rank_theta(M, i, e + 1, budget),
-        _rank_theta(M, i, e, budget),
+        _rank_theta(M, i - 1, e + 1),
+        _rank_theta(M, i + 1, e),
+        _rank_theta(M, i, e + 1),
+        _rank_theta(M, i, e),
     ]
     if any(x is None for x in parts):
         raise StabilizationFailedError(
@@ -527,7 +523,6 @@ def hilbert(
     i: int,
     d_max: int | None = None,
     *,
-    budget: int = DEFAULT_MEMORY_BUDGET,
     skip_constancy_check: bool = False,
 ) -> HilbertData:
     """Sampled Hilbert function of the i-th graded subquotient, with exact fit.
@@ -547,12 +542,12 @@ def hilbert(
     D = requested
     extensions = 0
     while True:
-        prefetch_image_dims(M, i + 1, D + 1, budget)
+        prefetch_image_dims(M, i + 1, D + 1)
         samples = {}
         reached = D
         for d in range(D + 1):
             try:
-                samples[d] = graded_dim(M, i, 0, d, budget)
+                samples[d] = graded_dim(M, i, 0, d)
             except StabilizationFailedError:
                 reached = d - 1
                 break
@@ -589,33 +584,31 @@ def hilbert(
         D += window
 
 
-def twist_shift_check(
-    M: KEModule, i: int, j: int, d_range=None, budget=DEFAULT_MEMORY_BUDGET
-) -> bool:
+def twist_shift_check(M: KEModule, i: int, j: int, d_range=None) -> bool:
     """graded_dim(M, i, j, d) == graded_dim(M, i, 0, d + j) over the range."""
     if not (0 <= j < i <= M.p):
         raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
     if d_range is None:
         d_range = range(0, min(M.n + M.p + 5, 12) + 1)
     d_range = list(d_range)
-    prefetch_image_dims(M, i + 1, max(d_range) + j + 2, budget)
+    prefetch_image_dims(M, i + 1, max(d_range) + j + 2)
     return all(
-        graded_dim(M, i, j, d, budget) == graded_dim(M, i, 0, d + j, budget)
+        graded_dim(M, i, j, d) == graded_dim(M, i, 0, d + j)
         for d in d_range
     )
 
 
-def filtration_check(M: KEModule, d_range=None, budget=DEFAULT_MEMORY_BUDGET) -> bool:
+def filtration_check(M: KEModule, d_range=None) -> bool:
     """dim M * dim S_d == sum over i, j of graded_dim(M, i, 0, d + j)."""
     if d_range is None:
         d_range = range(0, min(M.n + M.p + 5, 10) + 1)
     d_range = list(d_range)
-    prefetch_image_dims(M, M.p + 1, max(d_range) + M.p + 1, budget)
+    prefetch_image_dims(M, M.p + 1, max(d_range) + M.p + 1)
     for d in d_range:
         total = 0
         for i in range(1, M.p + 1):
             for j in range(i):
-                total += graded_dim(M, i, 0, d + j, budget)
+                total += graded_dim(M, i, 0, d + j)
         if total != M.n * s_dim(M.r, d):
             return False
     return True

@@ -282,9 +282,19 @@ class TestCommands:
              "--field-ext", "0"],
             ["fiber", "builtin:trivial", "--p", "13", "--r", "2", "--point", "1,0",
              "--field-ext-point", "10"],
+            ["jordan-type", "builtin:radqx", "--p", "2", "--r", "2"],
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "0"],
+            ["chern", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "3"],
+            # a leading NAME=value sets that environment variable, as in a shell
+            ["CJT_SEED=abc", "check-constant", "builtin:trivial", "--p", "2",
+             "--r", "2"],
         ],
     )
-    def test_bad_point_and_field_exit_2(self, argv, capsys):
+    def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch):
+        while "=" in argv[0]:
+            name, value = argv[0].split("=", 1)
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cjt import gfalg
 from cjt.gfalg import (
     FFMatrix,
+    _unblock,
+    blocked_over_prime,
     build_field,
     ff_identity,
     kernel_basis,
@@ -148,10 +150,22 @@ class TestRank:
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (5, 2), (13, 2)])
     def test_blocked_rank_against_encoded_kernel(self, p, e):
-        # rank() goes through companion blocks, kernel_basis() through
-        # elimination on encoded entries; rank-nullity ties them together
+        # rank, kernel_basis and solve all eliminate on companion blocks, so
+        # their outputs are checked in encoded arithmetic (the log/exp
+        # tables of FieldCtx.mul/add), which shares nothing with the blocks
         F = build_field(p, e)
         rng = np.random.default_rng(7 * p + e)
+
+        def encoded_matmul(A, B):
+            out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+            for i in range(A.shape[0]):
+                for j in range(B.shape[1]):
+                    acc = 0
+                    for k in range(A.shape[1]):
+                        acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
+                    out[i, j] = acc
+            return out
+
         for _ in range(20):
             rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
             A = rng.integers(0, F.q, size=(rows, cols))
@@ -159,7 +173,27 @@ class TestRank:
             if rows >= 3:  # a dependent row: c * row 0 + row 1
                 A[2] = F.arr_add(F.arr_scale(int(rng.integers(F.q)), A[0]), A[1])
             m = FFMatrix(F, A)
-            assert rank(m) + kernel_basis(m).cols == cols
+            assert np.array_equal(_unblock(F, blocked_over_prime(F, A)), A)
+            rk = rank(m)
+            K = kernel_basis(m).array
+            assert rk + K.shape[1] == cols
+            assert not np.any(encoded_matmul(A, K))
+            # K's rows at the free columns (those in the span of the earlier
+            # columns) form the identity
+            free = [
+                c
+                for c in range(cols)
+                if rank(FFMatrix(F, A[:, : c + 1])) == rank(FFMatrix(F, A[:, :c]))
+            ]
+            assert np.array_equal(K[free], np.eye(len(free), dtype=np.int64))
+            # one consistent and one random right-hand side
+            X0 = rng.integers(0, F.q, size=(cols, 2))
+            for B in (encoded_matmul(A, X0), rng.integers(0, F.q, size=(rows, 2))):
+                X = solve(m, FFMatrix(F, B))
+                if X is None:
+                    assert rank(FFMatrix(F, np.hstack([A, B]))) > rk
+                else:
+                    assert np.array_equal(encoded_matmul(A, X.array), B)
 
     @settings(max_examples=60, deadline=None)
     @given(
