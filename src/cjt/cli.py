@@ -253,16 +253,37 @@ def resolve_module(ref: str, args) -> KEModule:
     if name == "trivial":
         return builtin("trivial", p, r)
     if name == "regular":
+        _cap(p**r, "group algebra", args)
         return builtin("regular", p, r)
     if name.startswith("radq"):
-        return builtin("rad_quotient", p, r, m=_builtin_index(name, "radq"))
+        m = _builtin_index(name, "radq")
+        _cap(p**r, "group algebra", args)
+        return builtin("rad_quotient", p, r, m=m)
     if name.startswith("perm"):
         return builtin("perm", p, r, i=_builtin_index(name, "perm"))
     if name.startswith("zigzag"):
         return builtin("zigzag", p, r, n=_builtin_index(name, "zigzag"))
     if name.startswith("omega"):
-        return omega(builtin("trivial", p, r), _builtin_index(name, "omega"))
+        n = _builtin_index(name, "omega")
+        return _capped_omega(builtin("trivial", p, r), n, args)
     raise ModuleError(f"unknown builtin module {name!r}")
+
+
+def _cap(dim, what, args):
+    """Refuse a module of dimension dim above --max-dim (kE has p^r)."""
+    if dim > args.max_dim:
+        raise ResourceCapError(
+            f"{what} of dimension {dim} above --max-dim {args.max_dim}"
+        )
+
+
+def _capped_omega(M, n, args):
+    """omega(M, n) one Heller shift at a time, each result within --max-dim."""
+    _cap(M.p**M.r, "group algebra", args)
+    for _ in range(abs(n)):
+        M = omega(M, 1 if n > 0 else -1)
+        _cap(M.n, "Heller shift", args)
+    return M
 
 
 def _builtin_index(name: str, prefix: str) -> int:
@@ -324,7 +345,7 @@ class Case:
 def _battery(p, r, args=None):
     override = getattr(args, "module", None) if args is not None else None
     if override:
-        shim = argparse.Namespace(p=p, r=r)
+        shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
         return [(override, resolve_module(override, shim))]
     mods = [
         ("trivial", builtin("trivial", p, r)),
@@ -405,7 +426,7 @@ def suite_prop_bundles(pairs, args):
 def _omega_members(p, r, args=None):
     override = getattr(args, "module", None) if args is not None else None
     if override:
-        shim = argparse.Namespace(p=p, r=r)
+        shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
         yield override, resolve_module(override, shim)
         return
     names = ["trivial", "radq2"] + (["zigzag3"] if r == 2 else [])
@@ -767,6 +788,8 @@ def run_verify(names, args, out=sys.stdout):
     ]
     if args.p is not None and args.r is not None:
         pairs = [(args.p, args.r)]
+    for p, r in pairs:
+        _cap(p**r, "group algebra", args)
     realized = {}
     cases = []
     for name in names:
@@ -838,12 +861,6 @@ def _cmd_hilbert(args, out):
     print(f"samples: {samples}", file=out)
     print(f"fitted: {polyd.as_str(hd.fitted)}", file=out)
     print(f"stable from degree {hd.stable_from}", file=out)
-    if hd.capped:
-        print(
-            f"note: window capped at degree {hd.d_max} "
-            f"(requested {hd.d_max_requested})",
-            file=out,
-        )
     return 0
 
 
@@ -857,8 +874,7 @@ def _cmd_chern(args, out):
 
 def _cmd_module_op(args, out):
     if args.op == "omega":
-        M = resolve_module(args.module, args)
-        result = omega(M, args.n)
+        result = _capped_omega(resolve_module(args.module, args), args.n, args)
     elif args.op == "dual":
         result = dual(resolve_module(args.module, args))
     elif args.op == "sum":
@@ -866,11 +882,12 @@ def _cmd_module_op(args, out):
             resolve_module(args.module, args), resolve_module(args.other, args)
         )
     elif args.op == "tensor":
-        result = tensor(
-            resolve_module(args.module, args), resolve_module(args.other, args)
-        )
+        M, N = resolve_module(args.module, args), resolve_module(args.other, args)
+        _cap(M.n * N.n, "tensor product", args)
+        result = tensor(M, N)
     else:  # strip-free
         M = resolve_module(args.module, args)
+        _cap(M.p**M.r, "group algebra", args)
         result, count = strip_free(M)
         print(f"# stripped {count} free summands", file=out)
     out.write(print_module(result))
@@ -879,6 +896,7 @@ def _cmd_module_op(args, out):
 
 def _cmd_realize(args, out):
     spec = parse_spec(args.specfile)
+    _cap(spec.p**spec.r, "group algebra", args)
     M, report = realize_bundle(
         spec, max_dim=args.max_dim, plan=sampling_plan(args)
     )
@@ -921,7 +939,7 @@ def build_parser():
     )
     common.add_argument("--max-dim", type=int, default=5000)
     common.add_argument(
-        "--degree-cap", type=int, default=None, help="cap Hilbert sampling degree"
+        "--degree-cap", type=int, default=None, help="last degree of the reported samples"
     )
     common.add_argument(
         "--samples", type=int, default=200, help="extra random constancy points"

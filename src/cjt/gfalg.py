@@ -232,9 +232,6 @@ class FieldCtx:
             return (-a) % self.p
         return self.encode(-x for x in self.digits(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p

@@ -18,10 +18,15 @@ degree-(e+a) piece of the image of theta^a, an S-submodule of M (x) S
 generated by theta^a(M (x) 1).  The tracker below carries an echelonized
 basis of that submodule one degree at a time: candidates at the next
 degree are the Y_j-shifts of the current basis, whose pivots are known
-without scanning, so only pivot collisions cost eliminations.  This is
-what keeps desk-scale Hilbert functions affordable; assembling the full
-degree-e matrix of theta^a from scratch per degree is kept (as
+without scanning, so only pivot collisions cost eliminations.  Assembling
+the full degree-e matrix of theta^a from scratch per degree is kept (as
 ThetaOp.degree_matrix) for audits and small cases.
+
+As mult_map is strictly increasing, the pivots are leading terms in a
+graded term-over-position order (the Macaulay-matrix view behind F4).
+The tracker stops once the new ones form a certified Groebner basis;
+every dimension is then a monomial count, so Hilbert polynomials are
+exact, not fitted to a sampled window.
 
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
@@ -36,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -55,7 +60,7 @@ DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of basis storage per tracker
 
 
 class StabilizationFailedError(RuntimeError):
-    """The sampled window never settled on one polynomial of degree < r."""
+    """Certifying the image of theta^a would need more than the memory budget."""
 
 
 class NotConstantError(ValueError):
@@ -69,17 +74,11 @@ class NotConstantError(ValueError):
 @functools.lru_cache(maxsize=None)
 def monomials(r: int, d: int):
     """Exponent tuples of degree d in r variables, lexicographic order."""
-    if d < 0:
-        return ()
-    return tuple(
-        sorted(
-            tuple(t)
-            for t in _compositions(d, r)
-        )
-    )
+    return tuple(_compositions(d, r)) if d >= 0 else ()
 
 
 def _compositions(d, r):
+    """Compositions of d into r parts, in lexicographic order."""
     if r == 1:
         yield (d,)
         return
@@ -109,6 +108,12 @@ def mult_map(r: int, d: int, j: int):
     for k, m in enumerate(monomials(r, d)):
         out[k] = idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_array(r: int, d: int):
+    """monomials(r, d) as an (s_dim, r) integer array."""
+    return np.array(monomials(r, d), dtype=np.int64).reshape(-1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -172,47 +177,33 @@ def _apply_theta(M: KEModule, V, d):
 
 
 class _ImageTracker:
-    """Echelonized basis of (Im theta^a)_t, advanced one degree at a time."""
+    """Echelonized basis of (Im theta^a)_t, advanced one degree at a time.
+
+    A pivot is a new leading term when it is no Y_j-shift of a pivot one
+    degree lower (every pivot of degree a is new).
+    """
 
     def __init__(self, module: KEModule, a: int):
         assert a >= 1
-        self.M = module
         self.a = a
-        self.p = module.p
-        self.r = module.r
-        self.n = module.n
-        self._inv = [0] * self.p
-        for v in range(1, self.p):
-            self._inv[v] = pow(v, self.p - 2, self.p)
-        self.dims = [0] * a  # degrees 0 .. a-1 carry no image
+        self.p, self.r, self.n = module.p, module.r, module.n
+        self._inv = [0] + [pow(v, self.p - 2, self.p) for v in range(1, self.p)]
         # generators: theta^a applied to the module sitting in degree 0
         V = np.eye(self.n, dtype=np.uint8)
         for t in range(a):
-            V = _apply_theta(self.M, V, t)
+            V = _apply_theta(module, V, t)
         self.t = a
-        self._init_basis(V)
-        self.dims.append(self.rows)
-
-    # -- echelon bookkeeping: rows of self.B, pivot -> row index in self.piv
-
-    def _init_basis(self, V):
-        L = V.shape[1]
-        self.B = np.zeros((max(4, V.shape[0]), L), dtype=np.uint8)
+        # echelon bookkeeping: rows of self.B, pivot -> row index in self.piv
+        self.B = np.zeros((max(4, V.shape[0]), V.shape[1]), dtype=np.uint8)
         self.rows = 0
         self.piv = {}
         self.row_piv = []
-        self._scratch = np.zeros(L, dtype=np.uint8)
+        self._scratch = np.zeros(V.shape[1], dtype=np.uint8)
         for k in range(V.shape[0]):
             self._insert(V[k].copy(), 0)
-
-    def _ensure_capacity(self, extra):
-        need = self.rows + extra
-        if need <= self.B.shape[0]:
-            return
-        cap = max(need, int(self.B.shape[0] * 1.5) + 8)
-        NB = np.zeros((cap, self.B.shape[1]), dtype=np.uint8)
-        NB[: self.rows] = self.B[: self.rows]
-        self.B = NB
+        self.leading = {}  # component -> exponents of its new leading terms
+        self.certify_at = a
+        self._record_leading_terms(self.row_piv)
 
     def _insert(self, row, start):
         """Reduce row against the basis and insert the remainder if nonzero."""
@@ -233,7 +224,9 @@ class _ImageTracker:
                 if v != 1:  # never happens for p = 2
                     np.multiply(row, self._inv[v], out=row)
                     np.mod(row, p, out=row)
-                self._ensure_capacity(1)
+                if self.rows == self.B.shape[0]:
+                    grow = np.zeros((self.rows // 2 + 8, L), dtype=np.uint8)
+                    self.B = np.vstack([self.B, grow])
                 self.B[self.rows] = row
                 self.piv[pos] = self.rows
                 self.row_piv.append(pos)
@@ -257,6 +250,7 @@ class _ImageTracker:
         old_B, old_rows = self.B, self.rows
         old_pivots = np.array(self.row_piv, dtype=np.int64)
         mono_maps = [mult_map(r, t, j) for j in range(r)]
+        shifted = [mm[old_pivots // n] * n + old_pivots % n for mm in mono_maps]
         # seed with the Y_1-shift: echelon already, pivots strictly increase
         self.B = np.zeros((old_rows + max(16, old_rows // 2), L1), dtype=np.uint8)
         self.piv = {}
@@ -268,9 +262,8 @@ class _ImageTracker:
             self.B[:old_rows].reshape(old_rows, sd1, n)[:, mono_maps[0]] = old_B[
                 :old_rows
             ].reshape(old_rows, sd, n)
-            seeds = mono_maps[0][old_pivots // n] * n + old_pivots % n
             for k in range(old_rows):
-                pv = int(seeds[k])
+                pv = int(shifted[0][k])
                 self.piv[pv] = k
                 self.row_piv.append(pv)
             self.rows = old_rows
@@ -278,7 +271,6 @@ class _ImageTracker:
             buf = np.zeros((chunk, L1), dtype=np.uint8)
             for j in range(1, r):
                 mm = mono_maps[j]
-                hints = mm[old_pivots // n] * n + old_pivots % n
                 for k0 in range(0, old_rows, chunk):
                     k1 = min(k0 + chunk, old_rows)
                     m = k1 - k0
@@ -287,67 +279,80 @@ class _ImageTracker:
                         m, sd, n
                     )
                     for i in range(m):
-                        self._insert(buf[i], int(hints[k0 + i]))
+                        self._insert(buf[i], int(shifted[j][k0 + i]))
         del old_B
         self.t = t + 1
-        self.dims.append(self.rows)
+        self._record_leading_terms(
+            np.setdiff1d(np.array(self.row_piv, dtype=np.int64), np.concatenate(shifted))
+        )
 
-    def basis_bytes_next(self):
-        L1 = self.n * s_dim(self.r, self.t + 1)
-        return (2 * self.rows + max(16, self.rows // 2)) * L1
+    def _record_leading_terms(self, pivots):
+        mons = monomials(self.r, self.t)
+        for pv in pivots:
+            mono, c = mons[int(pv) // self.n], int(pv) % self.n
+            terms = self.leading.setdefault(c, [])
+            for g in terms:  # degree of the lcm, where their S-pair lives
+                self.certify_at = max(self.certify_at, sum(map(max, g, mono)))
+            terms.append(mono)
+            self.certify_at = max(self.certify_at, self.t)
 
-    def extend_to(self, t_target) -> bool:
-        """Advance to degree t_target; False if the memory budget stops us."""
-        while self.t < t_target:
-            if self.basis_bytes_next() > DEFAULT_MEMORY_BUDGET:
-                return False
+    def certify(self):
+        """Step until the new leading terms form a Groebner basis.
+
+        At t >= certify_at every S-pair of two new terms in one component
+        has passed; its leading term is a pivot of its degree, so lies in
+        the module the new terms generate, and it reduces to zero
+        (Buchberger's criterion).  So do the generators theta^a(M (x) 1).
+        """
+        while self.t < self.certify_at:
+            L1 = self.n * s_dim(self.r, self.t + 1)
+            if (2 * self.rows + max(16, self.rows // 2)) * L1 > DEFAULT_MEMORY_BUDGET:
+                raise StabilizationFailedError(
+                    f"certifying the image of theta^{self.a} past degree "
+                    f"{self.t} needs more than "
+                    f"{DEFAULT_MEMORY_BUDGET >> 20} MB of basis storage"
+                )
             self.step()
-        return True
 
 
-def _image_dims(M: KEModule, a: int, t_target: int):
-    """Cached dims of (Im theta^a)_t for t = 0..t_reached, t_reached <= t_target.
+def _certified_image(M: KEModule, a: int):
+    """(T, component -> leading-term array) for Im theta^a, cached per power.
 
-    Returns (dims list, reached flag).  a >= p gives zero image.  A run
-    capped by the memory budget is cached as capped: a rerun would stop
-    at the same degree.
+    T is the certificate degree.  No leading terms unless 1 <= a < p.
     """
-    if a == 0:
-        return [M.n * s_dim(M.r, t) for t in range(t_target + 1)], True
-    if a >= M.p or M.n == 0:
-        return [0] * (t_target + 1), True
-    cache = M._cache.setdefault("image_dims", {})
-    entry = cache.get(a)
-    if entry is not None:
-        dims, capped = entry
-        if len(dims) > t_target:
-            return dims[: t_target + 1], True
-        if capped:
-            return list(dims), False
-    tracker = _ImageTracker(M, a)
-    reached = tracker.extend_to(t_target)
-    dims = list(tracker.dims)
-    cache[a] = (dims, not reached)
-    del tracker
-    return dims, reached
+    if not (1 <= a < M.p and M.n):
+        return 0, {}
+    cache = M._cache.setdefault("image_gb", {})
+    if a not in cache:
+        tracker = _ImageTracker(M, a)
+        tracker.certify()
+        leading = {c: np.array(g, dtype=np.int64) for c, g in tracker.leading.items()}
+        cache[a] = (tracker.t, leading)
+    return cache[a]
 
 
-def prefetch_image_dims(M: KEModule, max_power: int, t_target: int):
-    """Warm the per-module cache so graded_dim calls never restart a tracker."""
-    for a in range(1, min(max_power, M.p - 1) + 1):
-        _image_dims(M, a, t_target)
+def prefetch_image_dims(M: KEModule, powers):
+    """Certify the images of theta^a for a in powers; their (T, leading terms)."""
+    return [_certified_image(M, a) for a in powers]
 
 
-def _rank_theta(M: KEModule, a: int, e: int):
-    """R(a, e): rank of theta^a on the degree-e piece; None past the budget."""
+def _rank_theta(M: KEModule, a: int, e: int) -> int:
+    """R(a, e): rank of theta^a on the degree-e piece.
+
+    The leading terms form a Groebner basis, so this is the number of
+    degree-(e+a) monomials, per component, divisible by one of that
+    component's leading terms.
+    """
     if e < 0:
         return 0
     if a == 0:
         return M.n * s_dim(M.r, e)
-    dims, _ = _image_dims(M, a, e + a)
-    if e + a < len(dims):
-        return dims[e + a]
-    return None
+    _, leading = _certified_image(M, a)
+    mons = _monomial_array(M.r, e + a)[:, None, :]
+    return sum(
+        int(np.count_nonzero((mons >= G).all(axis=2).any(axis=1)))
+        for G in leading.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +409,12 @@ def graded_dim(M: KEModule, i: int, j: int, d: int):
     if d < 0:
         raise ValueError("degree must be nonnegative")
     e = d - i + j
-    parts = [
-        _rank_theta(M, i - 1, e + 1),
-        _rank_theta(M, i + 1, e),
-        _rank_theta(M, i, e + 1),
-        _rank_theta(M, i, e),
-    ]
-    if any(x is None for x in parts):
-        raise StabilizationFailedError(
-            f"memory budget exhausted computing graded dimension at degree {d}"
-        )
-    return parts[0] + parts[1] - parts[2] - parts[3]
+    return (
+        _rank_theta(M, i - 1, e + 1)
+        + _rank_theta(M, i + 1, e)
+        - _rank_theta(M, i, e + 1)
+        - _rank_theta(M, i, e)
+    )
 
 
 def graded_dim_subspace(M: KEModule, i: int, j: int, d: int):
@@ -470,7 +470,7 @@ def graded_dim_subspace(M: KEModule, i: int, j: int, d: int):
 
 @dataclasses.dataclass(frozen=True)
 class HilbertData:
-    """Sampled graded dimensions and the fitted Hilbert polynomial."""
+    """Graded dimensions and the certified Hilbert polynomial."""
 
     i: int
     j: int
@@ -479,17 +479,10 @@ class HilbertData:
     fitted: tuple  # Fraction coefficients, lowest first
     stable_from: int
     d_max: int
-    d_max_requested: int
-    extensions: int = 0
-
-    @property
-    def capped(self) -> bool:
-        return self.d_max < self.d_max_requested
+    certified_degree: int  # largest Groebner-basis certificate degree used
 
     def rank(self) -> int:
         """(r-1)! times the leading coefficient; the rank of the bundle."""
-        from math import factorial
-
         if not self.fitted:
             return 0
         if len(self.fitted) - 1 != self.r - 1:
@@ -500,11 +493,11 @@ class HilbertData:
         return int(v)
 
     def describe(self) -> str:
-        cap = " (degree window capped by memory budget)" if self.capped else ""
         return (
             f"F_{self.i}: fitted chi(d) = {polyd.as_str(self.fitted)}, "
             f"stable from degree {self.stable_from}, "
-            f"samples up to degree {self.d_max}{cap}"
+            f"samples up to degree {self.d_max}, "
+            f"Groebner bases certified by degree {self.certified_degree}"
         )
 
 
@@ -525,63 +518,45 @@ def hilbert(
     *,
     skip_constancy_check: bool = False,
 ) -> HilbertData:
-    """Sampled Hilbert function of the i-th graded subquotient, with exact fit.
+    """Hilbert function of the i-th graded subquotient and its exact polynomial.
 
-    Samples run through d = 0..D with D defaulting to dim M + p + 5 (a
-    regularity proxy; the memory budget may cap it lower, and the report
-    says so).  The fit is accepted when one polynomial of degree <= r-1
-    reproduces a tail window of length >= r+3; otherwise the window is
-    extended twice by r+3 before StabilizationFailedError.
+    graded_dim(M, i, 0, d) uses the images of theta^{i-1}, theta^i and
+    theta^{i+1}.  By inclusion-exclusion over lcms, each image dimension is
+    polynomial from L - r + 1 on, L the largest lcm degree of the leading
+    terms of one component; so the Hilbert function is from d* = max L on.
+    It is interpolated on r+3 degrees from d*, and stable_from walks back
+    from d*.  d_max (default dim M + p + 5) sets the last reported sample.
     """
     if not 1 <= i <= M.p:
         raise ValueError(f"functor index must be in 1..p, got {i}")
     if not skip_constancy_check:
         _require_constant(M)
-    requested = d_max if d_max is not None else M.n + M.p + 5
-    window = M.r + 3
-    D = requested
-    extensions = 0
-    while True:
-        prefetch_image_dims(M, i + 1, D + 1)
-        samples = {}
-        reached = D
-        for d in range(D + 1):
-            try:
-                samples[d] = graded_dim(M, i, 0, d)
-            except StabilizationFailedError:
-                reached = d - 1
-                break
-        if reached < window:
-            raise StabilizationFailedError(
-                f"could not sample past degree {reached}; "
-                "memory budget too small for this module"
-            )
-        top = [(d, samples[d]) for d in range(reached - window + 1, reached + 1)]
-        fitted = polyd.fit_integer_samples(top, M.r - 1)
-        if fitted is not None:
-            stable_from = reached - window + 1
-            while stable_from > 0 and polyd.evaluate(
-                fitted, stable_from - 1
-            ) == samples[stable_from - 1]:
-                stable_from -= 1
-            return HilbertData(
-                i=i,
-                j=0,
-                r=M.r,
-                samples={d: samples[d] for d in range(reached + 1)},
-                fitted=fitted,
-                stable_from=stable_from,
-                d_max=reached,
-                d_max_requested=requested,
-                extensions=extensions,
-            )
-        if extensions >= 2 or reached < D:
-            raise StabilizationFailedError(
-                f"window of length {window} ending at degree {reached} is not "
-                f"polynomial of degree <= {M.r - 1}"
-            )
-        extensions += 1
-        D += window
+    d_max = d_max if d_max is not None else M.n + M.p + 5
+    images = prefetch_image_dims(M, (i - 1, i, i + 1))
+    d_star = max([0] + [int(G.max(axis=0).sum()) for _, lt in images for G in lt.values()])
+    certified = max(T for T, _ in images)
+    top = d_star + M.r + 2
+    values = [graded_dim(M, i, 0, d) for d in range(max(d_max, top) + 1)]
+    fitted = polyd.fit_integer_samples(
+        [(d, values[d]) for d in range(d_star, top + 1)], M.r - 1
+    )
+    if fitted is None:
+        raise AssertionError(f"F_{i} is not polynomial of degree < r from {d_star} on")
+    stable_from = d_star
+    while stable_from > 0 and polyd.evaluate(fitted, stable_from - 1) == values[
+        stable_from - 1
+    ]:
+        stable_from -= 1
+    return HilbertData(
+        i=i,
+        j=0,
+        r=M.r,
+        samples={d: values[d] for d in range(d_max + 1)},
+        fitted=fitted,
+        stable_from=stable_from,
+        d_max=d_max,
+        certified_degree=certified,
+    )
 
 
 def twist_shift_check(M: KEModule, i: int, j: int, d_range=None) -> bool:
@@ -590,8 +565,6 @@ def twist_shift_check(M: KEModule, i: int, j: int, d_range=None) -> bool:
         raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
     if d_range is None:
         d_range = range(0, min(M.n + M.p + 5, 12) + 1)
-    d_range = list(d_range)
-    prefetch_image_dims(M, i + 1, max(d_range) + j + 2)
     return all(
         graded_dim(M, i, j, d) == graded_dim(M, i, 0, d + j)
         for d in d_range
@@ -602,8 +575,6 @@ def filtration_check(M: KEModule, d_range=None) -> bool:
     """dim M * dim S_d == sum over i, j of graded_dim(M, i, 0, d + j)."""
     if d_range is None:
         d_range = range(0, min(M.n + M.p + 5, 10) + 1)
-    d_range = list(d_range)
-    prefetch_image_dims(M, M.p + 1, max(d_range) + M.p + 1)
     for d in d_range:
         total = 0
         for i in range(1, M.p + 1):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cjt
+from cjt import thetasheaf
 from cjt.cli import main, parse_module, parse_spec, print_module
 from cjt.kemod import builtin, jordan_type_at, projective_points
 
@@ -299,6 +300,56 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # kE has dimension 2^3 = 8
+            ["jordan-type", "builtin:regular", "--p", "2", "--r", "3", "--max-dim", "7"],
+            ["hilbert", "builtin:radq2", "--p", "2", "--r", "3", "--functor", "1",
+             "--max-dim", "7"],
+            ["jordan-type", "builtin:omega1", "--p", "2", "--r", "3", "--max-dim", "7"],
+            ["strip-free", "builtin:trivial", "--p", "2", "--r", "3", "--max-dim", "7"],
+            ["verify", "fij-shift", "--p", "2", "--r", "3", "--max-dim", "7"],
+            # Omega^2 k has dimension 5 at p = r = 2, radq2 (x) radq2 has 9
+            ["omega", "2", "builtin:trivial", "--p", "2", "--r", "2", "--max-dim", "4"],
+            ["tensor", "builtin:radq2", "builtin:radq2", "--p", "2", "--r", "2",
+             "--max-dim", "8"],
+        ],
+    )
+    def test_max_dim_refused_exit_1(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_max_dim_refuses_realize_before_group_algebra(self, tmp_path, capsys):
+        f = tmp_path / "s.txt"
+        f.write_text(SPEC_O_MINUS_1)  # p = 3, r = 2: kE has dimension 9
+        code, _, err = run_cli(["realize", str(f), "--max-dim", "8"], capsys)
+        assert code == 1
+        assert err.startswith("failure: ") and err.count("\n") == 1
+
+    def test_memory_budget_exit_1(self, monkeypatch, capsys):
+        # certifying Im theta for Omega^1 k needs one tracker step
+        monkeypatch.setattr(thetasheaf, "DEFAULT_MEMORY_BUDGET", 16)
+        code, _, err = run_cli(
+            ["hilbert", "builtin:omega1", "--p", "2", "--r", "2", "--functor", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_degree_cap_sets_last_sample_only(self, capsys):
+        code, out, _ = run_cli(
+            ["hilbert", "builtin:radq2", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree-cap", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert "samples: 0:2 1:3 2:4 3:5\n" in out
+        assert "fitted: d + 2" in out
 
 
 class TestVerify:

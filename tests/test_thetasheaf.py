@@ -16,9 +16,14 @@ from cjt.kemod import (
     projective_points,
 )
 from cjt.polyd import binomial_poly, evaluate
+from cjt import thetasheaf
 from cjt.thetasheaf import (
     NotConstantError,
+    StabilizationFailedError,
     ThetaOp,
+    _certified_image,
+    _ImageTracker,
+    _rank_theta,
     fiber,
     filtration_check,
     graded_dim,
@@ -29,6 +34,7 @@ from cjt.thetasheaf import (
     s_dim,
     twist_shift_check,
 )
+from test_random_modules import zoo
 
 
 def battery():
@@ -201,9 +207,52 @@ class TestHilbert:
         M = builtin("rad_quotient", 2, 2, m=2)
         hd = hilbert(M, 1)
         assert hd.d_max == M.n + M.p + 5
-        assert not hd.capped
+        # Im theta has one generator, so its single leading term is a
+        # Groebner basis at once; theta^2 = 0
+        assert hd.certified_degree == 1
         assert set(hd.samples) == set(range(hd.d_max + 1))
         for d in range(hd.stable_from, hd.d_max + 1):
+            assert evaluate(hd.fitted, d) == hd.samples[d]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "name,M",
+        battery() + [(f"zoo(7)[{k}]", M) for k, M in enumerate(zoo(7))],
+    )
+    def test_counted_ranks_match_tracker_past_certificate(self, name, M):
+        # the certified route counts monomials; a raw tracker stepped five
+        # degrees past T eliminates, and records no further leading term
+        for a in range(1, M.p):
+            if M.n == 0:
+                continue
+            T = _certified_image(M, a)[0]
+            tracker = _ImageTracker(M, a)
+            dims = [0] * a + [tracker.rows]  # Im theta^a is zero below a
+            while tracker.t < T + 5:
+                if tracker.t == T:
+                    at_T = {c: list(g) for c, g in tracker.leading.items()}
+                tracker.step()
+                dims.append(tracker.rows)
+            assert tracker.leading == at_T, (name, a)
+            for t in range(T + 6):
+                assert _rank_theta(M, a, t - a) == dims[t], (name, a, t)
+
+    def test_memory_budget_refuses_certificate(self, monkeypatch):
+        # Omega^1 k at p = r = 2 certifies Im theta at degree 2, one step
+        # past its generators; a budget of a few bytes refuses that step
+        monkeypatch.setattr(thetasheaf, "DEFAULT_MEMORY_BUDGET", 16)
+        with pytest.raises(StabilizationFailedError):
+            hilbert(omega(builtin("trivial", 2, 2), 1), 1)
+
+    def test_omega1_k_p2r4_reaches_requested_degree(self):
+        # the 512 MB sampling window used to stop at degree 18 of 22 here
+        M = omega(builtin("trivial", 2, 4), 1)
+        hd = hilbert(M, 1)
+        assert hd.d_max == M.n + M.p + 5 == 22
+        assert set(hd.samples) == set(range(23))
+        assert hd.fitted == binomial_poly(-1, 4)
+        for d in range(hd.stable_from, 23):
             assert evaluate(hd.fitted, d) == hd.samples[d]
 
 
