@@ -74,24 +74,6 @@ from .thetasheaf import (
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 
-SUITES = (
-    "fij-shift",
-    "filtration",
-    "prop-bundles",
-    "omega-shift",
-    "omega2",
-    "omegank",
-    "duality",
-    "exactness",
-    "rho-even",
-    "rho-odd",
-    "main-theorem",
-    "chern-twist",
-    "product-twists",
-    "divisibility",
-    "hm-obstruction",
-)
-
 
 class ParseError(ValueError):
     def __init__(self, path, line, message):
@@ -169,6 +151,10 @@ def parse_spec(path) -> ResolutionSpec:
         p, r, L = (int(x) for x in header.split())
     except ValueError:
         raise ParseError(path, lineno, "header must be: p r L") from None
+    if p not in SUPPORTED_PRIMES or r < 1:
+        raise ParseError(
+            path, lineno, f"header needs p in {SUPPORTED_PRIMES} and r >= 1"
+        )
     levels = [None] * (L + 1)
     maps = [dict() for _ in range(L)]
     mode = None  # ("map", i) while reading a map block
@@ -248,10 +234,9 @@ def resolve_module(ref: str, args) -> KEModule:
     p, r = args.p, args.r
     if p is None or r is None:
         raise ModuleError("builtin modules need --p and --r")
-    if p not in SUPPORTED_PRIMES or r < 1:
-        raise ModuleError(f"builtin modules need --p in {SUPPORTED_PRIMES}, --r >= 1")
+    k = builtin("trivial", p, r)  # refuses an unsupported (p, r) before any cap
     if name == "trivial":
-        return builtin("trivial", p, r)
+        return k
     if name == "regular":
         _cap(p**r, "group algebra", args)
         return builtin("regular", p, r)
@@ -265,7 +250,7 @@ def resolve_module(ref: str, args) -> KEModule:
         return builtin("zigzag", p, r, n=_builtin_index(name, "zigzag"))
     if name.startswith("omega"):
         n = _builtin_index(name, "omega")
-        return _capped_omega(builtin("trivial", p, r), n, args)
+        return _capped_omega(k, n, args)
     raise ModuleError(f"unknown builtin module {name!r}")
 
 
@@ -342,11 +327,19 @@ class Case:
         self.detail = detail
 
 
-def _battery(p, r, args=None):
+def _module_override(p, r, args):
+    """[(ref, module)] for verify's --module resolved at (p, r), or []."""
     override = getattr(args, "module", None) if args is not None else None
+    if not override:
+        return []
+    shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
+    return [(override, resolve_module(override, shim))]
+
+
+def _battery(p, r, args=None):
+    override = _module_override(p, r, args)
     if override:
-        shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
-        return [(override, resolve_module(override, shim))]
+        return override
     mods = [
         ("trivial", builtin("trivial", p, r)),
         ("regular", builtin("regular", p, r)),
@@ -424,10 +417,9 @@ def suite_prop_bundles(pairs, args):
 
 
 def _omega_members(p, r, args=None):
-    override = getattr(args, "module", None) if args is not None else None
+    override = _module_override(p, r, args)
     if override:
-        shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
-        yield override, resolve_module(override, shim)
+        yield from override
         return
     names = ["trivial", "radq2"] + (["zigzag3"] if r == 2 else [])
     for name in names:
@@ -776,6 +768,8 @@ SUITE_RUNNERS = {
     "divisibility": suite_divisibility,
     "hm-obstruction": suite_hm_obstruction,
 }
+
+SUITES = tuple(SUITE_RUNNERS)
 
 REALIZING_SUITES = {"exactness", "main-theorem", "divisibility"}
 

@@ -9,7 +9,11 @@ Extension moduli are never looked up in a table: ``build_field`` scans
 monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
-Every elimination runs over GF(p).  A GF(p^e) matrix is blocked by
+Every elimination runs over GF(p), in one loop: ``echelon_p`` clears
+below each pivot, or above it too when ``reduced`` is set.  ``rref_p`` is
+its reduced form and ``rank_p`` its pivot count; callers that only need
+pivot columns take the cheaper unreduced form, since pivot columns do not
+depend on the echelon form chosen.  A GF(p^e) matrix is blocked by
 replacing each entry with its e x e companion matrix; ranks are blocked
 ranks divided by e.  Blocking is a ring embedding that maps the reduced
 echelon form of A to that of blocked(A) (both are unique), so kernels and
@@ -42,6 +46,12 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _inverses(p):
+    """Multiplicative inverses mod p, indexed by residue (0 maps to 0)."""
+    return (0,) + tuple(pow(v, p - 2, p) for v in range(1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +158,7 @@ class FieldCtx:
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self._inv_p = [0] * p
-        for v in range(1, p):
-            self._inv_p[v] = pow(v, p - 2, p)
+        self._inv_p = _inverses(p)
         if e > 1:
             self._build_tables()
 
@@ -390,55 +398,18 @@ def ff_identity(ctx: FieldCtx, n: int) -> FFMatrix:
 # prime-field elimination core (uint8 arrays, p <= 13)
 
 
-def rref_p(A, p):
-    """Reduced row echelon form over GF(p).  Returns (R, pivot column list).
+def echelon_p(A, p, reduced=False):
+    """Row echelon form over GF(p).  Returns (R, pivot column list).
 
     A is a 2-d uint8 array; not modified.  Deterministic: pivots are the
-    first nonzero entry in scan order.
+    first nonzero entry in scan order, scaled to 1, and only the rows below
+    a pivot are cleared.  With reduced set the rows above are cleared too,
+    which gives the (unique) reduced row echelon form.
     """
     R = np.array(A, dtype=np.uint8, copy=True)
     rows, cols = R.shape
-    inv = [0] * p
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
+    inv = _inverses(p)
     pivots = []
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        col = R[rank:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            R[[rank, pr]] = R[[pr, rank]]
-        pv = int(R[rank, c])
-        if pv != 1:
-            R[rank] = (R[rank].astype(np.int64) * inv[pv]) % p
-        other = np.flatnonzero(R[:, c])
-        other = other[other != rank]
-        if other.size:
-            # factors*pivot_row <= 12*12, +entry <= 12: fits in int16
-            upd = (
-                R[other].astype(np.int16)
-                + np.outer((p - R[other, c]).astype(np.int16), R[rank])
-            ) % p
-            R[other] = upd.astype(np.uint8)
-        pivots.append(c)
-        rank += 1
-    return R, pivots
-
-
-def rank_p(A, p) -> int:
-    """Rank over GF(p) by forward elimination (no back substitution)."""
-    R = np.array(A, dtype=np.uint8, copy=True)
-    rows, cols = R.shape
-    if rows == 0 or cols == 0:
-        return 0
-    inv = [0] * p
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
     rank = 0
     for c in range(cols):
         if rank == rows:
@@ -452,15 +423,31 @@ def rank_p(A, p) -> int:
         pv = int(R[rank, c])
         if pv != 1:
             R[rank] = (R[rank].astype(np.int64) * inv[pv]) % p
-        below = rank + 1 + np.flatnonzero(R[rank + 1 :, c])
-        if below.size:
+        if reduced:
+            other = np.flatnonzero(R[:, c])
+            other = other[other != rank]
+        else:
+            other = rank + 1 + np.flatnonzero(R[rank + 1 :, c])
+        if other.size:
+            # factors*pivot_row <= 12*12, +entry <= 12: fits in int16
             upd = (
-                R[below].astype(np.int16)
-                + np.outer((p - R[below, c]).astype(np.int16), R[rank])
+                R[other].astype(np.int16)
+                + np.outer((p - R[other, c]).astype(np.int16), R[rank])
             ) % p
-            R[below] = upd.astype(np.uint8)
+            R[other] = upd.astype(np.uint8)
+        pivots.append(c)
         rank += 1
-    return rank
+    return R, pivots
+
+
+def rref_p(A, p):
+    """Reduced row echelon form over GF(p).  Returns (R, pivot column list)."""
+    return echelon_p(A, p, reduced=True)
+
+
+def rank_p(A, p) -> int:
+    """Rank over GF(p) by forward elimination (no back substitution)."""
+    return len(echelon_p(A, p)[1])
 
 
 def kernel_from_rref(R, pivots, cols, p):

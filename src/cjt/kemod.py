@@ -152,12 +152,19 @@ class KEModule:
         return f"<KEModule p={self.p} r={self.r} dim={self.n}>"
 
 
+def _check_algebra(p, r):
+    """Refuse (p, r) unless p is a supported prime and r >= 1."""
+    if p not in gfalg.SUPPORTED_PRIMES:
+        raise ModuleError(
+            f"unsupported characteristic p = {p}; choose from {gfalg.SUPPORTED_PRIMES}"
+        )
+    if r < 1:
+        raise ModuleError(f"rank r must be >= 1, got {r}")
+
+
 def new_module(p, r, X, *, constant_by_construction=False) -> KEModule:
     """Validated module from explicit action matrices."""
-    if p not in gfalg.SUPPORTED_PRIMES:
-        raise ModuleError(f"unsupported characteristic p = {p}")
-    if r < 1:
-        raise ModuleError("rank r must be >= 1")
+    _check_algebra(p, r)
     return KEModule(p, r, X, constant_by_construction=constant_by_construction)
 
 
@@ -266,6 +273,7 @@ def hom_commutes(source, target, M) -> bool:
 
 def builtin(kind: str, p: int, r: int, **params) -> KEModule:
     """Named module: trivial, regular, rad_quotient(m), perm(i), zigzag(n)."""
+    _check_algebra(p, r)
     if kind == "trivial":
         return KEModule(
             p, r, [np.zeros((1, 1))] * r, validate=False, constant_by_construction=True
@@ -732,7 +740,7 @@ def strip_free_with_inclusion(M: KEModule) -> tuple[KEModule, int, ModuleHom]:
     Z = acts[kE.index[kE.z]]
     if not np.any(Z):
         return M, 0, ModuleHom(M, M, np.eye(M.n, dtype=np.uint8), validate=False)
-    _, pivcols = gfalg.rref_p(Z, p)
+    _, pivcols = gfalg.echelon_p(Z, p)
     # the pivot columns c of Z have independent images z*e_c, so the
     # submodule generated by those e_c is free of rank a
     a = len(pivcols)

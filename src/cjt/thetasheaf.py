@@ -15,18 +15,18 @@ R(a, e) = rank of theta^a on the degree-e piece:
 which follows from rank-nullity applied to theta^u restricted to images
 and from the modular law.  R(a, e) is in turn the dimension of the
 degree-(e+a) piece of the image of theta^a, an S-submodule of M (x) S
-generated by theta^a(M (x) 1).  The tracker below carries an echelonized
-basis of that submodule one degree at a time: candidates at the next
-degree are the Y_j-shifts of the current basis, whose pivots are known
-without scanning, so only pivot collisions cost eliminations.  Assembling
-the full degree-e matrix of theta^a from scratch per degree is kept (as
-ThetaOp.degree_matrix) for audits and small cases.
+generated by theta^a(M (x) 1).  The tracker below carries an echelon
+basis of that submodule one degree at a time: the Y_j-shifts of the
+current basis span the next degree, and one gfalg.echelon_p call on them
+all gives that degree's basis and pivots.  Assembling the matrix of
+theta^a from scratch per degree is kept (as ThetaOp.power_matrix) for
+audits and small cases.
 
 As mult_map is strictly increasing, the pivots are leading terms in a
-graded term-over-position order (the Macaulay-matrix view behind F4).
-The tracker stops once the new ones form a certified Groebner basis;
-every dimension is then a monomial count, so Hilbert polynomials are
-exact, not fitted to a sampled window.
+graded term-over-position order, and the stacked shifts are a Macaulay
+matrix, as in F4.  The tracker stops once the new leading terms form a
+certified Groebner basis; every dimension is then a monomial count, so
+Hilbert polynomials are exact, not fitted to a sampled window.
 
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
@@ -56,7 +56,7 @@ from .kemod import (
     x_alpha,
 )
 
-DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of basis storage per tracker
+DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of elimination storage per step
 
 
 class StabilizationFailedError(RuntimeError):
@@ -177,7 +177,7 @@ def _apply_theta(M: KEModule, V, d):
 
 
 class _ImageTracker:
-    """Echelonized basis of (Im theta^a)_t, advanced one degree at a time.
+    """Echelon basis B of (Im theta^a)_t, advanced one degree at a time.
 
     A pivot is a new leading term when it is no Y_j-shift of a pivot one
     degree lower (every pivot of degree a is new).
@@ -187,104 +187,40 @@ class _ImageTracker:
         assert a >= 1
         self.a = a
         self.p, self.r, self.n = module.p, module.r, module.n
-        self._inv = [0] + [pow(v, self.p - 2, self.p) for v in range(1, self.p)]
         # generators: theta^a applied to the module sitting in degree 0
         V = np.eye(self.n, dtype=np.uint8)
         for t in range(a):
             V = _apply_theta(module, V, t)
         self.t = a
-        # echelon bookkeeping: rows of self.B, pivot -> row index in self.piv
-        self.B = np.zeros((max(4, V.shape[0]), V.shape[1]), dtype=np.uint8)
-        self.rows = 0
-        self.piv = {}
-        self.row_piv = []
-        self._scratch = np.zeros(V.shape[1], dtype=np.uint8)
-        for k in range(V.shape[0]):
-            self._insert(V[k].copy(), 0)
+        self._echelonize(V)
         self.leading = {}  # component -> exponents of its new leading terms
         self.certify_at = a
-        self._record_leading_terms(self.row_piv)
+        self._record_leading_terms(self.pivots)
 
-    def _insert(self, row, start):
-        """Reduce row against the basis and insert the remainder if nonzero."""
-        p = self.p
-        pos = start
-        L = row.shape[0]
-        while True:
-            if pos >= L:
-                return
-            if row[pos] == 0:
-                nz = np.flatnonzero(row[pos:])
-                if nz.size == 0:
-                    return
-                pos += int(nz[0])
-            holder = self.piv.get(pos)
-            if holder is None:
-                v = int(row[pos])
-                if v != 1:  # never happens for p = 2
-                    np.multiply(row, self._inv[v], out=row)
-                    np.mod(row, p, out=row)
-                if self.rows == self.B.shape[0]:
-                    grow = np.zeros((self.rows // 2 + 8, L), dtype=np.uint8)
-                    self.B = np.vstack([self.B, grow])
-                self.B[self.rows] = row
-                self.piv[pos] = self.rows
-                self.row_piv.append(pos)
-                self.rows += 1
-                return
-            if p == 2:
-                row ^= self.B[holder]
-            else:
-                # uint8-safe: factor*entry <= 12*12, plus entry <= 12, under 256
-                f = p - int(row[pos])
-                np.multiply(self.B[holder], f, out=self._scratch)
-                np.add(row, self._scratch, out=row)
-                np.mod(row, p, out=row)
-            pos += 1
+    def _echelonize(self, V):
+        R, pivots = gfalg.echelon_p(V, self.p)
+        self.rows = len(pivots)
+        self.B = R[: self.rows].copy()  # a copy, so R's zero rows are freed
+        self.pivots = np.array(pivots, dtype=np.int64)
 
     def step(self):
-        """Advance the image basis from degree t to t+1."""
-        n, r, t = self.n, self.r, self.t
+        """Advance the image basis from degree t to t+1.
+
+        The Y_j-shifts of a basis of degree t span degree t+1, and the
+        shift of a row has the shifted pivot, as mult_map is increasing.
+        """
+        n, r, t, rows = self.n, self.r, self.t, self.rows
         sd, sd1 = s_dim(r, t), s_dim(r, t + 1)
-        L1 = n * sd1
-        old_B, old_rows = self.B, self.rows
-        old_pivots = np.array(self.row_piv, dtype=np.int64)
-        mono_maps = [mult_map(r, t, j) for j in range(r)]
-        shifted = [mm[old_pivots // n] * n + old_pivots % n for mm in mono_maps]
-        # seed with the Y_1-shift: echelon already, pivots strictly increase
-        self.B = np.zeros((old_rows + max(16, old_rows // 2), L1), dtype=np.uint8)
-        self.piv = {}
-        self.row_piv = []
-        self.rows = 0
-        self._scratch = np.zeros(L1, dtype=np.uint8)
-        if old_rows:
+        shifts = np.zeros((r, rows, sd1, n), dtype=np.uint8)
+        shifted = []
+        for j in range(r):
+            mm = mult_map(r, t, j)
             # scatter whole n-blocks: fancy index on the monomial axis only
-            self.B[:old_rows].reshape(old_rows, sd1, n)[:, mono_maps[0]] = old_B[
-                :old_rows
-            ].reshape(old_rows, sd, n)
-            for k in range(old_rows):
-                pv = int(shifted[0][k])
-                self.piv[pv] = k
-                self.row_piv.append(pv)
-            self.rows = old_rows
-            chunk = 128
-            buf = np.zeros((chunk, L1), dtype=np.uint8)
-            for j in range(1, r):
-                mm = mono_maps[j]
-                for k0 in range(0, old_rows, chunk):
-                    k1 = min(k0 + chunk, old_rows)
-                    m = k1 - k0
-                    buf[:m] = 0
-                    buf[:m].reshape(m, sd1, n)[:, mm] = old_B[k0:k1].reshape(
-                        m, sd, n
-                    )
-                    for i in range(m):
-                        self._insert(buf[i], int(shifted[j][k0 + i]))
-        del old_B
+            shifts[j][:, mm] = self.B.reshape(rows, sd, n)
+            shifted.append(mm[self.pivots // n] * n + self.pivots % n)
         self.t = t + 1
-        self._record_leading_terms(
-            np.setdiff1d(np.array(self.row_piv, dtype=np.int64), np.concatenate(shifted))
-        )
+        self._echelonize(shifts.reshape(r * rows, n * sd1))
+        self._record_leading_terms(np.setdiff1d(self.pivots, np.concatenate(shifted)))
 
     def _record_leading_terms(self, pivots):
         mons = monomials(self.r, self.t)
@@ -305,12 +241,13 @@ class _ImageTracker:
         (Buchberger's criterion).  So do the generators theta^a(M (x) 1).
         """
         while self.t < self.certify_at:
+            # the r stacked shifts of B, and the copy echelon_p eliminates in
             L1 = self.n * s_dim(self.r, self.t + 1)
-            if (2 * self.rows + max(16, self.rows // 2)) * L1 > DEFAULT_MEMORY_BUDGET:
+            if 2 * self.r * self.rows * L1 > DEFAULT_MEMORY_BUDGET:
                 raise StabilizationFailedError(
                     f"certifying the image of theta^{self.a} past degree "
                     f"{self.t} needs more than "
-                    f"{DEFAULT_MEMORY_BUDGET >> 20} MB of basis storage"
+                    f"{DEFAULT_MEMORY_BUDGET >> 20} MB of elimination storage"
                 )
             self.step()
 
@@ -389,7 +326,7 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
     for i in range(p + 1):
         if i:
             Bi = matmul_p(B, Bi, p)
-        _, pivots = gfalg.rref_p(Bi, p)
+        _, pivots = gfalg.echelon_p(Bi, p)
         stacked = np.hstack([K, Bi[:, pivots]])
         meet = kerdim + len(pivots) - gfalg.rank_p(stacked, p)
         assert meet % e == 0
@@ -436,7 +373,7 @@ def graded_dim_subspace(M: KEModule, i: int, j: int, d: int):
         if d - b < 0:
             return np.zeros((n_d, 0), dtype=np.uint8)
         A = theta.power_matrix(b, d - b).array
-        _, pivots = gfalg.rref_p(A, p)
+        _, pivots = gfalg.echelon_p(A, p)
         return A[:, pivots] if pivots else np.zeros((n_d, 0), dtype=np.uint8)
 
     def ker_basis(u):

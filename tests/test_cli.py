@@ -289,13 +289,28 @@ class TestCommands:
             # a leading NAME=value sets that environment variable, as in a shell
             ["CJT_SEED=abc", "check-constant", "builtin:trivial", "--p", "2",
              "--r", "2"],
+            # unsupported (p, r): the battery, and spec headers (an item
+            # file:<text> stands for a file holding that text)
+            ["verify", "fij-shift", "--p", "4", "--r", "2"],
+            ["verify", "fij-shift", "--p", "2", "--r", "0"],
+            # refused as unsupported before --max-dim sees 4^7 > 5000
+            ["jordan-type", "builtin:regular", "--p", "4", "--r", "7"],
+            ["realize", "file:0 2 1\nlevel 0: 0\nlevel 1: -1\nmap 1\n1 1 : 1 1 0\n"],
+            ["realize", "file:4 2 0\nlevel 0: -1\n"],
+            ["realize", "file:2 0 0\nlevel 0: -1\n"],
         ],
     )
-    def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch):
+    def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
         while "=" in argv[0]:
             name, value = argv[0].split("=", 1)
             monkeypatch.setenv(name, value)
             argv = argv[1:]
+        argv = list(argv)
+        for k, item in enumerate(argv):
+            if item.startswith("file:"):
+                path = tmp_path / f"arg{k}.txt"
+                path.write_text(item[len("file:") :])
+                argv[k] = str(path)
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1

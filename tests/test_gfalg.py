@@ -217,6 +217,41 @@ class TestRank:
         assert rank(FFMatrix(F, A[perm_r][:, perm_c])) == rk
 
 
+class TestEchelon:
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_echelon_and_reduced_forms(self, p):
+        rng = np.random.default_rng(100 + p)
+        shapes = [(0, 0), (0, 5), (4, 0)]
+        shapes += [tuple(map(int, rng.integers(0, 12, size=2))) for _ in range(45)]
+        for k, (rows, cols) in enumerate(shapes):
+            A = rng.integers(0, p, size=(rows, cols)).astype(np.uint8)
+            if k % 3 == 1:  # sparse
+                A[rng.random((rows, cols)) < 0.7] = 0
+            elif k % 3 == 2:  # rank at most inner, through a thinner space
+                inner = int(rng.integers(0, min(rows, cols) + 1))
+                A = (
+                    rng.integers(0, p, size=(rows, inner))
+                    @ rng.integers(0, p, size=(inner, cols))
+                    % p
+                ).astype(np.uint8)
+            before = A.copy()
+            E, pivots = gfalg.echelon_p(A, p)
+            R, reduced_pivots = gfalg.rref_p(A, p)
+            assert np.array_equal(A, before)  # input untouched
+            rk = len(pivots)
+            assert reduced_pivots == pivots and gfalg.rank_p(A, p) == rk
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            for row, c in enumerate(pivots):
+                assert E[row, c] == 1
+                assert not E[row, :c].any() and not E[row + 1 :, c].any()
+                assert np.array_equal(R[:, c], np.eye(rows, dtype=np.uint8)[row])
+            assert not E[rk:].any() and not R[rk:].any()
+            # both forms keep the row space
+            for F in (E, R):
+                assert F.shape == A.shape and F.dtype == np.uint8
+                assert gfalg.rank_p(np.vstack([A, F]), p) == rk
+
+
 class TestKernel:
     def test_identity_has_empty_kernel(self):
         F = build_field(5)

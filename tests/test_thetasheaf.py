@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from math import comb
 
-from cjt.gfalg import build_field
+from cjt.gfalg import build_field, echelon_p
 from cjt.kemod import (
     Point,
     builtin,
@@ -237,6 +237,22 @@ class TestCertificate:
             assert tracker.leading == at_T, (name, a)
             for t in range(T + 6):
                 assert _rank_theta(M, a, t - a) == dims[t], (name, a, t)
+
+    @pytest.mark.parametrize("name,M", battery())
+    def test_tracker_pivots_match_explicit_power_matrix(self, name, M):
+        # the tracker's pivots at degree t against an elimination of the
+        # image of theta^a from degree t-a, built explicitly (no Y_j-shifts)
+        theta = ThetaOp(M)
+        for a in range(1, M.p):
+            T = _certified_image(M, a)[0]
+            tracker = _ImageTracker(M, a)
+            while True:
+                A = theta.power_matrix(a, tracker.t - a).array
+                _, pivots = echelon_p(A.T, M.p)
+                assert tracker.pivots.tolist() == pivots, (name, a, tracker.t)
+                if tracker.t >= T + 2:
+                    break
+                tracker.step()
 
     def test_memory_budget_refuses_certificate(self, monkeypatch):
         # Omega^1 k at p = r = 2 certifies Im theta at degree 2, one step
