@@ -1014,6 +1014,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
+        if args.degree_cap is not None and args.degree_cap < 0:
+            raise ModuleError(f"--degree-cap must be >= 0, got {args.degree_cap}")
         return args.fn(args, sys.stdout)
     except (ParseError, ModuleError, SpecInvalidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

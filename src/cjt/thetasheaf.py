@@ -25,8 +25,9 @@ audits and small cases.
 As mult_map is strictly increasing, the pivots are leading terms in a
 graded term-over-position order, and the stacked shifts are a Macaulay
 matrix, as in F4.  The tracker stops once the new leading terms form a
-certified Groebner basis; every dimension is then a monomial count, so
-Hilbert polynomials are exact, not fitted to a sampled window.
+certified Groebner basis.  The numerator N = sum c_k t^k of its Hilbert
+series then follows from them by a colon recursion, so R(a, e) =
+sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from fractions import Fraction
+from collections import Counter
 from math import comb, factorial
+from operator import le
 
 import numpy as np
 
@@ -108,12 +110,6 @@ def mult_map(r: int, d: int, j: int):
     for k, m in enumerate(monomials(r, d)):
         out[k] = idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_array(r: int, d: int):
-    """monomials(r, d) as an (s_dim, r) integer array."""
-    return np.array(monomials(r, d), dtype=np.int64).reshape(-1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -252,44 +248,53 @@ class _ImageTracker:
             self.step()
 
 
-def _certified_image(M: KEModule, a: int):
-    """(T, component -> leading-term array) for Im theta^a, cached per power.
+def _hilbert_numerator(gens):
+    """{k: c_k} with Hilbert series of the ideal (gens) = sum c_k t^k / (1 - t)^r.
 
-    T is the certificate degree.  No leading terms unless 1 <= a < p.
+    gens are exponent tuples.  Colon recursion on the last minimal
+    generator m: HS(I + (m)) = HS(I) + t^deg(m) HS(S / (I : m)), where
+    I : m is generated by lcm(g, m) / m over the other generators g.
     """
-    if not (1 <= a < M.p and M.n):
-        return 0, {}
+    gens = [g for g in set(gens) if not any(h != g and all(map(le, h, g)) for h in gens)]
+    if not gens:
+        return {}
+    *rest, m = sorted(gens)
+    out, d = Counter(_hilbert_numerator(rest)), sum(m)
+    out[d] += 1
+    colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest]
+    out.subtract({k + d: c for k, c in _hilbert_numerator(colon).items()})
+    return {k: c for k, c in out.items() if c}
+
+
+def _certified_image(M: KEModule, a: int):
+    """(T, N) for Im theta^a, cached per power.
+
+    T is the certificate degree and N = {k: c_k} the numerator of the
+    Hilbert series of Im theta^a, summed over the ideals of the leading
+    terms of each component.  Im theta^0 is M (x) S; Im theta^a = 0 for a >= p.
+    """
+    if a == 0 or a >= M.p or not M.n:
+        return 0, ({0: M.n} if a == 0 else {})
     cache = M._cache.setdefault("image_gb", {})
     if a not in cache:
         tracker = _ImageTracker(M, a)
         tracker.certify()
-        leading = {c: np.array(g, dtype=np.int64) for c, g in tracker.leading.items()}
-        cache[a] = (tracker.t, leading)
+        num = Counter()
+        for terms in tracker.leading.values():
+            num.update(_hilbert_numerator(terms))
+        cache[a] = (tracker.t, num)
     return cache[a]
 
 
 def prefetch_image_dims(M: KEModule, powers):
-    """Certify the images of theta^a for a in powers; their (T, leading terms)."""
+    """Certify the images of theta^a for a in powers; their (T, N)."""
     return [_certified_image(M, a) for a in powers]
 
 
 def _rank_theta(M: KEModule, a: int, e: int) -> int:
-    """R(a, e): rank of theta^a on the degree-e piece.
-
-    The leading terms form a Groebner basis, so this is the number of
-    degree-(e+a) monomials, per component, divisible by one of that
-    component's leading terms.
-    """
-    if e < 0:
-        return 0
-    if a == 0:
-        return M.n * s_dim(M.r, e)
-    _, leading = _certified_image(M, a)
-    mons = _monomial_array(M.r, e + a)[:, None, :]
-    return sum(
-        int(np.count_nonzero((mons >= G).all(axis=2).any(axis=1)))
-        for G in leading.values()
-    )
+    """R(a, e): rank of theta^a on the degree-e piece (k >= a in N_a, so 0 if e < 0)."""
+    _, num = _certified_image(M, a)
+    return sum(c * s_dim(M.r, e + a - k) for k, c in num.items())
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +434,6 @@ class HilbertData:
         assert v.denominator == 1
         return int(v)
 
-    def describe(self) -> str:
-        return (
-            f"F_{self.i}: fitted chi(d) = {polyd.as_str(self.fitted)}, "
-            f"stable from degree {self.stable_from}, "
-            f"samples up to degree {self.d_max}, "
-            f"Groebner bases certified by degree {self.certified_degree}"
-        )
-
 
 def _require_constant(M: KEModule):
     if M.constant_by_construction:
@@ -457,12 +454,12 @@ def hilbert(
 ) -> HilbertData:
     """Hilbert function of the i-th graded subquotient and its exact polynomial.
 
-    graded_dim(M, i, 0, d) uses the images of theta^{i-1}, theta^i and
-    theta^{i+1}.  By inclusion-exclusion over lcms, each image dimension is
-    polynomial from L - r + 1 on, L the largest lcm degree of the leading
-    terms of one component; so the Hilbert function is from d* = max L on.
-    It is interpolated on r+3 degrees from d*, and stable_from walks back
-    from d*.  d_max (default dim M + p + 5) sets the last reported sample.
+    graded_dim(M, i, 0, d) is a signed sum of c_k * dim S_{d+shift-k} over
+    the Hilbert numerators of the images of theta^{i-1}, theta^i and
+    theta^{i+1}.  dim S_x = binom(x + r - 1, r - 1) is polynomial in x > -r,
+    so the same sum of binomial_poly is the Hilbert polynomial, exact from
+    the first d where every x > -r; stable_from walks back from there.
+    d_max (default dim M + p + 5) sets the last reported sample.
     """
     if not 1 <= i <= M.p:
         raise ValueError(f"functor index must be in 1..p, got {i}")
@@ -470,16 +467,15 @@ def hilbert(
         _require_constant(M)
     d_max = d_max if d_max is not None else M.n + M.p + 5
     images = prefetch_image_dims(M, (i - 1, i, i + 1))
-    d_star = max([0] + [int(G.max(axis=0).sum()) for _, lt in images for G in lt.values()])
     certified = max(T for T, _ in images)
-    top = d_star + M.r + 2
-    values = [graded_dim(M, i, 0, d) for d in range(max(d_max, top) + 1)]
-    fitted = polyd.fit_integer_samples(
-        [(d, values[d]) for d in range(d_star, top + 1)], M.r - 1
-    )
-    if fitted is None:
-        raise AssertionError(f"F_{i} is not polynomial of degree < r from {d_star} on")
-    stable_from = d_star
+    lower, mid, upper = (num for _, num in images)
+    fitted, stable_from = polyd.ZERO, 0
+    for sign, shift, num in ((1, 0, lower), (-1, 0, mid), (-1, 1, mid), (1, 1, upper)):
+        for k, c in num.items():  # sign * c * dim S_{d+shift-k}
+            term = polyd.binomial_poly(shift - k, M.r)
+            fitted = polyd.add(fitted, polyd.scale(sign * c, term))
+            stable_from = max(stable_from, k - shift - M.r + 1)
+    values = [graded_dim(M, i, 0, d) for d in range(max(d_max, stable_from) + 1)]
     while stable_from > 0 and polyd.evaluate(fitted, stable_from - 1) == values[
         stable_from - 1
     ]:

@@ -305,6 +305,37 @@ class TestBridgeToModules:
                 checked += 1
         assert checked >= 6
 
+    def test_hilbert_numerators_resolve_the_chern_class(self):
+        # F_i is a signed sum of line bundles O(shift - k) read off the
+        # Hilbert numerators of Im theta^{i-1}, theta^i, theta^{i+1} in
+        # graded_dim's rank identity; Whitney on that two-level resolution
+        # against HRR inverted on hilbert()'s polynomial
+        from cjt.cli import DEFAULT_PAIRS, _battery
+        from cjt.realize import euler_spec, realize_bundle
+        from cjt.thetasheaf import NotConstantError, _certified_image, hilbert
+
+        mods = [M for p, r in DEFAULT_PAIRS for _, M in _battery(p, r)]
+        mods.append(realize_bundle(euler_spec(3, 3))[0])
+        checked = 0
+        for M in mods:
+            for i in range(1, M.p + 1):
+                try:
+                    hd = hilbert(M, i)
+                except NotConstantError:
+                    continue
+                lower, mid, upper = (_certified_image(M, a)[1] for a in (i - 1, i, i + 1))
+                pos, neg = [], []
+                for sign, shift, num in (
+                    (1, 0, lower), (-1, 0, mid), (-1, 1, mid), (1, 1, upper)
+                ):
+                    for k, c in num.items():
+                        (pos if sign * c > 0 else neg).extend([shift - k] * abs(c))
+                assert chern_from_resolution(M.r, [pos, neg]) == chern_from_hilbert(
+                    hd
+                ), (M, i)
+                checked += 1
+        assert checked == 93
+
     def test_divisibility_on_stable_rank_one_modules(self):
         # zig-zag modules have stable type [2]^n[1], so the theorem does
         # not constrain them: O(-n) can and does appear

@@ -298,6 +298,11 @@ class TestCommands:
             ["realize", "file:0 2 1\nlevel 0: 0\nlevel 1: -1\nmap 1\n1 1 : 1 1 0\n"],
             ["realize", "file:4 2 0\nlevel 0: -1\n"],
             ["realize", "file:2 0 0\nlevel 0: -1\n"],
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree-cap", "-1"],
+            ["chern", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree-cap", "-1"],
+            ["verify", "fij-shift", "--p", "2", "--r", "2", "--degree-cap", "-1"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 from math import comb
+from operator import le
 
 from cjt.gfalg import build_field, echelon_p
 from cjt.kemod import (
@@ -15,13 +16,14 @@ from cjt.kemod import (
     omega,
     projective_points,
 )
-from cjt.polyd import binomial_poly, evaluate
+from cjt.polyd import binomial_poly, evaluate, fit_integer_samples
 from cjt import thetasheaf
 from cjt.thetasheaf import (
     NotConstantError,
     StabilizationFailedError,
     ThetaOp,
     _certified_image,
+    _hilbert_numerator,
     _ImageTracker,
     _rank_theta,
     fiber,
@@ -48,6 +50,22 @@ def battery():
         ("perm1(3,2)", builtin("perm", 3, 2, i=1)),
         ("Omega k(2,2)", omega(builtin("trivial", 2, 2), 1)),
     ]
+
+
+def counted(leading, r, d):
+    """Brute-force oracle: degree-d monomials, per component, divisible
+    by one of that component's leading terms."""
+    return sum(
+        sum(any(all(map(le, g, m)) for g in terms) for m in monomials(r, d))
+        for terms in leading.values()
+    )
+
+
+def certified_leading(M, a):
+    """Leading terms of Im theta^a, from a tracker stepped to its certificate."""
+    tracker = _ImageTracker(M, a)
+    tracker.certify()
+    return tracker.leading
 
 
 class TestMonomialMachinery:
@@ -215,14 +233,47 @@ class TestHilbert:
             assert evaluate(hd.fitted, d) == hd.samples[d]
 
 
+class TestHilbertNumerator:
+    @pytest.mark.parametrize(
+        "r,gens,expected",
+        [
+            (2, [], {}),
+            (3, [(0, 0, 0)], {0: 1}),  # the unit ideal: all of S
+            (2, [(3, 0)], {3: 1}),
+            (3, [(4, 0, 0)], {4: 1}),
+            (2, [(1, 0), (0, 1)], {1: 2, 2: -1}),
+            # repeated and non-minimal generators change nothing
+            (2, [(1, 0), (0, 1), (1, 0), (2, 3)], {1: 2, 2: -1}),
+        ],
+    )
+    def test_hand_computed(self, r, gens, expected):
+        assert _hilbert_numerator(gens) == expected
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_count_on_random_ideals(self, r):
+        rng = random.Random(6100 + r)
+        for _ in range(40):
+            gens = [
+                tuple(rng.randrange(4) for _ in range(r))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            gens += rng.sample(gens, rng.randrange(len(gens) + 1))  # repeats
+            gens.append(tuple(x + rng.randrange(2) for x in gens[0]))  # a multiple
+            num = _hilbert_numerator(gens)
+            for d in range(12):
+                closed = sum(c * s_dim(r, d - k) for k, c in num.items())
+                assert closed == counted({0: gens}, r, d), (gens, d)
+
+
 class TestCertificate:
     @pytest.mark.parametrize(
         "name,M",
         battery() + [(f"zoo(7)[{k}]", M) for k, M in enumerate(zoo(7))],
     )
     def test_counted_ranks_match_tracker_past_certificate(self, name, M):
-        # the certified route counts monomials; a raw tracker stepped five
-        # degrees past T eliminates, and records no further leading term
+        # the closed form against a monomial count of the certified leading
+        # terms and against a raw tracker stepped five degrees past T, which
+        # eliminates and records no further leading term
         for a in range(1, M.p):
             if M.n == 0:
                 continue
@@ -236,7 +287,31 @@ class TestCertificate:
                 dims.append(tracker.rows)
             assert tracker.leading == at_T, (name, a)
             for t in range(T + 6):
-                assert _rank_theta(M, a, t - a) == dims[t], (name, a, t)
+                closed = _rank_theta(M, a, t - a)
+                assert closed == counted(at_T, M.r, t) == dims[t], (name, a, t)
+
+    @pytest.mark.parametrize("name,M", battery())
+    def test_fitted_matches_interpolated_count(self, name, M):
+        # the closed-form polynomial against one interpolated from counted
+        # Hilbert values on r + 3 degrees from stable_from
+        leading = {a: certified_leading(M, a) for a in range(1, M.p)}
+
+        def rank(a, e):
+            if e < 0 or a >= M.p:
+                return 0
+            return M.n * s_dim(M.r, e) if a == 0 else counted(leading[a], M.r, e + a)
+
+        for i in range(1, M.p + 1):
+            hd = hilbert(M, i, skip_constancy_check=True)
+
+            def dim(d):
+                e = d - i
+                return rank(i - 1, e + 1) + rank(i + 1, e) - rank(i, e + 1) - rank(i, e)
+
+            assert hd.samples == {d: dim(d) for d in range(hd.d_max + 1)}, (name, i)
+            window = range(hd.stable_from, hd.stable_from + M.r + 3)
+            fit = fit_integer_samples([(d, dim(d)) for d in window], M.r - 1)
+            assert hd.fitted == fit, (name, i)
 
     @pytest.mark.parametrize("name,M", battery())
     def test_tracker_pivots_match_explicit_power_matrix(self, name, M):
