@@ -1,7 +1,13 @@
 """Command-line front end: file formats, dispatch, and verification suites.
 
 Exit codes: 0 on success, 1 on mathematical failure (a falsified
-constancy check, a failed suite case), 2 on usage or input errors.
+constancy check, a failed suite case, a Hilbert certificate over the
+memory budget), 2 on usage or input errors.
+
+Each verification suite is a runner ``suite(pairs, args)`` yielding
+``Case`` records for the (p, r) pairs selected by --p/--r.  Suites that
+realize bundles share one cache keyed by (spec, --max-dim, sampling
+plan), so a spec that several suites check is realized once per process.
 
 Module files are line-oriented ASCII: a header line ``p r n`` followed
 by r blocks of n lines of n integers (the actions).  ``#`` starts a
@@ -15,9 +21,11 @@ row/col into the twist lists.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from .chowring import (
     product_twists,
     twist as chow_twist,
     ChowClass,
+    NonIntegralChernError,
 )
 from .gfalg import SUPPORTED_PRIMES, build_field
 from .kemod import (
@@ -320,11 +329,10 @@ def sampling_plan(args) -> SamplingPlan:
 # verification suites
 
 
-class Case:
-    def __init__(self, case_id, ok, detail=""):
-        self.case_id = case_id
-        self.ok = ok
-        self.detail = detail
+class Case(NamedTuple):
+    case_id: str
+    ok: bool
+    detail: str = ""
 
 
 def _module_override(p, r, args):
@@ -357,13 +365,6 @@ def _battery(p, r, args=None):
     for n in (1, -1, 2, -2):
         mods.append((f"omega{n}", omega(k, n)))
     return mods
-
-
-def _fit_or_none(M, i, args):
-    try:
-        return hilbert(M, i, d_max=args.degree_cap)
-    except StabilizationFailedError:
-        return None
 
 
 def suite_fij_shift(pairs, args):
@@ -405,8 +406,7 @@ def suite_prop_bundles(pairs, args):
             ok = True
             detail = []
             for i in range(1, p + 1):
-                hd = _fit_or_none(M, i, args)
-                if hd is None or hd.rank() != t.a[i - 1]:
+                if hilbert(M, i, d_max=args.degree_cap).rank() != t.a[i - 1]:
                     ok = False
                     detail.append(f"F_{i} rank mismatch")
             yield Case(
@@ -419,16 +419,14 @@ def suite_prop_bundles(pairs, args):
 def _omega_members(p, r, args=None):
     override = _module_override(p, r, args)
     if override:
-        yield from override
-        return
-    names = ["trivial", "radq2"] + (["zigzag3"] if r == 2 else [])
-    for name in names:
-        if name == "trivial":
-            yield name, builtin("trivial", p, r)
-        elif name == "radq2":
-            yield name, builtin("rad_quotient", p, r, m=2)
-        else:
-            yield name, builtin("zigzag", p, r, n=3)
+        return override
+    mods = [
+        ("trivial", builtin("trivial", p, r)),
+        ("radq2", builtin("rad_quotient", p, r, m=2)),
+    ]
+    if r == 2:
+        mods.append(("zigzag3", builtin("zigzag", p, r, n=3)))
+    return mods
 
 
 def suite_omega_shift(pairs, args):
@@ -438,14 +436,9 @@ def suite_omega_shift(pairs, args):
             ok = True
             detail = []
             for i in range(1, p):
-                hd_m = _fit_or_none(M, i, args)
-                hd_o = _fit_or_none(OM, p - i, args)
-                if hd_m is None or hd_o is None:
-                    ok = False
-                    detail.append(f"i={i}: no fit")
-                    continue
-                want = polyd.shift_var(hd_m.fitted, i - p)
-                if hd_o.fitted != want:
+                hd_m = hilbert(M, i, d_max=args.degree_cap)
+                hd_o = hilbert(OM, p - i, d_max=args.degree_cap)
+                if hd_o.fitted != polyd.shift_var(hd_m.fitted, i - p):
                     ok = False
                     detail.append(f"i={i}: mismatch")
             yield Case(f"omega-shift p={p} r={r} {name}", ok, "; ".join(detail))
@@ -457,13 +450,9 @@ def suite_omega2(pairs, args):
             O2 = omega(M, 2)
             ok = True
             for i in range(1, p):
-                hd_m = _fit_or_none(M, i, args)
-                hd_2 = _fit_or_none(O2, i, args)
-                if (
-                    hd_m is None
-                    or hd_2 is None
-                    or hd_2.fitted != polyd.shift_var(hd_m.fitted, -p)
-                ):
+                hd_m = hilbert(M, i, d_max=args.degree_cap)
+                hd_2 = hilbert(O2, i, d_max=args.degree_cap)
+                if hd_2.fitted != polyd.shift_var(hd_m.fitted, -p):
                     ok = False
             yield Case(f"omega2 p={p} r={r} {name}", ok)
 
@@ -474,18 +463,18 @@ def suite_omegank(pairs, args):
         wanted = getattr(args, "n", None)
         if p == 2:
             for n in (1, 2, 3) if wanted is None else (wanted,):
-                hd = _fit_or_none(omega(k, n), 1, args)
-                ok = hd is not None and hd.fitted == polyd.binomial_poly(-n, r)
+                hd = hilbert(omega(k, n), 1, d_max=args.degree_cap)
+                ok = hd.fitted == polyd.binomial_poly(-n, r)
                 yield Case(f"omegank p={p} r={r} Omega^{n}", ok, f"expect O({-n})")
         else:
             for n in (1, 2) if wanted is None else (wanted,):
-                hd = _fit_or_none(omega(k, 2 * n), 1, args)
-                ok = hd is not None and hd.fitted == polyd.binomial_poly(-n * p, r)
+                hd = hilbert(omega(k, 2 * n), 1, d_max=args.degree_cap)
+                ok = hd.fitted == polyd.binomial_poly(-n * p, r)
                 yield Case(
                     f"omegank p={p} r={r} Omega^{2 * n}", ok, f"expect O({-n * p})"
                 )
-            hd = _fit_or_none(omega(k, 1), p - 1, args)
-            ok = hd is not None and hd.fitted == polyd.binomial_poly(1 - p, r)
+            hd = hilbert(omega(k, 1), p - 1, d_max=args.degree_cap)
+            ok = hd.fitted == polyd.binomial_poly(1 - p, r)
             yield Case(f"omegank p={p} r={r} Omega^1 top", ok, f"expect O({1 - p})")
 
 
@@ -507,15 +496,12 @@ def suite_duality(pairs, args):
                 a_i = verdict.type.a[i - 1]
                 if a_i == 0:
                     continue
-                hd = _fit_or_none(M, i, args)
-                hdd = _fit_or_none(D, i, args)
-                if hd is None or hdd is None:
-                    ok = False
-                    continue
+                hd = hilbert(M, i, d_max=args.degree_cap)
+                hdd = hilbert(D, i, d_max=args.degree_cap)
                 try:
                     rk, c = chern_from_hilbert(hd)
                     rkd, cd = chern_from_hilbert(hdd)
-                except Exception:
+                except NonIntegralChernError:
                     ok = False
                     continue
                 if rk != rkd:
@@ -528,31 +514,22 @@ def suite_duality(pairs, args):
             yield Case(f"duality p={p} r={r} {name}", ok, "; ".join(detail))
 
 
-def suite_exactness(pairs, args, realized=None):
+def suite_exactness(pairs, args):
     for p, r in pairs:
-        spec = euler_spec(p, r) if r >= 3 else koszul_tail_spec(p, r)
-        key = ("euler" if r >= 3 else "koszul", p, r)
-        M, report = _realized(realized, key, spec, args)
-        ok = True
+        if r >= 3:
+            name, spec = "euler", euler_spec(p, r)
+        else:
+            name, spec = "koszul", koszul_tail_spec(p, r)
+        _, report = _realized(spec, args.max_dim, sampling_plan(args))
         detail = []
         for t, (A, B, C) in enumerate(report.triangles):
             for i in range(1, p):
-                fits = []
-                for mod in (A, B, C):
-                    if mod.n == 0:
-                        fits.append(polyd.ZERO)
-                        continue
-                    hd = _fit_or_none(mod, i, args)
-                    if hd is None:
-                        ok = False
-                        detail.append(f"triangle {t} i={i}: no fit")
-                        fits = None
-                        break
-                    fits.append(hd.fitted)
-                if fits is not None and polyd.add(fits[0], fits[2]) != fits[1]:
-                    ok = False
+                a, b, c = (
+                    hilbert(mod, i, d_max=args.degree_cap).fitted for mod in (A, B, C)
+                )
+                if polyd.add(a, c) != b:
                     detail.append(f"triangle {t} i={i}")
-        yield Case(f"exactness p={p} r={r} {key[0]}", ok, "; ".join(detail))
+        yield Case(f"exactness p={p} r={r} {name}", not detail, "; ".join(detail))
 
 
 def _monomial_image_ok(p, r, exps):
@@ -606,16 +583,13 @@ def suite_rho_odd(pairs, args):
             )
 
 
-def _realized(cache, key, spec, args):
-    if cache is not None and key in cache:
-        return cache[key]
-    out = realize_bundle(spec, max_dim=args.max_dim, plan=sampling_plan(args))
-    if cache is not None:
-        cache[key] = out
-    return out
+@functools.cache
+def _realized(spec, max_dim, plan):
+    """realize_bundle, once per process for each spec, cap and sampling plan."""
+    return realize_bundle(spec, max_dim=max_dim, plan=plan)
 
 
-def suite_main_theorem(pairs, args, realized=None):
+def suite_main_theorem(pairs, args):
     for p, r in pairs:
         eps_note = "F" if p == 2 else "F*(F)"
         cases = []
@@ -639,7 +613,7 @@ def suite_main_theorem(pairs, args, realized=None):
                     )
                 )
         for cname, spec in cases:
-            M, report = _realized(realized, (cname, p, r), spec, args)
+            M, report = _realized(spec, args.max_dim, sampling_plan(args))
             ok = isinstance(report.verdict, ConstantSoFar)
             detail = []
             stable = report.verdict.type.stable() if ok else ()
@@ -657,15 +631,10 @@ def suite_main_theorem(pairs, args, realized=None):
                     ok = False
                     detail.append("collapsed to zero with nonzero expected rank")
             elif ok:
-                hd = _fit_or_none(M, 1, args)
-                if hd is None:
+                rk, c = chern_from_hilbert(hilbert(M, 1, d_max=args.degree_cap))
+                if rk != s or c != expected:
                     ok = False
-                    detail.append("no stable fit")
-                else:
-                    rk, c = chern_from_hilbert(hd)
-                    if rk != s or c != expected:
-                        ok = False
-                        detail.append(f"got rank {rk}, c = {c}; want {expected}")
+                    detail.append(f"got rank {rk}, c = {c}; want {expected}")
             yield Case(
                 f"main-theorem p={p} r={r} {cname}",
                 ok,
@@ -719,21 +688,17 @@ def suite_product_twists(pairs, args):
     )
 
 
-def suite_divisibility(pairs, args, realized=None):
+def suite_divisibility(pairs, args):
     specs = [
         (f"O({a}) p=3 r=2", line_bundle_spec(3, 2, a)) for a in (-2, -1, 0, 1)
     ]
     specs.append(("euler p=3 r=3", euler_spec(3, 3)))
     for cname, spec in specs:
-        M, report = _realized(realized, ("div", cname), spec, args)
+        M, _ = _realized(spec, args.max_dim, sampling_plan(args))
         if M.n == 0:
             yield Case(f"divisibility {cname}", True, "stably zero module")
             continue
-        hd = _fit_or_none(M, 1, args)
-        if hd is None:
-            yield Case(f"divisibility {cname}", False, "no stable fit")
-            continue
-        rk, c = chern_from_hilbert(hd)
+        _, c = chern_from_hilbert(hilbert(M, 1, d_max=args.degree_cap))
         rep = divisibility_check(c, 3)
         yield Case(f"divisibility {cname}", rep.ok, str(rep))
 
@@ -771,8 +736,6 @@ SUITE_RUNNERS = {
 
 SUITES = tuple(SUITE_RUNNERS)
 
-REALIZING_SUITES = {"exactness", "main-theorem", "divisibility"}
-
 
 def run_verify(names, args, out=sys.stdout):
     pairs = [
@@ -784,14 +747,7 @@ def run_verify(names, args, out=sys.stdout):
         pairs = [(args.p, args.r)]
     for p, r in pairs:
         _cap(p**r, "group algebra", args)
-    realized = {}
-    cases = []
-    for name in names:
-        runner = SUITE_RUNNERS[name]
-        if name in REALIZING_SUITES:
-            cases.extend(runner(pairs, args, realized=realized))
-        else:
-            cases.extend(runner(pairs, args))
+    cases = [case for name in names for case in SUITE_RUNNERS[name](pairs, args)]
     cases.sort(key=lambda c: c.case_id)
     width = max((len(c.case_id) for c in cases), default=10)
     failures = 0

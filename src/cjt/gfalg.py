@@ -65,17 +65,6 @@ def _poly_trim(f):
     return tuple(f)
 
 
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(f, m, p):
     # m monic
     f = list(f)
@@ -429,12 +418,11 @@ def echelon_p(A, p, reduced=False):
         else:
             other = rank + 1 + np.flatnonzero(R[rank + 1 :, c])
         if other.size:
-            # factors*pivot_row <= 12*12, +entry <= 12: fits in int16
-            upd = (
-                R[other].astype(np.int16)
-                + np.outer((p - R[other, c]).astype(np.int16), R[rank])
-            ) % p
-            R[other] = upd.astype(np.uint8)
+            # (p - entry) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
+            upd = np.outer(p - R[other, c], R[rank])
+            upd += R[other]
+            upd %= p
+            R[other] = upd
         pivots.append(c)
         rank += 1
     return R, pivots

@@ -586,6 +586,18 @@ def hom_to_free(M: KEModule, functionals):
     return out
 
 
+def hom_from_free(M: KEModule, G):
+    """Matrix of the kE-map kE^b -> M sending generator t to column t of G.
+
+    Coordinate (t, v) of kE^b is X^v times generator t, so it goes to X^v G[:, t].
+    """
+    q = group_algebra(M.p, M.r).q
+    out = np.zeros((M.n, G.shape[1], q), dtype=np.uint8)
+    for v, act in enumerate(monomial_actions(M)):
+        out[:, :, v] = matmul_p(act, G, M.p)
+    return out.reshape(M.n, G.shape[1] * q)
+
+
 def free_module(p, r, copies) -> KEModule:
     """kE^copies with coordinate layout (copy, monomial)."""
     kE = group_algebra(p, r)
@@ -662,14 +674,8 @@ def projective_cover(M: KEModule) -> CoverData:
     p = M.p
     rad = radical_basis(M)
     _, gens, _ = _column_complement(rad, M.n, p)
-    b = len(gens)
-    P = free_module(p, M.r, b)
-    acts = monomial_actions(M)
-    kE = group_algebra(p, M.r)
-    cover = np.zeros((M.n, b * kE.q), dtype=np.uint8)
-    for t, g in enumerate(gens):
-        for v in range(kE.q):
-            cover[:, t * kE.q + v] = acts[v][:, g]
+    P = free_module(p, M.r, len(gens))
+    cover = hom_from_free(M, np.eye(M.n, dtype=np.uint8)[:, gens])
     cov = ModuleHom(P, M, cover, validate=False)
     K = gfalg.kernel_p(cover, p)
     OmegaM, incl = submodule(P, K)
@@ -736,18 +742,14 @@ def strip_free_with_inclusion(M: KEModule) -> tuple[KEModule, int, ModuleHom]:
     """strip_free plus the inclusion of the stripped summand back into M."""
     p, r = M.p, M.r
     kE = group_algebra(p, r)
-    acts = monomial_actions(M)
-    Z = acts[kE.index[kE.z]]
+    Z = monomial_actions(M)[kE.index[kE.z]]
     if not np.any(Z):
         return M, 0, ModuleHom(M, M, np.eye(M.n, dtype=np.uint8), validate=False)
     _, pivcols = gfalg.echelon_p(Z, p)
     # the pivot columns c of Z have independent images z*e_c, so the
     # submodule generated by those e_c is free of rank a
     a = len(pivcols)
-    emb = np.zeros((M.n, a * kE.q), dtype=np.uint8)
-    for t, c in enumerate(pivcols):
-        for v in range(kE.q):
-            emb[:, t * kE.q + v] = acts[v][:, c]
+    emb = hom_from_free(M, np.eye(M.n, dtype=np.uint8)[:, pivcols])
     # functionals: f_j(X^w u_t) = delta_jt [w == z], zero on a complement
     pivrows, comp, _ = _column_complement(emb, M.n, p)
     assert len(pivrows) == a * kE.q, "free embedding lost rank"

@@ -35,6 +35,7 @@ from .kemod import (
     check_constant,
     direct_sum,
     group_algebra,
+    hom_from_free,
     injective_hull,
     monomial_actions,
     projective_cover,
@@ -262,7 +263,7 @@ class StableModels:
         V = gfalg.solve_p(pair_t.proj.matrix, rhs, self.p)
         if V is None:
             raise NoSolutionError("projective lift failed")
-        F = _free_source_hom(pair_s.free, pair_t.free, V)
+        F = hom_from_free(pair_t.free, V)
         restricted = matmul_p(F, pair_s.incl.matrix, self.p)
         Z = gfalg.solve_p(pair_t.incl.matrix, restricted, self.p)
         if Z is None:
@@ -345,7 +346,10 @@ class StableModels:
     def is_stably_nonzero(self, f: ModuleHom) -> bool:
         """True unless f factors through the injective hull of its source."""
         hull = injective_hull(f.source)
-        return _solve_through_injective(hull, f.source, f.matrix, f.target) is None
+        t = _solve_free_source(
+            hull.free, f.source, hull.hull.matrix, f.target, f.matrix
+        )
+        return t is None  # no t: I(A) -> target with t o hull = f
 
     def monomial_cocycle(self, exponents, shift_j: int = 0) -> "CocycleMap":
         """Composite cocycle for the monomial with the given exponents.
@@ -370,7 +374,7 @@ class StableModels:
         src, tgt = eps, 0
         for t, i in enumerate(sequence[1:], start=1):
             g = self._lifted_generator(i, eps * t)
-            f = _compose(f, g)
+            f = f @ g
             src = eps * (t + 1)
         f = self._shift_hom(f, src, tgt, shift_j * eps)
         out = CocycleMap(
@@ -410,32 +414,6 @@ class StableModels:
         return f
 
 
-def _compose(f: ModuleHom, g: ModuleHom) -> ModuleHom:
-    assert g.target.n == f.source.n
-    return ModuleHom(
-        g.source, f.target, matmul_p(f.matrix, g.matrix, f.source.p), validate=False
-    )
-
-
-def _free_source_hom(free: KEModule, target: KEModule, gen_images):
-    """Matrix of the hom kE^b -> target sending generator t to column t."""
-    q = group_algebra(free.p, free.r).q
-    b = free.n // q
-    acts = monomial_actions(target)
-    out = np.zeros((target.n, free.n), dtype=np.uint8)
-    for t in range(b):
-        for w in range(q):
-            out[:, t * q + w] = matmul_p(
-                acts[w], gen_images[:, t : t + 1], free.p
-            )[:, 0]
-    return out
-
-
-def _min_generator_columns(M: KEModule):
-    """Column indices of a minimal generating set (complement of J M)."""
-    return projective_cover(M).generators
-
-
 def _solve_free_source(free_src, A, incl_matrix, target, rhs_matrix):
     """Solve t: free_src -> target with t o incl = rhs, t a module hom.
 
@@ -449,7 +427,7 @@ def _solve_free_source(free_src, A, incl_matrix, target, rhs_matrix):
     q = kE.q
     s = free_src.n // q
     n_t = target.n
-    gens = _min_generator_columns(A)
+    gens = projective_cover(A).generators  # a minimal generating set of A
     if s == 0 or n_t == 0:
         if np.any(rhs_matrix[:, list(gens)] if n_t else 0):
             return None
@@ -475,15 +453,7 @@ def _solve_free_source(free_src, A, incl_matrix, target, rhs_matrix):
     sol = gfalg.solve_p(sys.astype(np.uint8), rhs.astype(np.uint8), p)
     if sol is None:
         return None
-    gen_images = sol.reshape(s, n_t).T  # n_t x s
-    return _free_source_hom(free_src, target, gen_images)
-
-
-def _solve_through_injective(hull_data, A, f_matrix, target):
-    """t: I(A) -> target with t o hull = f, or None (f is stably nonzero)."""
-    return _solve_free_source(
-        hull_data.free, A, hull_data.hull.matrix, target, f_matrix
-    )
+    return hom_from_free(target, sol.reshape(s, n_t).T)  # generator images
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +518,8 @@ def descend(cone_res: ConeResult, f: ModuleHom, g: ModuleHom) -> ModuleHom:
     A, B, T = f.source, f.target, g.target
     p = A.p
     rhs = matmul_p(g.matrix, f.matrix, p)
-    t = _solve_through_injective(cone_res.hull, A, rhs, T)
+    hull = cone_res.hull
+    t = _solve_free_source(hull.free, A, hull.hull.matrix, T, rhs)
     if t is None:
         raise NoSolutionError(
             "map does not descend to the cone; composite is not stably zero"
@@ -710,7 +681,7 @@ def realize_bundle(
             if i > 0:
                 g = differential(i - 1)
                 h = descend(cres, f_cur, g)
-                f_cur = _compose(h, incl)
+                f_cur = h @ incl
                 current = stripped
             else:
                 current = stripped

@@ -218,6 +218,16 @@ class _ImageTracker:
         self._echelonize(shifts.reshape(r * rows, n * sd1))
         self._record_leading_terms(np.setdiff1d(self.pivots, np.concatenate(shifted)))
 
+    def step_bytes(self) -> int:
+        """Bytes of the arrays the next step() holds at once, at its peak.
+
+        B itself, its r stacked shifts, the copy echelon_p eliminates in,
+        and the new basis copied out of that while the rest are still live.
+        """
+        L0, L1 = (self.n * s_dim(self.r, t) for t in (self.t, self.t + 1))
+        stacked = self.r * self.rows
+        return self.rows * L0 + (2 * stacked + min(stacked, L1)) * L1
+
     def _record_leading_terms(self, pivots):
         mons = monomials(self.r, self.t)
         for pv in pivots:
@@ -237,9 +247,7 @@ class _ImageTracker:
         (Buchberger's criterion).  So do the generators theta^a(M (x) 1).
         """
         while self.t < self.certify_at:
-            # the r stacked shifts of B, and the copy echelon_p eliminates in
-            L1 = self.n * s_dim(self.r, self.t + 1)
-            if 2 * self.r * self.rows * L1 > DEFAULT_MEMORY_BUDGET:
+            if self.step_bytes() > DEFAULT_MEMORY_BUDGET:
                 raise StabilizationFailedError(
                     f"certifying the image of theta^{self.a} past degree "
                     f"{self.t} needs more than "
@@ -463,9 +471,11 @@ def hilbert(
     """
     if not 1 <= i <= M.p:
         raise ValueError(f"functor index must be in 1..p, got {i}")
+    d_max = d_max if d_max is not None else M.n + M.p + 5
+    if d_max < 0:
+        raise ValueError(f"d_max must be nonnegative, got {d_max}")
     if not skip_constancy_check:
         _require_constant(M)
-    d_max = d_max if d_max is not None else M.n + M.p + 5
     images = prefetch_image_dims(M, (i - 1, i, i + 1))
     certified = max(T for T, _ in images)
     lower, mid, upper = (num for _, num in images)

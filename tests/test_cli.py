@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import cjt
-from cjt import thetasheaf
+from cjt import cli, thetasheaf
 from cjt.cli import main, parse_module, parse_spec, print_module
+from cjt.realize import realize_bundle
 from cjt.kemod import builtin, jordan_type_at, projective_points
 
 
@@ -393,6 +395,33 @@ class TestVerify:
         )
         assert code == 0
         assert "cases passed" in out
+
+    def test_realize_once_per_spec(self, monkeypatch):
+        # at (3, 2) the three realizing suites share six specs: O(-2)..O(1)
+        # and the Koszul tail at (3, 2), and divisibility's Euler spec at (3, 3)
+        calls = []
+
+        def counted(spec, **kw):
+            calls.append(spec)
+            return realize_bundle(spec, **kw)
+
+        monkeypatch.setattr(cli, "realize_bundle", counted)
+        cli._realized.cache_clear()
+        args = cli.build_parser().parse_args(["verify", "all", "--p", "3", "--r", "2"])
+        args.seed = cli.DEFAULT_SEED
+        names = ["exactness", "main-theorem", "divisibility"]
+        try:
+            assert cli.run_verify(names, args, out=io.StringIO()) == 0
+        finally:
+            cli._realized.cache_clear()
+        assert len(calls) == len(set(calls)) == 6
+
+    def test_certificate_over_budget_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(thetasheaf, "DEFAULT_MEMORY_BUDGET", 16)
+        code, out, err = run_cli(["verify", "omegank", "--p", "2", "--r", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("failure: ") and err.count("\n") == 1
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CJT_SEED", "0x123")

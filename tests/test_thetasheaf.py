@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,31 @@ class TestCertificate:
         monkeypatch.setattr(thetasheaf, "DEFAULT_MEMORY_BUDGET", 16)
         with pytest.raises(StabilizationFailedError):
             hilbert(omega(builtin("trivial", 2, 2), 1), 1)
+
+    def test_memory_guard_covers_step_peak(self):
+        # every array step() holds at its peak is in step_bytes(): the
+        # traced peak of a step never exceeds the figure the guard checks
+        M = omega(builtin("trivial", 3, 3), 2)
+        large = 0
+        for a in (1, 2):
+            tracker = _ImageTracker(M, a)
+            while tracker.t < tracker.certify_at:
+                guard = tracker.step_bytes()
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracker.step()
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                if guard >= 4 << 20:
+                    large += 1
+                    assert peak <= guard, (a, tracker.t, peak, guard)
+        assert large >= 1
+
+    def test_negative_d_max_refused(self):
+        with pytest.raises(ValueError):
+            hilbert(builtin("trivial", 2, 2), 1, d_max=-3)
 
     def test_omega1_k_p2r4_reaches_requested_degree(self):
         # the 512 MB sampling window used to stop at degree 18 of 22 here
