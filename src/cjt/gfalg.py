@@ -18,7 +18,9 @@ replacing each entry with its e x e companion matrix; ranks are blocked
 ranks divided by e.  Blocking is a ring embedding that maps the reduced
 echelon form of A to that of blocked(A) (both are unique), so kernels and
 solutions over GF(p^e) are read back from the GF(p) ones by
-``_unblock``.  Encoded arithmetic only builds matrices such as X_alpha.
+``_unblock``.  The same embedding is the scalar arithmetic: ``FieldCtx``
+multiplies by applying an element's e x e matrix to digits and inverts
+by a GF(p) solve, so GF(p^e) has one representation.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -35,7 +37,7 @@ import numpy as np
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # largest p^e build_field accepts (GF(13^4), the largest field a default
-# SamplingPlan reaches): building scans p^e polynomials and fills p^e tables
+# SamplingPlan reaches): building scans up to p^e candidate moduli
 MAX_FIELD_ORDER = 13**4
 
 
@@ -135,11 +137,14 @@ def poly_str(f, var="t"):
 
 
 class FieldCtx:
-    """GF(p^e) with a fixed monic irreducible modulus.
+    """GF(p^e) = GF(p)[t]/(modulus), embedded in Mat_e(GF(p)).
 
-    Encoded elements are plain Python ints (or numpy integer arrays for
-    the vectorized helpers).  Do not construct directly; use
-    :func:`build_field` so contexts are cached and shared.
+    Encoded elements are plain Python ints.  The element with digits
+    c_0..c_{e-1} acts on digit vectors as the matrix sum c_k C^k, C the
+    companion matrix of the modulus: a product is that matrix applied to
+    the other factor's digits, an inverse a GF(p) solve against the
+    digits of 1.  At e = 1 the matrix of a is [[a]].  Do not construct
+    directly; use :func:`build_field` so contexts are cached and shared.
     """
 
     def __init__(self, p: int, e: int, modulus):
@@ -147,9 +152,6 @@ class FieldCtx:
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self._inv_p = _inverses(p)
-        if e > 1:
-            self._build_tables()
 
     # -- encoding helpers
 
@@ -163,85 +165,25 @@ class FieldCtx:
     def encode(self, digits) -> int:
         x = 0
         for c in reversed(tuple(digits)):
-            x = x * self.p + (c % self.p)
+            x = x * self.p + int(c) % self.p
         return x
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        # multiplication by t in encoded form
-        red = self.encode(c % p for c in self.modulus[:-1])
-
-        def mul_t(x):
-            lead = x // (q // p)
-            x = (x % (q // p)) * p
-            if lead:
-                # subtract lead * modulus tail
-                y = 0
-                for j in range(e - 1, -1, -1):
-                    dj = (x // p**j) % p
-                    rj = (red // p**j) % p
-                    y = y * p + (dj - lead * rj) % p
-                x = y
-            return x
-
-        def raw_mul(a, b):
-            acc = 0
-            ta = a
-            for j in range(e):
-                db = (b // p**j) % p
-                if db:
-                    # acc += db * ta, digitwise
-                    y = 0
-                    for k in range(e - 1, -1, -1):
-                        y = y * p + ((acc // p**k) % p + db * ((ta // p**k) % p)) % p
-                    acc = y
-                ta = mul_t(ta)
-            return acc
-
-        # find a generator of the multiplicative group
-        for g in range(2, q):
-            x = g
-            order = 1
-            while x != 1:
-                x = raw_mul(x, g)
-                order += 1
-            if order == q - 1:
-                break
-        exp = np.zeros(2 * q, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for k in range(q - 1):
-            exp[k] = x
-            log[x] = k
-            x = raw_mul(x, g)
-        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
-        self._exp, self._log = exp, log
 
     # -- scalar operations on encoded elements
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self.encode(x + y for x, y in zip(self.digits(a), self.digits(b)))
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
         return self.encode(-x for x in self.digits(a))
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self.encode(self.element_matrix(a).astype(np.int64) @ self.digits(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.e == 1:
-            return self._inv_p[a]
-        return int(self._exp[(self.q - 1) - self._log[a]])
+        x = solve_p(self.element_matrix(a), self.digits(1), self.p)
+        return self.encode(x[:, 0])
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -254,34 +196,6 @@ class FieldCtx:
 
     def elements(self):
         return range(self.q)
-
-    # -- vectorized operations on int64 arrays of encoded elements
-
-    def arr_add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        out = np.zeros_like(a)
-        pk = 1
-        for _ in range(self.e):
-            out += pk * ((a // pk + b // pk) % self.p)
-            pk *= self.p
-        return out
-
-    def arr_mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        la = self._log[np.where(a == 0, 1, a)]
-        lb = self._log[np.where(b == 0, 1, b)]
-        prod = self._exp[la + lb]
-        out[nz] = np.broadcast_to(prod, out.shape)[nz]
-        return out
-
-    def arr_scale(self, c, a):
-        return self.arr_mul(np.int64(c), a)
 
     # -- companion-matrix embedding into Mat_e(GF(p))
 

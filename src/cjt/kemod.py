@@ -25,6 +25,8 @@ from . import gfalg
 from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
 
 DEFAULT_SEED = 0xC0FFEE
+# check_constant visits every GF(p^2)-point of P^{r-1} when there are at most this many
+QUADRATIC_CAP = 10_000
 
 
 class ModuleError(ValueError):
@@ -222,7 +224,6 @@ class SamplingPlan:
     extra: int = 200
     max_ext_degree: int = 4
     seed: int = DEFAULT_SEED
-    quadratic_cap: int = 10_000
 
 
 class ModuleHom:
@@ -391,15 +392,17 @@ def dual(M: KEModule) -> KEModule:
 
 
 def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
-    """Matrix of X_alpha = sum lambda_i X_i over the point's field."""
+    """Matrix of X_alpha = sum lambda_i X_i over the point's field.
+
+    The X_i have entries in GF(p), so digit k of X_alpha is
+    sum_i digit_k(lambda_i) X_i mod p; no field product is needed.
+    """
     if alpha.r != M.r:
         raise ModuleError("point rank does not match the module")
     ctx = alpha.ctx
-    acc = np.zeros((M.n, M.n), dtype=np.int64)
-    for lam, A in zip(alpha.coords, M.X):
-        if lam:
-            acc = ctx.arr_add(acc, ctx.arr_scale(lam, A.astype(np.int64)))
-    return FFMatrix(ctx, acc)
+    lam_digits = np.array([ctx.digits(lam) for lam in alpha.coords], dtype=np.int64)
+    planes = np.tensordot(lam_digits.T, np.array(M.X, dtype=np.int64), axes=1) % ctx.p
+    return FFMatrix(ctx, np.tensordot(ctx.p ** np.arange(ctx.e), planes, axes=1))
 
 
 def _blocked_x_alpha(M: KEModule, alpha: Point):
@@ -456,7 +459,7 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     """Sampling-based constancy check; a falsifier, never a certificate.
 
     Evaluates the Jordan type at every GF(p)-point of P^{r-1}, every
-    GF(p^2)-point when there are at most plan.quadratic_cap of them, and
+    GF(p^2)-point when there are at most QUADRATIC_CAP of them, and
     plan.extra seeded-random points over GF(p^e) with e <= plan.max_ext_degree.
     """
     plan = plan or SamplingPlan()
@@ -471,7 +474,7 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     reference = jordan_type_at(M, reference_point)
 
     count_quadratic = (p ** (2 * r) - 1) // (p**2 - 1)
-    if count_quadratic <= plan.quadratic_cap:
+    if count_quadratic <= QUADRATIC_CAP:
         points += projective_points(p, r, 2)
         fields_used.append(f"GF({p}^2)")
 

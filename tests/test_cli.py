@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,20 @@ class TestSpecFiles:
         spec = parse_spec(str(f))
         assert spec.levels == ((0, 0, 0), (-1,))
         assert spec.maps[0][1][0] == ((1, (0, 1, 0)),)
+
+    @pytest.mark.parametrize("L", [-1, 2, 200000])
+    def test_level_count_refused_on_the_header(self, tmp_path, L):
+        f = tmp_path / "s.txt"
+        f.write_text(f"# spec\n2 2 {L}\nlevel 0: 0\nlevel 1: -1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ParseError) as exc:
+                parse_spec(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == 2
+        assert peak < 1 << 20
 
     def test_polynomial_sum_entries(self, tmp_path):
         f = tmp_path / "s.txt"
@@ -305,6 +320,9 @@ class TestCommands:
             ["chern", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
              "--degree-cap", "-1"],
             ["verify", "fij-shift", "--p", "2", "--r", "2", "--degree-cap", "-1"],
+            # a level count that is negative or exceeds the lines that follow
+            ["realize", "file:2 2 -1\nlevel 0: 0\n"],
+            ["realize", "file:2 2 200000\nlevel 0: 0\n"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
@@ -395,6 +413,17 @@ class TestVerify:
         )
         assert code == 0
         assert "cases passed" in out
+
+    def test_fij_shift_catches_a_corrupted_rank(self, capsys, monkeypatch):
+        rank_theta = thetasheaf._rank_theta
+        monkeypatch.setattr(
+            thetasheaf,
+            "_rank_theta",
+            lambda M, a, e: rank_theta(M, a, e) + ((a, e) == (1, 0)),
+        )
+        code, out, _ = run_cli(["verify", "fij-shift", "--p", "2", "--r", "2"], capsys)
+        assert code == 1
+        assert "FAIL" in out
 
     def test_realize_once_per_spec(self, monkeypatch):
         # at (3, 2) the three realizing suites share six specs: O(-2)..O(1)

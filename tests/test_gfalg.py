@@ -41,6 +41,35 @@ def brute_irreducible(p, e):
     raise AssertionError
 
 
+def oracle_mul(F, a, b):
+    """a * b as a product of digit polynomials reduced by the modulus.
+
+    Shares nothing with the companion matrices behind FieldCtx.
+    """
+    prod = [0] * (2 * F.e - 1)
+    for i, x in enumerate(F.digits(a)):
+        for j, y in enumerate(F.digits(b)):
+            prod[i + j] += x * y
+    return F.encode(gfalg._poly_mod([c % F.p for c in prod], F.modulus, F.p))
+
+
+def oracle_matmul(F, A, B):
+    """Encoded matrix product in oracle_mul arithmetic."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = F.add(acc, oracle_mul(F, int(A[i, k]), int(B[k, j])))
+            out[i, j] = acc
+    return out
+
+
+SMALL_FIELDS = [
+    (p, e) for p in gfalg.SUPPORTED_PRIMES for e in range(1, 5) if p**e <= 125
+]
+
+
 class TestBuildField:
     def test_prime_field(self):
         F = build_field(2, 1)
@@ -78,6 +107,13 @@ class TestBuildField:
     def test_deterministic_and_cached(self):
         assert build_field(3, 2) is build_field(3, 2)
 
+    def test_largest_field_builds_fast(self):
+        # building a field is its modulus scan alone, so even GF(13^4) is cheap
+        start = time.perf_counter()
+        F = build_field.__wrapped__(13, 4)
+        assert time.perf_counter() - start < 0.1
+        assert F.modulus == build_field(13, 4).modulus
+
 
 class TestFieldArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 4)])
@@ -104,6 +140,22 @@ class TestFieldArithmetic:
             a, b = int(rng.integers(F.q)), int(rng.integers(F.q))
             assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
             assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+
+    @pytest.mark.parametrize("p,e", SMALL_FIELDS)
+    def test_against_polynomial_oracle(self, p, e):
+        # every pair: mul, inv and frobenius against digit-polynomial products
+        F = build_field(p, e)
+        table = [[oracle_mul(F, a, b) for b in F.elements()] for a in F.elements()]
+        for a in F.elements():
+            assert [F.mul(a, b) for b in F.elements()] == table[a]
+            if a:
+                assert table[a][F.inv(a)] == 1
+            power = 1
+            for _ in range(p):
+                power = table[power][a]
+            assert F.frobenius(a) == power
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
 
     def test_element_matrix_embedding(self):
         F = build_field(3, 2)
@@ -151,33 +203,23 @@ class TestRank:
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (5, 2), (13, 2)])
     def test_blocked_rank_against_encoded_kernel(self, p, e):
         # rank, kernel_basis and solve all eliminate on companion blocks, so
-        # their outputs are checked in encoded arithmetic (the log/exp
-        # tables of FieldCtx.mul/add), which shares nothing with the blocks
+        # their outputs are checked in digit-polynomial arithmetic
+        # (oracle_mul), which shares nothing with the blocks
         F = build_field(p, e)
         rng = np.random.default_rng(7 * p + e)
-
-        def encoded_matmul(A, B):
-            out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-            for i in range(A.shape[0]):
-                for j in range(B.shape[1]):
-                    acc = 0
-                    for k in range(A.shape[1]):
-                        acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
-                    out[i, j] = acc
-            return out
-
         for _ in range(20):
             rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
             A = rng.integers(0, F.q, size=(rows, cols))
             A[rng.random((rows, cols)) < 0.4] = 0
             if rows >= 3:  # a dependent row: c * row 0 + row 1
-                A[2] = F.arr_add(F.arr_scale(int(rng.integers(F.q)), A[0]), A[1])
+                coef = np.array([[int(rng.integers(F.q)), 1]])
+                A[2] = oracle_matmul(F, coef, A[:2])[0]
             m = FFMatrix(F, A)
             assert np.array_equal(_unblock(F, blocked_over_prime(F, A)), A)
             rk = rank(m)
             K = kernel_basis(m).array
             assert rk + K.shape[1] == cols
-            assert not np.any(encoded_matmul(A, K))
+            assert not np.any(oracle_matmul(F, A, K))
             # K's rows at the free columns (those in the span of the earlier
             # columns) form the identity
             free = [
@@ -188,12 +230,12 @@ class TestRank:
             assert np.array_equal(K[free], np.eye(len(free), dtype=np.int64))
             # one consistent and one random right-hand side
             X0 = rng.integers(0, F.q, size=(cols, 2))
-            for B in (encoded_matmul(A, X0), rng.integers(0, F.q, size=(rows, 2))):
+            for B in (oracle_matmul(F, A, X0), rng.integers(0, F.q, size=(rows, 2))):
                 X = solve(m, FFMatrix(F, B))
                 if X is None:
                     assert rank(FFMatrix(F, np.hstack([A, B]))) > rk
                 else:
-                    assert np.array_equal(encoded_matmul(A, X.array), B)
+                    assert np.array_equal(oracle_matmul(F, A, X.array), B)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -27,6 +27,8 @@ from cjt.kemod import (
     x_alpha,
 )
 
+from test_gfalg import oracle_mul
+
 
 def axis_point(p, r, i, e=1):
     coords = [0] * r
@@ -127,6 +129,20 @@ class TestXAlpha:
         pt = Point(build_field(3), (1, 1))
         A = x_alpha(M, pt).array
         assert np.array_equal(A, M.X[0].astype(np.int64))
+
+    @pytest.mark.parametrize("p,r,e", [(2, 3, 4), (3, 2, 3), (5, 2, 2), (13, 2, 2)])
+    def test_matches_polynomial_oracle(self, p, r, e):
+        # sum lambda_i X_i entry by entry in digit-polynomial arithmetic
+        M = dual(builtin("rad_quotient", p, r, m=3))  # entries 0, 1 and p - 1
+        F = build_field(p, e)
+        rng = np.random.default_rng(p * e)
+        for _ in range(5):
+            pt = Point(F, tuple(int(c) for c in rng.integers(1, F.q, size=r)))
+            want = np.zeros((M.n, M.n), dtype=np.int64)
+            for lam, A in zip(pt.coords, M.X):
+                for (a, b), x in np.ndenumerate(A):
+                    want[a, b] = F.add(int(want[a, b]), oracle_mul(F, lam, int(x)))
+            assert np.array_equal(x_alpha(M, pt).array, want)
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ class TestMonomialImage:
         n_deg = sum(exps) * (1 if p == 2 else p)
         theta = ThetaOp(src)
         for d in range(n_deg, n_deg + 3):
-            ker = kernel_p(theta.degree_matrix(d).array, p)
+            ker = kernel_p(theta.degree_matrix(d), p)
             big = np.kron(np.eye(s_dim(r, d), dtype=np.uint8), cm.hom.matrix)
             img = matmul_p(big, ker, p)
             # expected: the monomial times S_{d - n_deg}

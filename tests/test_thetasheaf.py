@@ -89,12 +89,13 @@ class TestThetaOp:
     def test_theta_p_is_zero(self, name, M):
         th = ThetaOp(M)
         for d in (0, 1, 2):
-            assert not np.any(th.power_matrix(M.p, d).array), name
+            assert not np.any(th.power_matrix(M.p, d)), name
 
     def test_degree_matrix_shape(self):
         M = builtin("rad_quotient", 3, 2, m=2)
         A = ThetaOp(M).degree_matrix(2)
-        assert (A.rows, A.cols) == (M.n * s_dim(2, 3), M.n * s_dim(2, 2))
+        assert A.shape == (M.n * s_dim(2, 3), M.n * s_dim(2, 2))
+        assert A.dtype == np.uint8
 
 
 class TestGradedDimAgainstSubspaceOracle:
@@ -323,7 +324,7 @@ class TestCertificate:
             T = _certified_image(M, a)[0]
             tracker = _ImageTracker(M, a)
             while True:
-                A = theta.power_matrix(a, tracker.t - a).array
+                A = theta.power_matrix(a, tracker.t - a)
                 _, pivots = echelon_p(A.T, M.p)
                 assert tracker.pivots.tolist() == pivots, (name, a, tracker.t)
                 if tracker.t >= T + 2:
@@ -383,6 +384,19 @@ class TestChecks:
     @pytest.mark.parametrize("name,M", battery())
     def test_filtration(self, name, M):
         assert filtration_check(M, range(0, 6)), name
+
+    def test_twist_shift_catches_a_corrupted_rank(self, monkeypatch):
+        # graded_dim(M, i, j, d) depends on j only through d - i + j, so a
+        # wrong R(1, 0) shows only against the explicit kernels and images
+        M = builtin("trivial", 2, 2)
+        assert twist_shift_check(M, 2, 1)
+        rank_theta = thetasheaf._rank_theta
+        monkeypatch.setattr(
+            thetasheaf,
+            "_rank_theta",
+            lambda M, a, e: rank_theta(M, a, e) + ((a, e) == (1, 0)),
+        )
+        assert not twist_shift_check(M, 2, 1)
 
     def test_filtration_sum_is_exact_identity(self):
         # the identity holds degreewise in every degree, including 0
