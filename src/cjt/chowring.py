@@ -395,7 +395,7 @@ def _class_inverse(c: ChowClass) -> ChowClass:
 # the Fermat product identity used by the congruence proof
 
 
-def fermat_product_identity_holds(p: int, truncate: int | None = None) -> bool:
+def fermat_product_identity_holds(p: int) -> bool:
     """x(x+y)...(x+(p-1)y) = x^p - x y^{p-1} mod p, as polynomials in x, y."""
     # dense coefficient grid prod[i][j] = coefficient of x^i y^j
     prod = {(0, 0): 1}

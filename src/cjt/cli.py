@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on mathematical failure (a falsified
 constancy check, a failed suite case, a Hilbert certificate over the
-memory budget), 2 on usage or input errors.
+memory budget), 2 on usage or input errors, each on one ``error:`` line.
+Each command takes only the flags it reads (see build_parser).
 
 Each verification suite is a runner ``suite(pairs, args)`` yielding
 ``Case`` records for the (p, r) pairs selected by --p/--r.  Suites that
@@ -225,19 +226,25 @@ def parse_spec(path) -> ResolutionSpec:
                 except ValueError:
                     raise ParseError(path, lineno, "bad monomial") from None
                 monos.append((coef % p, exps))
-            maps[mode - 1][(row - 1, col - 1)] = tuple(m for m in monos if m[0])
+            if (row, col) in maps[mode - 1]:
+                raise ParseError(
+                    path, lineno, f"second entry {row} {col} in map {mode}"
+                )
+            maps[mode - 1][(row, col)] = (lineno, tuple(m for m in monos if m[0]))
             # mode stays: more entries may follow
     for i, tw in enumerate(levels):
         if tw is None:
             raise ParseError(path, 1, f"missing 'level {i}' line")
     built_maps = []
     for i in range(L):
-        tgt, src = levels[i], levels[i + 1]
-        mat = tuple(
-            tuple(maps[i].get((t, s), ()) for s in range(len(src)))
-            for t in range(len(tgt))
-        )
-        built_maps.append(mat)
+        rows, cols = len(levels[i]), len(levels[i + 1])
+        mat = [[()] * cols for _ in range(rows)]
+        for (row, col), (lineno, poly) in maps[i].items():
+            if not (1 <= row <= rows and 1 <= col <= cols):
+                where = f"the {rows} x {cols} map {i + 1}"
+                raise ParseError(path, lineno, f"entry {row} {col} outside {where}")
+            mat[row - 1][col - 1] = poly
+        built_maps.append(tuple(map(tuple, mat)))
     spec = ResolutionSpec(p, r, tuple(levels), tuple(built_maps))
     spec.validate()
     return spec
@@ -328,13 +335,7 @@ def parse_point(M: KEModule, text: str, ext: int) -> Point:
 
 
 def sampling_plan(args) -> SamplingPlan:
-    if args.field_ext < 1:
-        raise ModuleError(f"--field-ext must be >= 1, got {args.field_ext}")
-    return SamplingPlan(
-        extra=args.samples,
-        max_ext_degree=args.field_ext,
-        seed=args.seed,
-    )
+    return SamplingPlan(args.samples, max_ext_degree=args.field_ext, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ class Case(NamedTuple):
 
 def _module_override(p, r, args):
     """[(ref, module)] for verify's --module resolved at (p, r), or []."""
-    override = getattr(args, "module", None) if args is not None else None
+    override = getattr(args, "module", None)
     if not override:
         return []
     shim = argparse.Namespace(p=p, r=r, max_dim=args.max_dim)
@@ -411,7 +412,7 @@ def suite_prop_bundles(pairs, args):
             ok = True
             detail = []
             for i in range(1, p + 1):
-                if hilbert(M, i, d_max=args.degree_cap).rank() != t.a[i - 1]:
+                if hilbert(M, i).rank() != t.a[i - 1]:
                     ok = False
                     detail.append(f"F_{i} rank mismatch")
             yield Case(
@@ -441,8 +442,8 @@ def suite_omega_shift(pairs, args):
             ok = True
             detail = []
             for i in range(1, p):
-                hd_m = hilbert(M, i, d_max=args.degree_cap)
-                hd_o = hilbert(OM, p - i, d_max=args.degree_cap)
+                hd_m = hilbert(M, i)
+                hd_o = hilbert(OM, p - i)
                 if hd_o.fitted != polyd.shift_var(hd_m.fitted, i - p):
                     ok = False
                     detail.append(f"i={i}: mismatch")
@@ -455,8 +456,8 @@ def suite_omega2(pairs, args):
             O2 = omega(M, 2)
             ok = True
             for i in range(1, p):
-                hd_m = hilbert(M, i, d_max=args.degree_cap)
-                hd_2 = hilbert(O2, i, d_max=args.degree_cap)
+                hd_m = hilbert(M, i)
+                hd_2 = hilbert(O2, i)
                 if hd_2.fitted != polyd.shift_var(hd_m.fitted, -p):
                     ok = False
             yield Case(f"omega2 p={p} r={r} {name}", ok)
@@ -468,17 +469,17 @@ def suite_omegank(pairs, args):
         wanted = getattr(args, "n", None)
         if p == 2:
             for n in (1, 2, 3) if wanted is None else (wanted,):
-                hd = hilbert(omega(k, n), 1, d_max=args.degree_cap)
+                hd = hilbert(omega(k, n), 1)
                 ok = hd.fitted == polyd.binomial_poly(-n, r)
                 yield Case(f"omegank p={p} r={r} Omega^{n}", ok, f"expect O({-n})")
         else:
             for n in (1, 2) if wanted is None else (wanted,):
-                hd = hilbert(omega(k, 2 * n), 1, d_max=args.degree_cap)
+                hd = hilbert(omega(k, 2 * n), 1)
                 ok = hd.fitted == polyd.binomial_poly(-n * p, r)
                 yield Case(
                     f"omegank p={p} r={r} Omega^{2 * n}", ok, f"expect O({-n * p})"
                 )
-            hd = hilbert(omega(k, 1), p - 1, d_max=args.degree_cap)
+            hd = hilbert(omega(k, 1), p - 1)
             ok = hd.fitted == polyd.binomial_poly(1 - p, r)
             yield Case(f"omegank p={p} r={r} Omega^1 top", ok, f"expect O({1 - p})")
 
@@ -501,8 +502,8 @@ def suite_duality(pairs, args):
                 a_i = verdict.type.a[i - 1]
                 if a_i == 0:
                     continue
-                hd = hilbert(M, i, d_max=args.degree_cap)
-                hdd = hilbert(D, i, d_max=args.degree_cap)
+                hd = hilbert(M, i)
+                hdd = hilbert(D, i)
                 try:
                     rk, c = chern_from_hilbert(hd)
                     rkd, cd = chern_from_hilbert(hdd)
@@ -529,9 +530,7 @@ def suite_exactness(pairs, args):
         detail = []
         for t, (A, B, C) in enumerate(report.triangles):
             for i in range(1, p):
-                a, b, c = (
-                    hilbert(mod, i, d_max=args.degree_cap).fitted for mod in (A, B, C)
-                )
+                a, b, c = (hilbert(mod, i).fitted for mod in (A, B, C))
                 if polyd.add(a, c) != b:
                     detail.append(f"triangle {t} i={i}")
         yield Case(f"exactness p={p} r={r} {name}", not detail, "; ".join(detail))
@@ -633,7 +632,7 @@ def suite_main_theorem(pairs, args):
                     ok = False
                     detail.append("collapsed to zero with nonzero expected rank")
             elif ok:
-                rk, c = chern_from_hilbert(hilbert(M, 1, d_max=args.degree_cap))
+                rk, c = chern_from_hilbert(hilbert(M, 1))
                 if rk != s or c != expected:
                     ok = False
                     detail.append(f"got rank {rk}, c = {c}; want {expected}")
@@ -698,7 +697,7 @@ def suite_divisibility(pairs, args):
         if M.n == 0:
             yield Case(f"divisibility {cname}", True, "stably zero module")
             continue
-        _, c = chern_from_hilbert(hilbert(M, 1, d_max=args.degree_cap))
+        _, c = chern_from_hilbert(hilbert(M, 1))
         rep = divisibility_check(c, 3)
         yield Case(f"divisibility {cname}", rep.ok, str(rep))
 
@@ -816,8 +815,7 @@ def _cmd_hilbert(args, out):
 
 def _cmd_chern(args, out):
     M = _functor_module(args)
-    hd = hilbert(M, args.functor, d_max=args.degree_cap)
-    rk, c = chern_from_hilbert(hd)
+    rk, c = chern_from_hilbert(hilbert(M, args.functor))
     print(f"rank {rk}, c = {c}", file=out)
     return 0
 
@@ -847,9 +845,7 @@ def _cmd_module_op(args, out):
 def _cmd_realize(args, out):
     spec = parse_spec(args.specfile)
     _cap(spec.p**spec.r, "group algebra", args)
-    M, report = realize_bundle(
-        spec, max_dim=args.max_dim, plan=sampling_plan(args)
-    )
+    M, report = realize_bundle(spec, max_dim=args.max_dim, plan=sampling_plan(args))
     for line in str(report).splitlines():
         print(f"# {line}", file=sys.stderr)
     out.write(print_module(M))
@@ -857,123 +853,135 @@ def _cmd_realize(args, out):
 
 
 def _cmd_verify(args, out):
-    if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITE_RUNNERS:
-        names = [args.suite]
-    else:
-        print(
-            f"unknown suite {args.suite!r}; choose from: all, {', '.join(SUITES)}",
-            file=sys.stderr,
-        )
-        return 2
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     return run_verify(names, args, out)
 
 
+class UsageError(ValueError):
+    """A command line the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _integer(low=None, base=10):
+    """An argparse type: an integer in the given base (0: any prefix), >= low."""
+
+    def convert(text):
+        try:
+            value = int(text, base)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The cjt parser; each command takes only the flags it reads.
+
+    --p, --r and --max-dim: every command but realize, which keeps --max-dim
+    (its spec header gives p and r).  --seed, --samples and --field-ext:
+    check-constant, realize and verify.  --degree-cap: hilbert.
+    """
+    parser = _Parser(
         prog="cjt",
         description=(
             "Exact computations with modules over elementary abelian groups "
             "in characteristic p and the vector bundles they define."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="characteristic")
-    common.add_argument("--r", type=int, default=None, help="rank of the group")
-    common.add_argument(
-        "--seed",
-        type=lambda s: int(s, 0),
-        default=None,
-        help="sampling seed (default: CJT_SEED or 0xC0FFEE)",
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--p", type=int, help="characteristic")
+    algebra.add_argument("--r", type=int, help="rank of the group")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-dim", type=int, default=5000)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument(
+        "--seed", type=_integer(base=0), help="default: CJT_SEED or 0xC0FFEE"
     )
-    common.add_argument("--max-dim", type=int, default=5000)
-    common.add_argument(
-        "--degree-cap", type=int, default=None, help="last degree of the reported samples"
+    sampling.add_argument(
+        "--samples", type=_integer(0), default=200, help="extra random constancy points"
     )
-    common.add_argument(
-        "--samples", type=int, default=200, help="extra random constancy points"
-    )
-    common.add_argument(
-        "--field-ext",
-        type=int,
-        default=4,
-        help="max extension degree for random constancy points",
+    sampling.add_argument(
+        "--field-ext", type=_integer(1), default=4, help="largest e of GF(p^e) points"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
+    def add(name, fn, about, parents=(algebra, cap)):
+        sp = sub.add_parser(name, parents=parents, help=about)
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("jordan-type", _cmd_jordan_type, help="Jordan type at a point")
+    sp = add("jordan-type", _cmd_jordan_type, "Jordan type at a point")
     sp.add_argument("module")
-    sp.add_argument("--point", default=None, help="comma-separated coordinates")
+    sp.add_argument("--point", help="comma-separated coordinates")
     sp.add_argument(
-        "--field-ext-point", type=int, default=1, help="extension degree of the point"
+        "--field-ext-point", type=_integer(1), default=1, help="point over GF(p^e)"
     )
 
-    sp = add("check-constant", _cmd_check_constant, help="sampling constancy check")
+    sampled = (algebra, cap, sampling)
+    sp = add("check-constant", _cmd_check_constant, "sampling constancy check", sampled)
     sp.add_argument("module")
 
-    sp = add("fiber", _cmd_fiber, help="fiber dimensions at a point")
+    sp = add("fiber", _cmd_fiber, "fiber dimensions at a point")
     sp.add_argument("module")
     sp.add_argument("--point", required=True)
-    sp.add_argument("--field-ext-point", type=int, default=1)
+    sp.add_argument("--field-ext-point", type=_integer(1), default=1)
 
-    sp = add("hilbert", _cmd_hilbert, help="graded dimensions and fitted polynomial")
+    sp = add("hilbert", _cmd_hilbert, "graded dimensions and fitted polynomial")
     sp.add_argument("module")
     sp.add_argument("--functor", type=int, required=True, help="index i of F_i")
+    sp.add_argument(
+        "--degree-cap", type=_integer(0), help="last degree of the reported samples"
+    )
 
-    sp = add("chern", _cmd_chern, help="rank and Chern class of F_i")
+    sp = add("chern", _cmd_chern, "rank and Chern class of F_i")
     sp.add_argument("module")
     sp.add_argument("--functor", type=int, required=True)
 
-    sp = add("omega", _cmd_module_op, help="Heller shift")
+    sp = add("omega", _cmd_module_op, "Heller shift")
     sp.add_argument("n", type=int)
     sp.add_argument("module")
     sp.set_defaults(op="omega")
 
     for name in ("dual", "strip-free"):
-        sp = add(name, _cmd_module_op, help=f"{name} of a module")
+        sp = add(name, _cmd_module_op, f"{name} of a module")
         sp.add_argument("module")
-        sp.set_defaults(op=name if name != "strip-free" else "strip-free")
+        sp.set_defaults(op=name)
 
     for name in ("sum", "tensor"):
-        sp = add(name, _cmd_module_op, help=f"{name} of two modules")
+        sp = add(name, _cmd_module_op, f"{name} of two modules")
         sp.add_argument("module")
         sp.add_argument("other")
         sp.set_defaults(op=name)
 
-    sp = add("realize", _cmd_realize, help="module realizing a resolved bundle")
+    sp = add("realize", _cmd_realize, "module realizing a resolution", (cap, sampling))
     sp.add_argument("specfile")
 
-    sp = add("verify", _cmd_verify, help="run a verification suite")
-    sp.add_argument("suite", help=f"one of: all, {', '.join(SUITES)}")
-    sp.add_argument(
-        "--module", default=None, help="restrict battery suites to one module"
-    )
-    sp.add_argument(
-        "--n", type=int, default=None, help="restrict the omegank suite to one n"
-    )
+    sp = add("verify", _cmd_verify, "run a verification suite", sampled)
+    sp.add_argument("suite", choices=("all",) + SUITES)
+    sp.add_argument("--module", help="restrict battery suites to one module")
+    sp.add_argument("--n", type=int, help="restrict the omegank suite to one n")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        if args.seed is None:
+        args = build_parser().parse_args(argv)
+        if "seed" in args and args.seed is None:
             args.seed = _env_seed()
-        if args.degree_cap is not None and args.degree_cap < 0:
-            raise ModuleError(f"--degree-cap must be >= 0, got {args.degree_cap}")
         return args.fn(args, sys.stdout)
-    except (ParseError, ModuleError, SpecInvalidError, FileNotFoundError) as exc:
+    except SystemExit as exc:  # --help; the parser raises UsageError otherwise
+        return exc.code
+    except (
+        UsageError, ParseError, ModuleError, SpecInvalidError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StabilizationFailedError, NotConstantError, ResourceCapError) as exc:

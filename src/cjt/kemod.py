@@ -164,10 +164,10 @@ def _check_algebra(p, r):
         raise ModuleError(f"rank r must be >= 1, got {r}")
 
 
-def new_module(p, r, X, *, constant_by_construction=False) -> KEModule:
+def new_module(p, r, X) -> KEModule:
     """Validated module from explicit action matrices."""
     _check_algebra(p, r)
-    return KEModule(p, r, X, constant_by_construction=constant_by_construction)
+    return KEModule(p, r, X)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .kemod import (
 )
 
 DEFAULT_MAX_DIM = 5000
-DEFAULT_MAX_LENGTH = 6
+MAX_LENGTH = 6  # longest resolution realize_bundle accepts
 
 
 class SpecInvalidError(ValueError):
@@ -481,8 +481,6 @@ def lift(models: StableModels, f: CocycleMap, times: int) -> CocycleMap:
 @dataclasses.dataclass(frozen=True)
 class ConeResult:
     module: KEModule
-    into: ModuleHom  # B -> cone
-    out: ModuleHom  # cone -> hull cokernel of A
     section: np.ndarray  # coordinate section of the quotient projection
     hull: object  # HullData of A
 
@@ -495,18 +493,14 @@ def cone(f: ModuleHom) -> ConeResult:
     types add and the bundle functors are exact on it.
     """
     A, B = f.source, f.target
-    p = A.p
     hull = injective_hull(A)
     D = direct_sum(B, hull.free)
     G = np.vstack([f.matrix, hull.hull.matrix])
-    C, proj, sec = quotient_module(D, G, with_section=True)
+    C, _, sec = quotient_module(D, G, with_section=True)
     C.constant_by_construction = (
         A.constant_by_construction and B.constant_by_construction
     )
-    into = ModuleHom(B, C, proj.matrix[:, : B.n], validate=False)
-    out_mat = matmul_p(hull.projection.matrix, sec[B.n :, :], p)
-    out = ModuleHom(C, hull.cokernel, out_mat, validate=False)
-    return ConeResult(C, into, out, sec, hull)
+    return ConeResult(C, sec, hull)
 
 
 def descend(cone_res: ConeResult, f: ModuleHom, g: ModuleHom) -> ModuleHom:
@@ -594,11 +588,10 @@ def _sum_of_shifts(models: StableModels, shifts):
     return total, parts, offsets
 
 
-def _block_hom(models, src_sum, tgt_sum, blocks):
+def _block_hom(src_sum, tgt_sum, blocks):
     """Assemble a hom out of per-(row, col) ModuleHoms between summands."""
     src, src_parts, src_off = src_sum
     tgt, tgt_parts, tgt_off = tgt_sum
-    p = src.p
     mat = np.zeros((tgt.n, src.n), dtype=np.uint8)
     for (t, s), hom in blocks.items():
         mat[
@@ -612,7 +605,6 @@ def realize_bundle(
     spec: ResolutionSpec,
     *,
     max_dim: int = DEFAULT_MAX_DIM,
-    max_length: int = DEFAULT_MAX_LENGTH,
     plan: SamplingPlan | None = None,
 ) -> tuple[KEModule, RealizeReport]:
     """The module whose first bundle functor realizes the resolved bundle.
@@ -622,9 +614,9 @@ def realize_bundle(
     (all statements are stable, and dimensions would otherwise multiply).
     """
     spec.validate()
-    if spec.length > max_length:
+    if spec.length > MAX_LENGTH:
         raise ResourceCapError(
-            f"resolution length {spec.length} exceeds the cap {max_length}"
+            f"resolution length {spec.length} exceeds the cap {MAX_LENGTH}"
         )
     p, r = spec.p, spec.r
     eps = 1 if p == 2 else 2
@@ -658,7 +650,7 @@ def realize_bundle(
                         acc,
                         validate=False,
                     )
-        return _block_hom(models, sums[i + 1], sums[i], blocks)
+        return _block_hom(sums[i + 1], sums[i], blocks)
 
     L = spec.length
     if L == 0:

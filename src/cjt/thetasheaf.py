@@ -421,7 +421,6 @@ class HilbertData:
     """Graded dimensions and the certified Hilbert polynomial."""
 
     i: int
-    j: int
     r: int
     samples: dict  # degree -> dimension
     fitted: tuple  # Fraction coefficients, lowest first
@@ -490,7 +489,6 @@ def hilbert(
         stable_from -= 1
     return HilbertData(
         i=i,
-        j=0,
         r=M.r,
         samples={d: values[d] for d in range(d_max + 1)},
         fitted=fitted,

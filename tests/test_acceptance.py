@@ -173,7 +173,6 @@ class _Args:
     r = None
     seed = 0xC0FFEE
     max_dim = 5000
-    degree_cap = None
     samples = 200
     field_ext = 4
 

@@ -1,5 +1,7 @@
+import argparse
 import io
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -154,6 +156,22 @@ class TestSpecFiles:
         assert exc.value.line == 2
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "9 1 : 1 1 0 0",  # row past the 3 x 1 matrix
+            "0 5 : 1 0 0 1",  # row and column outside it
+            "1 2 : 1 1 0 0",  # column past it
+            "2 1 : 1 0 0 1",  # a second entry at (2, 1)
+        ],
+    )
+    def test_entry_outside_or_repeated_refused_on_its_line(self, tmp_path, entry):
+        f = tmp_path / "s.txt"
+        f.write_text(SPEC_EULER_P2R3 + entry + "\n")
+        with pytest.raises(cli.ParseError) as exc:
+            parse_spec(str(f))
+        assert exc.value.line == 8
+
     def test_polynomial_sum_entries(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text(
@@ -280,6 +298,11 @@ class TestCommands:
         assert out.splitlines()[0] == "3 2 10"
         assert "final dimension: 10" in err
 
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(["hilbert", "--help"], capsys)
+        assert code == 0
+        assert out.startswith("usage: cjt hilbert")
+
     def test_usage_errors_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(["jordan-type", "builtin:radq2"], capsys)  # no p/r
         assert code == 2
@@ -323,6 +346,22 @@ class TestCommands:
             # a level count that is negative or exceeds the lines that follow
             ["realize", "file:2 2 -1\nlevel 0: 0\n"],
             ["realize", "file:2 2 200000\nlevel 0: 0\n"],
+            # a flag the command does not read
+            ["dual", "builtin:trivial", "--p", "2", "--r", "2", "--samples", "5"],
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--seed", "3"],
+            ["realize", "file:" + SPEC_O_MINUS_1, "--p", "2"],
+            ["verify", "all", "--degree-cap", "0"],
+            # a value the parser refuses, and other argparse failures
+            ["check-constant", "builtin:trivial", "--p", "2", "--r", "2",
+             "--samples", "-1"],
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2"],
+            ["jordan-type", "builtin:trivial", "--p", "2", "--r", "2", "--bogus"],
+            ["omega", "x", "builtin:trivial", "--p", "2", "--r", "2"],
+            ["no-such-command"],
+            ["verify", "no-such-suite"],
+            # a map entry outside its matrix
+            ["realize", "file:" + SPEC_EULER_P2R3 + "9 1 : 1 1 0 0\n"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
@@ -390,6 +429,44 @@ class TestCommands:
         assert code == 0
         assert "samples: 0:2 1:3 2:4 3:5\n" in out
         assert "fitted: d + 2" in out
+
+
+MODULE_FLAGS = {"--p", "--r", "--max-dim"}
+SAMPLING_FLAGS = {"--seed", "--samples", "--field-ext"}
+COMMON_FLAGS = MODULE_FLAGS | SAMPLING_FLAGS | {"--degree-cap"}
+
+
+class TestParser:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {o for a in sp._actions for o in a.option_strings} & COMMON_FLAGS
+            for name, sp in sub.choices.items()
+        }
+        want = dict.fromkeys(got, MODULE_FLAGS)
+        want["check-constant"] = want["verify"] = MODULE_FLAGS | SAMPLING_FLAGS
+        want["realize"] = {"--max-dim"} | SAMPLING_FLAGS
+        want["hilbert"] = MODULE_FLAGS | {"--degree-cap"}
+        assert len(got) == 12
+        assert got == want
+        assert sum(map(len, got.values())) == 44
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(cmd, comments=True)
+            for line in block.splitlines()
+            for cmd in line.split(";")
+        ]
+        commands = [argv for argv in commands if argv]
+        assert len(commands) > 10
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "cjt"
+            parser.parse_args(argv[1:])
 
 
 class TestVerify:
