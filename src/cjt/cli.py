@@ -227,9 +227,7 @@ def parse_spec(path) -> ResolutionSpec:
                     raise ParseError(path, lineno, "bad monomial") from None
                 monos.append((coef % p, exps))
             if (row, col) in maps[mode - 1]:
-                raise ParseError(
-                    path, lineno, f"second entry {row} {col} in map {mode}"
-                )
+                raise ParseError(path, lineno, f"entry {row} {col} twice in map {mode}")
             maps[mode - 1][(row, col)] = (lineno, tuple(m for m in monos if m[0]))
             # mode stays: more entries may follow
     for i, tw in enumerate(levels):
@@ -862,19 +860,32 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags, and raises UsageError instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _integer(low=None, base=10):
-    """An argparse type: an integer in the given base (0: any prefix), >= low."""
+def _seed(text):
+    """An argparse type: an integer with an optional base prefix, as CJT_SEED."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _at_least(low):
+    """An argparse type: a decimal integer >= low."""
 
     def convert(text):
         try:
-            value = int(text, base)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if low is not None and value < low:
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
@@ -901,15 +912,9 @@ def build_parser():
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--max-dim", type=int, default=5000)
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument(
-        "--seed", type=_integer(base=0), help="default: CJT_SEED or 0xC0FFEE"
-    )
-    sampling.add_argument(
-        "--samples", type=_integer(0), default=200, help="extra random constancy points"
-    )
-    sampling.add_argument(
-        "--field-ext", type=_integer(1), default=4, help="largest e of GF(p^e) points"
-    )
+    sampling.add_argument("--seed", type=_seed, help="default: CJT_SEED or 0xC0FFEE")
+    sampling.add_argument("--samples", type=_at_least(0), default=200)
+    sampling.add_argument("--field-ext", type=_at_least(1), default=4, help="largest e")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, about, parents=(algebra, cap)):
@@ -920,9 +925,7 @@ def build_parser():
     sp = add("jordan-type", _cmd_jordan_type, "Jordan type at a point")
     sp.add_argument("module")
     sp.add_argument("--point", help="comma-separated coordinates")
-    sp.add_argument(
-        "--field-ext-point", type=_integer(1), default=1, help="point over GF(p^e)"
-    )
+    sp.add_argument("--field-ext-point", type=_at_least(1), default=1)
 
     sampled = (algebra, cap, sampling)
     sp = add("check-constant", _cmd_check_constant, "sampling constancy check", sampled)
@@ -931,14 +934,12 @@ def build_parser():
     sp = add("fiber", _cmd_fiber, "fiber dimensions at a point")
     sp.add_argument("module")
     sp.add_argument("--point", required=True)
-    sp.add_argument("--field-ext-point", type=_integer(1), default=1)
+    sp.add_argument("--field-ext-point", type=_at_least(1), default=1)
 
     sp = add("hilbert", _cmd_hilbert, "graded dimensions and fitted polynomial")
     sp.add_argument("module")
     sp.add_argument("--functor", type=int, required=True, help="index i of F_i")
-    sp.add_argument(
-        "--degree-cap", type=_integer(0), help="last degree of the reported samples"
-    )
+    sp.add_argument("--degree-cap", type=_at_least(0), help="last degree reported")
 
     sp = add("chern", _cmd_chern, "rank and Chern class of F_i")
     sp.add_argument("module")

@@ -362,6 +362,14 @@ class TestCommands:
             ["verify", "no-such-suite"],
             # a map entry outside its matrix
             ["realize", "file:" + SPEC_EULER_P2R3 + "9 1 : 1 1 0 0\n"],
+            # a flag the command does not read that prefixes one it does, and
+            # an abbreviated flag: abbreviations are refused
+            ["fiber", "builtin:trivial", "--p", "2", "--r", "2", "--point", "1,0",
+             "--field-ext", "2"],
+            ["jordan-type", "builtin:trivial", "--p", "2", "--r", "2",
+             "--field-ext", "2"],
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree", "3"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
