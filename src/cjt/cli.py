@@ -765,12 +765,14 @@ def run_verify(names, args, out=sys.stdout):
 
 
 def _cmd_jordan_type(args, out):
+    if args.point is None and args.field_ext_point is not None:
+        raise UsageError("cjt jordan-type: --field-ext-point needs --point")
     M = resolve_module(args.module, args)
-    if args.point:
-        pt = parse_point(M, args.point, args.field_ext_point)
-        print(str(jordan_type_at(M, pt)), file=out)
-    else:
+    if args.point is None:
         print(str(reference_jordan_type(M)), file=out)
+    else:
+        pt = parse_point(M, args.point, args.field_ext_point or 1)
+        print(str(jordan_type_at(M, pt)), file=out)
     return 0
 
 
@@ -850,7 +852,20 @@ def _cmd_realize(args, out):
     return 0 if isinstance(report.verdict, ConstantSoFar) else 1
 
 
+# the suites that read verify's --module and --n, besides all
+MODULE_SUITES = ("fij-shift", "filtration", "prop-bundles", "omega-shift", "omega2")
+N_SUITES = ("omegank",)
+
+
 def _cmd_verify(args, out):
+    for flag, value, readers in (
+        ("--module", args.module, MODULE_SUITES),
+        ("--n", args.n, N_SUITES),
+    ):
+        if value is not None and args.suite not in ("all",) + readers:
+            raise UsageError(
+                f"cjt verify: {flag} applies only to all, {', '.join(readers)}"
+            )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     return run_verify(names, args, out)
 
@@ -925,7 +940,7 @@ def build_parser():
     sp = add("jordan-type", _cmd_jordan_type, "Jordan type at a point")
     sp.add_argument("module")
     sp.add_argument("--point", help="comma-separated coordinates")
-    sp.add_argument("--field-ext-point", type=_at_least(1), default=1)
+    sp.add_argument("--field-ext-point", type=_at_least(1), help="default 1")
 
     sampled = (algebra, cap, sampling)
     sp = add("check-constant", _cmd_check_constant, "sampling constancy check", sampled)

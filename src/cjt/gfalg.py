@@ -19,8 +19,8 @@ ranks divided by e.  Blocking is a ring embedding that maps the reduced
 echelon form of A to that of blocked(A) (both are unique), so kernels and
 solutions over GF(p^e) are read back from the GF(p) ones by
 ``_unblock``.  The same embedding is the scalar arithmetic: ``FieldCtx``
-multiplies by applying an element's e x e matrix to digits and inverts
-by a GF(p) solve, so GF(p^e) has one representation.
+multiplies by applying an element's e x e matrix to digits, and Frobenius
+is one e x e matrix on digits, so GF(p^e) has one representation.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -142,9 +142,10 @@ class FieldCtx:
     Encoded elements are plain Python ints.  The element with digits
     c_0..c_{e-1} acts on digit vectors as the matrix sum c_k C^k, C the
     companion matrix of the modulus: a product is that matrix applied to
-    the other factor's digits, an inverse a GF(p) solve against the
-    digits of 1.  At e = 1 the matrix of a is [[a]].  Do not construct
-    directly; use :func:`build_field` so contexts are cached and shared.
+    the other factor's digits, an inverse the product of the other
+    Frobenius conjugates divided by the norm.  At e = 1 the matrix of a
+    is [[a]].  Do not construct directly; use :func:`build_field` so
+    contexts are cached and shared.
     """
 
     def __init__(self, p: int, e: int, modulus):
@@ -180,10 +181,20 @@ class FieldCtx:
         return self.encode(self.element_matrix(a).astype(np.int64) @ self.digits(b))
 
     def inv(self, a: int) -> int:
+        """a^-1 = b / N(a), b the product of the conjugates a^(p^k), 0 < k < e.
+
+        The norm N(a) = a b is fixed by Frobenius, so it lies in GF(p).
+        """
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        x = solve_p(self.element_matrix(a), self.digits(1), self.p)
-        return self.encode(x[:, 0])
+        p = self.p
+        conj = np.array(self.digits(a), dtype=np.int64)
+        b = np.array(self.digits(1), dtype=np.int64)
+        for _ in range(self.e - 1):
+            conj = self.frobenius_matrix @ conj % p
+            b = np.einsum("k,kab->ab", conj, self.companion_powers) @ b % p
+        norm = self.mul(a, self.encode(b))
+        return self.encode(b * _inverses(p)[norm])
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -218,6 +229,17 @@ class FieldCtx:
         out[0] = np.eye(e, dtype=np.int64)
         for k in range(1, e):
             out[k] = (out[k - 1] @ self.companion) % p
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def frobenius_matrix(self):
+        """e x e matrix over GF(p) of a -> a^p on digit vectors (int64).
+
+        Frobenius is GF(p)-linear; column k holds the digits of (t^k)^p.
+        """
+        cols = [self.digits(self.frobenius(self.p**k)) for k in range(self.e)]
+        out = np.array(cols, dtype=np.int64).T
         out.setflags(write=False)
         return out
 

@@ -370,6 +370,13 @@ class TestCommands:
              "--field-ext", "2"],
             ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
              "--degree", "3"],
+            # a point field without a point
+            ["jordan-type", "builtin:trivial", "--p", "2", "--r", "2",
+             "--field-ext-point", "3"],
+            # --module and --n on a suite that does not read them
+            ["verify", "rho-even", "--p", "2", "--r", "2", "--module", "builtin:radq2"],
+            ["verify", "omegank", "--p", "2", "--r", "2", "--module", "builtin:radq2"],
+            ["verify", "prop-bundles", "--p", "2", "--r", "2", "--n", "2"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
@@ -498,6 +505,24 @@ class TestVerify:
         )
         assert code == 0
         assert "cases passed" in out
+
+    @pytest.mark.parametrize("suite", cli.MODULE_SUITES)
+    def test_module_restricts_the_battery(self, suite, capsys):
+        code, out, _ = run_cli(
+            ["verify", suite, "--p", "2", "--r", "2", "--module", "builtin:radq2"],
+            capsys,
+        )
+        cases = out.splitlines()[:-1]
+        assert code == 0
+        assert cases and all("builtin:radq2" in line for line in cases)
+
+    def test_n_restricts_omegank(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "omegank", "--p", "2", "--r", "2", "--n", "2"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[0].startswith("omegank p=2 r=2 Omega^2 ")
+        assert out.endswith("1/1 cases passed\n")
 
     def test_fij_shift_catches_a_corrupted_rank(self, capsys, monkeypatch):
         rank_theta = thetasheaf._rank_theta

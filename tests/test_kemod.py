@@ -1,8 +1,13 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 
-from cjt.gfalg import build_field
+from cjt import realize
+from cjt.gfalg import blocked_over_prime, build_field, matpow_p, rank_p
 from cjt.kemod import (
+    QUADRATIC_CAP,
     ConstantSoFar,
     Falsified,
     JordanType,
@@ -11,6 +16,7 @@ from cjt.kemod import (
     NotPNilpotentError,
     Point,
     SamplingPlan,
+    _orbit_key,
     builtin,
     check_constant,
     direct_sum,
@@ -205,6 +211,139 @@ class TestCheckConstant:
         v = check_constant(builtin("trivial", 3, 2), SamplingPlan(extra=10))
         assert isinstance(v, ConstantSoFar)
         assert v.type == JordanType(3, (1, 0, 0))
+
+
+def full_jordan_type(M, pt):
+    """Jordan type from the ranks of all p powers of X_alpha, built through x_alpha."""
+    p, e = M.p, pt.ctx.e
+    B = blocked_over_prime(pt.ctx, x_alpha(M, pt).array)
+    ranks = [M.n] + [rank_p(matpow_p(B, j, p), p) // e for j in range(1, p + 1)] + [0]
+    return JordanType(p, tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1]
+                               for i in range(1, p + 1)))
+
+
+def brute_force_check_constant(M, plan):
+    """check_constant without orbit memo or early stop: every point, all p ranks."""
+    p, r = M.p, M.r
+    points = projective_points(p, r)
+    fields = [f"GF({p})"]
+    if (p ** (2 * r) - 1) // (p**2 - 1) <= QUADRATIC_CAP:
+        points += projective_points(p, r, 2)
+        fields.append(f"GF({p}^2)")
+    rng = random.Random(plan.seed)
+    degrees = sorted({min(e, plan.max_ext_degree) for e in (2, 3, 4)})
+    extra_fields = set()
+    for k in range(plan.extra):
+        ctx = build_field(p, degrees[k % len(degrees)])
+        coords = tuple(rng.randrange(ctx.q) for _ in range(r))
+        points.append(Point(ctx, coords if any(coords) else (1,) + coords[1:]))
+        extra_fields.add(f"GF({p}^{ctx.e})" if ctx.e > 1 else f"GF({p})")
+    fields += sorted(extra_fields - set(fields))
+    reference = full_jordan_type(M, points[0])
+    for pt in points:
+        t = full_jordan_type(M, pt)
+        if t != reference:
+            return Falsified(pt, t, reference)
+    return ConstantSoFar(reference, len(points), tuple(fields))
+
+
+def conic_module(p, r, d):
+    """X_alpha maps V to W (dim d each) by l_1 I + l_2 C, C the companion of
+    an irreducible of degree d: not constant exactly at the GF(p^d)-points
+    where det(l_1 I + l_2 C) = 0."""
+    C = build_field(p, d).companion
+    X = [np.zeros((2 * d, 2 * d), dtype=np.uint8) for _ in range(r)]
+    X[0][d:, :d] = np.eye(d, dtype=np.uint8)
+    X[1][d:, :d] = C
+    return new_module(p, r, X)
+
+
+@functools.cache
+def realized(spec):
+    return realize.realize_bundle(spec, plan=SamplingPlan(extra=0))[0]
+
+
+DIFFERENTIAL_PLANS = (
+    SamplingPlan(extra=40, seed=1),
+    SamplingPlan(extra=25, max_ext_degree=3, seed=7),
+)
+
+# name: (module, extension degree of the witness under each plan, or None
+# where the sampler finds none)
+DIFFERENTIAL_MODULES = {
+    "perm1 p=2 r=3": (lambda: builtin("perm", 2, 3, i=1), (1, 1)),
+    "perm2 p=5 r=2": (lambda: builtin("perm", 5, 2, i=2), (1, 1)),
+    "omega2 p=2 r=2": (lambda: omega(builtin("trivial", 2, 2), 2), (None, None)),
+    "omega-1 p=3 r=2": (lambda: omega(builtin("trivial", 3, 2), -1), (None, None)),
+    "omega1 p=5 r=2": (lambda: omega(builtin("trivial", 5, 2), 1), (None, None)),
+    "radq2 p=3 r=3": (lambda: builtin("rad_quotient", 3, 3, m=2), (None, None)),
+    "radq3 p=5 r=2": (lambda: builtin("rad_quotient", 5, 2, m=3), (None, None)),
+    "conic2 p=3 r=2": (lambda: conic_module(3, 2, 2), (2, 2)),
+    "conic3 p=2 r=2": (lambda: conic_module(2, 2, 3), (3, 3)),
+    # degenerate only at GF(16)-points, which the second plan never visits
+    "conic4 p=2 r=2": (lambda: conic_module(2, 2, 4), (4, None)),
+    "euler p=2 r=3": (lambda: realized(realize.euler_spec(2, 3)), (None, None)),
+    "O(-1) p=3 r=2": (lambda: realized(realize.line_bundle_spec(3, 2, -1)), (None, None)),
+    "O(-1) p=5 r=2": (lambda: realized(realize.line_bundle_spec(5, 2, -1)), (None, None)),
+}
+
+
+class TestOrbitMemo:
+    """check_constant skips repeated Galois orbits; the answers must not move."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_MODULES)
+    @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
+    def test_matches_brute_force(self, name, k):
+        make, witness_degrees = DIFFERENTIAL_MODULES[name]
+        M, plan = make(), DIFFERENTIAL_PLANS[k]
+        M._cache.pop(("constancy", plan), None)
+        got, want = check_constant(M, plan), brute_force_check_constant(M, plan)
+        if witness_degrees[k] is None:
+            assert isinstance(want, ConstantSoFar)
+            assert got == want
+        else:
+            assert isinstance(want, Falsified)
+            assert want.witness.ctx.e == witness_degrees[k]
+            assert isinstance(got, Falsified)
+            assert got.witness.coords == want.witness.coords
+            assert got.witness.ctx is want.witness.ctx
+            assert got.type_at_witness == want.type_at_witness
+            assert got.reference_type == want.reference_type
+
+    @pytest.mark.parametrize("name", ["omega1 p=5 r=2", "conic3 p=2 r=2", "euler p=2 r=3"])
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_frobenius_conjugates_share_a_type(self, name, e):
+        M = DIFFERENTIAL_MODULES[name][0]()
+        ctx = build_field(M.p, e)
+        rng = random.Random(e)
+        for _ in range(6):
+            pt = Point(ctx, tuple(rng.randrange(1, ctx.q) for _ in range(M.r)))
+            frob = Point(ctx, tuple(ctx.frobenius(c) for c in pt.coords))
+            assert jordan_type_at(M, pt) == jordan_type_at(M, frob)
+            assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
+
+    @pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2), (13, 2)])
+    def test_frobenius_matrix_matches_frobenius(self, p, e):
+        F = build_field(p, e)
+        for a in F.elements():
+            image = F.frobenius_matrix @ np.array(F.digits(a)) % p
+            assert F.encode(image) == F.frobenius(a)
+
+    def test_orbit_key(self):
+        F9, F81 = build_field(3, 2), build_field(3, 4)
+        rational = Point(build_field(3), (1, 2, 0))
+        # the same GF(3)-point, scaled, over GF(9) and GF(81)
+        for ctx in (F9, F81):
+            c = ctx.q - 2
+            scaled = Point(ctx, tuple(ctx.mul(c, x) for x in rational.coords))
+            assert _orbit_key(scaled) == _orbit_key(rational) == (1, (1, 2, 0))
+        pt = Point(F81, (5, 17, 40))
+        conj = pt
+        for _ in range(3):
+            conj = Point(F81, tuple(F81.frobenius(x) for x in conj.coords))
+            assert _orbit_key(conj) == _orbit_key(pt)
+        assert _orbit_key(pt)[0] == 4
+        assert _orbit_key(pt) != _orbit_key(Point(F81, (5, 17, 41)))
 
 
 class TestSumTensorDual:
