@@ -10,10 +10,11 @@ monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
 Every elimination runs over GF(p), in one loop: ``echelon_p`` clears
-below each pivot, or above it too when ``reduced`` is set.  ``rref_p`` is
-its reduced form and ``rank_p`` its pivot count; callers that only need
-pivot columns take the cheaper unreduced form, since pivot columns do not
-depend on the echelon form chosen.  A GF(p^e) matrix is blocked by
+below each pivot, or above it too when ``reduced`` is set, and touches
+only the columns from the pivot on (the pivot row is zero left of it).
+``rref_p`` is its reduced form and ``rank_p`` its pivot count; callers
+that only need pivot columns take the cheaper unreduced form, since pivot
+columns do not depend on the echelon form chosen.  A GF(p^e) matrix is blocked by
 replacing each entry with its e x e companion matrix; ranks are blocked
 ranks divided by e.  Blocking is a ring embedding that maps the reduced
 echelon form of A to that of blocked(A) (both are unique), so kernels and
@@ -54,6 +55,15 @@ def _is_prime(n: int) -> bool:
 def _inverses(p):
     """Multiplicative inverses mod p, indexed by residue (0 maps to 0)."""
     return (0,) + tuple(pow(v, p - 2, p) for v in range(1, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _products(p):
+    """The p x p table of a * b mod p (uint8), indexed by residues."""
+    v = np.arange(p)
+    out = (np.outer(v, v) % p).astype(np.uint8)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +340,45 @@ def echelon_p(A, p, reduced=False):
     first nonzero entry in scan order, scaled to 1, and only the rows below
     a pivot are cleared.  With reduced set the rows above are cleared too,
     which gives the (unique) reduced row echelon form.
+
+    Row operations touch only the columns from the pivot column c on: the
+    pivot row is zero left of c, since earlier pivot columns were cleared
+    below their pivots and skipped columns had no nonzero from row rank
+    down, so the cells left of c would not change.
     """
     R = np.array(A, dtype=np.uint8, copy=True)
     rows, cols = R.shape
     inv = _inverses(p)
+    products = _products(p)
     pivots = []
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero(R[rank:, c])
+        nz = R[rank:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = rank + int(nz[0])
         if pr != rank:
-            R[[rank, pr]] = R[[pr, rank]]
-        pv = int(R[rank, c])
+            tmp = R[rank, c:].copy()
+            R[rank, c:] = R[pr, c:]
+            R[pr, c:] = tmp
+        row = R[rank, c:]
+        pv = int(row[0])
         if pv != 1:
-            R[rank] = (R[rank].astype(np.int64) * inv[pv]) % p
+            row[:] = products[inv[pv]][row]
+        # the rows below with a nonzero in column c are nz[1:]: the row
+        # swapped down to pr held 0 there, since pr was the first nonzero
+        other = rank + nz[1:]
         if reduced:
-            other = np.flatnonzero(R[:, c])
-            other = other[other != rank]
-        else:
-            other = rank + 1 + np.flatnonzero(R[rank + 1 :, c])
+            other = np.concatenate((R[:rank, c].nonzero()[0], other))
         if other.size:
+            sub = R[other, c:]
             # (p - entry) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
-            upd = np.outer(p - R[other, c], R[rank])
-            upd += R[other]
+            upd = (p - sub[:, :1]) * row
+            upd += sub
             upd %= p
-            R[other] = upd
+            R[other, c:] = upd
         pivots.append(c)
         rank += 1
     return R, pivots

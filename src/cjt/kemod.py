@@ -408,20 +408,18 @@ def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
 
 
 def _blocked_x_alpha(M: KEModule, alpha: Point):
-    """X_alpha as an (n*e) x (n*e) matrix over GF(p), via companion blocks."""
+    """X_alpha as an (n*e) x (n*e) matrix over GF(p), via companion blocks.
+
+    Block (i, j) is sum_s X_s[i, j] E_s, where E_s = sum_k digit_k(lambda_s) C^k
+    is the e x e matrix of lambda_s; all r of them are built in one go.
+    """
     ctx = alpha.ctx
-    e = ctx.e
-    if e == 1:
-        acc = np.zeros((M.n, M.n), dtype=np.int64)
-        for lam, A in zip(alpha.coords, M.X):
-            if lam:
-                acc += int(lam) * A.astype(np.int64)
-        return (acc % ctx.p).astype(np.uint8)
-    acc = np.zeros((M.n * e, M.n * e), dtype=np.int64)
-    for lam, A in zip(alpha.coords, M.X):
-        if lam:
-            acc += np.kron(A.astype(np.int64), ctx.element_matrix(lam).astype(np.int64))
-    return (acc % ctx.p).astype(np.uint8)
+    e, p = ctx.e, ctx.p
+    lam = np.array(alpha.coords, dtype=np.int64)
+    digits = (lam[:, None] // p ** np.arange(e)) % p
+    elems = np.einsum("sk,kab->sab", digits, ctx.companion_powers)
+    blocks = np.einsum("sij,sab->iajb", np.array(M.X, dtype=np.int64), elems) % p
+    return blocks.reshape(M.n * e, M.n * e).astype(np.uint8)
 
 
 def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
@@ -429,17 +427,22 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
 
     Only the ranks of X_alpha^1 .. X_alpha^(p-1) are computed, and none past
     the first power of rank 0: X_alpha^p = sum lambda_i^p X_i^p is zero for
-    commuting p-nilpotent X_i.
+    commuting p-nilpotent X_i.  Each power is ranked on the image of the
+    one before: with B the blocked X_alpha, C_1 = B and C_j = B C_{j-1}[:, P],
+    P the pivot columns of C_{j-1}.  Those columns are a basis of
+    Im B^(j-1), so C_j spans Im B^j and has its rank, with r_{j-1} columns
+    instead of n*e.
     """
     p = M.p
     e = alpha.ctx.e
     B = _blocked_x_alpha(M, alpha)
     ranks = [M.n]  # rank of X^0 in GF(p^e) units
-    Bk = B
+    C = B
     for j in range(1, p):
         if j > 1:
-            Bk = matmul_p(Bk, B, p)
-        rk = gfalg.rank_p(Bk, p)
+            C = matmul_p(B, C[:, pivots], p)
+        _, pivots = gfalg.echelon_p(C, p)
+        rk = len(pivots)
         assert rk % e == 0
         ranks.append(rk // e)
         if rk == 0:

@@ -16,6 +16,7 @@ from cjt.gfalg import (
     rank_ext,
     solve,
 )
+from cjt.kemod import Point, _blocked_x_alpha, builtin, direct_sum
 
 
 def brute_irreducible(p, e):
@@ -292,6 +293,81 @@ class TestEchelon:
             for F in (E, R):
                 assert F.shape == A.shape and F.dtype == np.uint8
                 assert gfalg.rank_p(np.vstack([A, F]), p) == rk
+
+
+def reference_echelon(A, p, reduced=False):
+    """The plain echelon_p loop: whole-row swaps, scaling and updates."""
+    R = np.array(A, dtype=np.uint8, copy=True)
+    rows, cols = R.shape
+    inv = gfalg._inverses(p)
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = np.flatnonzero(R[rank:, c])
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            R[[rank, pr]] = R[[pr, rank]]
+        pv = int(R[rank, c])
+        if pv != 1:
+            R[rank] = (R[rank].astype(np.int64) * inv[pv]) % p
+        if reduced:
+            other = np.flatnonzero(R[:, c])
+            other = other[other != rank]
+        else:
+            other = rank + 1 + np.flatnonzero(R[rank + 1 :, c])
+        if other.size:
+            upd = np.outer(p - R[other, c], R[rank])
+            upd += R[other]
+            upd %= p
+            R[other] = upd
+        pivots.append(c)
+        rank += 1
+    return R, pivots
+
+
+def kernel_inputs(p):
+    """Seeded matrices: empty, sparse, dense rank-deficient up to 150 x 150,
+    and blocked nilpotent X_alpha (and a power of it) at e = 1..4."""
+    rng = np.random.default_rng(500 + p)
+    out = [np.zeros(s, dtype=np.uint8) for s in [(0, 0), (0, 7), (6, 0), (5, 5)]]
+    for _ in range(12):
+        rows, cols = map(int, rng.integers(1, 40, size=2))
+        A = rng.integers(0, p, size=(rows, cols)).astype(np.uint8)
+        A[rng.random((rows, cols)) < 0.85] = 0
+        out.append(A)
+    for rows, cols in [(20, 30), (64, 48), (90, 120), (150, 150)]:
+        inner = int(rng.integers(1, min(rows, cols)))
+        out.append(
+            (
+                rng.integers(0, p, size=(rows, inner))
+                @ rng.integers(0, p, size=(inner, cols))
+                % p
+            ).astype(np.uint8)
+        )
+    M = direct_sum(builtin("rad_quotient", p, 2, m=2), builtin("perm", p, 2, i=1))
+    for e in (1, 2, 3, 4):
+        ctx = build_field(p, e)
+        coords = (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q)))
+        B = _blocked_x_alpha(M, Point(ctx, coords))
+        out += [B, gfalg.matmul_p(B, B, p)]
+    return out
+
+
+class TestEchelonKernel:
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_bit_identical_to_reference_loop(self, p):
+        for A in kernel_inputs(p):
+            for got, want in [
+                (gfalg.echelon_p(A, p), reference_echelon(A, p)),
+                (gfalg.rref_p(A, p), reference_echelon(A, p, reduced=True)),
+            ]:
+                assert got[0].dtype == want[0].dtype == np.uint8
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
 
 
 class TestKernel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cjt import realize
-from cjt.gfalg import blocked_over_prime, build_field, matpow_p, rank_p
+from cjt.gfalg import MAX_FIELD_ORDER, blocked_over_prime, build_field, matpow_p, rank_p
 from cjt.kemod import (
     QUADRATIC_CAP,
     ConstantSoFar,
@@ -16,6 +16,7 @@ from cjt.kemod import (
     NotPNilpotentError,
     Point,
     SamplingPlan,
+    _blocked_x_alpha,
     _orbit_key,
     builtin,
     check_constant,
@@ -34,6 +35,8 @@ from cjt.kemod import (
 )
 
 from test_gfalg import oracle_mul
+from test_random_modules import zoo
+from test_thetasheaf import battery
 
 
 def axis_point(p, r, i, e=1):
@@ -220,6 +223,49 @@ def full_jordan_type(M, pt):
     ranks = [M.n] + [rank_p(matpow_p(B, j, p), p) // e for j in range(1, p + 1)] + [0]
     return JordanType(p, tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1]
                                for i in range(1, p + 1)))
+
+
+def image_chain_modules(p):
+    """battery() and zoo(7) at p = 2, 3; builtins at p = 5, 7, 13.  Trivial
+    and perm modules reach rank 0 early; regular summands are free."""
+    if p in (2, 3):
+        mods = [M for _, M in battery()] + zoo(7)
+        return [M for M in mods if M.p == p]
+    mods = [
+        builtin("trivial", p, 2),
+        builtin("perm", p, 2, i=1),
+        builtin("rad_quotient", p, 2, m=2),
+        builtin("zigzag", p, 2, n=2),
+    ]
+    if p < 13:
+        mods.append(omega(builtin("trivial", p, 2), -1))
+        mods.append(direct_sum(builtin("regular", p, 2), builtin("perm", p, 2, i=2)))
+    return mods
+
+
+class TestImageChain:
+    """jordan_type_at ranks each power on the image of the one before; the
+    oracle ranks all p powers of X_alpha built through x_alpha."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_matches_all_powers_oracle(self, p):
+        rng = random.Random(p)
+        for M in image_chain_modules(p):
+            for e in range(1, 5):
+                if p**e > MAX_FIELD_ORDER:
+                    continue
+                ctx = build_field(p, e)
+                pts = [axis_point(p, M.r, 0, e)]
+                while len(pts) < 3:
+                    coords = tuple(rng.randrange(ctx.q) for _ in range(M.r))
+                    if any(coords):
+                        pts.append(Point(ctx, coords))
+                for pt in pts:
+                    blocked = blocked_over_prime(ctx, x_alpha(M, pt).array)
+                    got = _blocked_x_alpha(M, pt)
+                    assert got.dtype == blocked.dtype == np.uint8
+                    assert np.array_equal(got, blocked)
+                    assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
 
 
 def brute_force_check_constant(M, plan):
