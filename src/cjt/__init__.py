@@ -6,9 +6,8 @@ The package computes, in exact arithmetic over small finite fields:
   projective space, with sampling-based constancy checks (`kemod`);
 - the graded subquotients of the degree-raising operator on M (x) S,
   their Hilbert functions and fitted Hilbert polynomials (`thetasheaf`);
-- Chern classes, characters, Todd classes and the Euler-characteristic
-  pairing on P^{r-1}, with exact inversion back to Chern data
-  (`chowring`);
+- Chern classes on P^{r-1}, read off Hilbert polynomials through their
+  integer K-classes or off resolutions by sums of twists (`chowring`);
 - modules realizing a prescribed bundle through mapping cones over
   cocycle matrices derived from a twist resolution (`realize`);
 - the underlying dense linear algebra over GF(p^e) (`gfalg`);
@@ -47,13 +46,11 @@ from .thetasheaf import (
     twist_shift_check,
 )
 from .chowring import (
-    ChernCharacter,
     ChowClass,
     chern_from_hilbert,
     divisibility_check,
     dual_class,
     frobenius_pullback,
-    hrr_chi,
     product_twists,
     twist,
     whitney,

@@ -1,28 +1,23 @@
 """Exact arithmetic in the Chow ring Z[h]/(h^r) of P^{r-1}.
 
 Total Chern classes are integer coefficient lists c_0..c_{r-1} with
-c_0 = 1, carrying the rank alongside.  Chern characters are rational.
-Conversion between the two goes through Newton's identities on power
-sums; Chern roots are never materialized.
-
-Euler characteristics use chi(F(d)) = deg(ch(F) e^{dh} Td(P^{r-1})),
-with Td = (h/(1-e^{-h}))^r truncated.  The inverse direction (Hilbert
-polynomial -> Chern character) solves the triangular linear system this
-pairing defines, in exact rationals; integrality of the recovered
-Chern numbers is enforced and doubles as a stabilization check.
+c_0 = 1, carrying the rank alongside; Chern roots are never
+materialized.  A Hilbert polynomial gives its bundle's Chern class
+through the integer K-class it determines in the basis O(0), O(-1), ...,
+O(-(r-1)); a resolution by sums of twists gives it through Whitney
+products.  Each route checks the other.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import polyd
 
 
 class NonIntegralChernError(ArithmeticError):
-    """Recovered Chern numbers are not integers: bad window or not a bundle."""
+    """The polynomial is not the chi-polynomial of an integer K-class on P^{r-1}."""
 
 
 def binom_int(x: int, k: int) -> int:
@@ -93,29 +88,6 @@ def sum_of_line_bundles_class(r: int, twists) -> ChowClass:
     for a in twists:
         out = whitney(out, line_bundle_class(r, a))
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class ChernCharacter:
-    """ch_0..ch_{r-1} as exact rationals; ch_0 is the rank."""
-
-    r: int
-    ch: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ch", tuple(Fraction(x) for x in self.ch))
-        if len(self.ch) != self.r:
-            raise ValueError(f"need exactly {self.r} components")
-        if self.ch[0].denominator != 1:
-            raise ValueError("ch_0 must be an integer (the rank)")
-
-    @property
-    def rank(self) -> int:
-        return int(self.ch[0])
-
-
-def character_of_line_bundle(r: int, a: int) -> ChernCharacter:
-    return ChernCharacter(r, tuple(Fraction(a**m, factorial(m)) for m in range(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,149 +186,38 @@ def divisibility_check(c: ChowClass, p: int) -> DivisibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Roch
-
-
-def todd_series(r: int) -> tuple:
-    """Td(P^{r-1}) = (h/(1 - e^{-h}))^r as Fractions mod h^r."""
-    # B(h) = (1 - e^{-h})/h = sum_{j>=0} (-1)^j h^j / (j+1)!
-    B = [Fraction((-1) ** j, factorial(j + 1)) for j in range(r)]
-    inv = _series_inverse(B, r)
-    out = [Fraction(1)] + [Fraction(0)] * (r - 1)
-    for _ in range(r):
-        out = _series_mul(out, inv, r)
-    return tuple(out)
-
-
-def _series_mul(f, g, r):
-    out = [Fraction(0)] * r
-    for i in range(r):
-        if f[i] == 0:
-            continue
-        for j in range(r - i):
-            out[i + j] += f[i] * g[j]
-    return out
-
-
-def _series_inverse(f, r):
-    assert f[0] != 0
-    inv = [Fraction(0)] * r
-    inv[0] = 1 / Fraction(f[0])
-    for m in range(1, r):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc += f[j] * inv[m - j]
-        inv[m] = -acc / f[0]
-    return inv
-
-
-def _chi_coefficient_polys(r: int):
-    """T_m(d) = [h^{r-1-m}] (e^{dh} Td) as polynomials in d, m = 0..r-1."""
-    Td = todd_series(r)
-    polys = []
-    for m in range(r):
-        # [h^{r-1-m}] e^{dh} Td = sum_l d^l / l! * Td[r-1-m-l]
-        coeffs = [
-            Td[r - 1 - m - l] / factorial(l) if 0 <= r - 1 - m - l < r else Fraction(0)
-            for l in range(r - m)
-        ]
-        polys.append(polyd.trim(coeffs))
-    return polys
-
-
-def hrr_chi(ch: ChernCharacter, d: int) -> Fraction:
-    """chi(F(d)) = deg part of ch(F) e^{dh} Td(P^{r-1}); exact rational."""
-    polys = _chi_coefficient_polys(ch.r)
-    return sum(
-        (ch.ch[m] * polyd.evaluate(polys[m], d) for m in range(ch.r)),
-        start=Fraction(0),
-    )
-
-
-def chi_polynomial(ch: ChernCharacter) -> tuple:
-    """chi(F(d)) as a polynomial in d with Fraction coefficients."""
-    polys = _chi_coefficient_polys(ch.r)
-    out = polyd.ZERO
-    for m in range(ch.r):
-        out = polyd.add(out, polyd.scale(ch.ch[m], polys[m]))
-    return out
-
-
-def character_from_chi(r: int, fitted) -> ChernCharacter:
-    """Invert the pairing: the unique character whose chi-polynomial is fitted.
-
-    The system is triangular because T_m has degree exactly r-1-m with
-    leading coefficient 1/(r-1-m)!.
-    """
-    polys = _chi_coefficient_polys(r)
-    residual = list(fitted) + [Fraction(0)] * (r - len(fitted))
-    residual = [Fraction(x) for x in residual[:r]]
-    ch = [Fraction(0)] * r
-    for m in range(r):  # T_m has degree r-1-m: solve from the top down
-        deg = r - 1 - m
-        lead = polys[m][deg] if len(polys[m]) > deg else Fraction(0)
-        assert lead != 0
-        ch[m] = residual[deg] / lead
-        for l, c in enumerate(polys[m]):
-            residual[l] -= ch[m] * c
-    if any(residual):
-        raise NonIntegralChernError(
-            "fitted polynomial is not a chi-polynomial of degree < r"
-        )
-    return ChernCharacter(r, tuple(ch)) if ch[0].denominator == 1 else _reject(ch)
-
-
-def _reject(ch):
-    raise NonIntegralChernError(f"rank ch_0 = {ch[0]} is not an integer")
-
-
-# ---------------------------------------------------------------------------
-# Newton's identities: Chern numbers <-> power sums
-
-
-def character_to_class(ch: ChernCharacter) -> ChowClass:
-    """Chern numbers from the character; NonIntegralChern if any c_m isn't whole."""
-    r = ch.r
-    if ch.ch[0].denominator != 1:
-        _reject(ch.ch)
-    s = int(ch.ch[0])
-    # power sums p_m = m! ch_m; then m e_m = sum_{l=1..m} (-1)^{l-1} e_{m-l} p_l
-    psums = [factorial(m) * ch.ch[m] for m in range(r)]
-    e = [Fraction(1)] + [Fraction(0)] * (r - 1)
-    for m in range(1, r):
-        acc = Fraction(0)
-        for l in range(1, m + 1):
-            acc += (-1) ** (l - 1) * e[m - l] * psums[l]
-        e[m] = acc / m
-    coeffs = []
-    for m, v in enumerate(e):
-        if v.denominator != 1:
-            raise NonIntegralChernError(
-                f"c_{m} = {v} is not an integer; "
-                "stabilization window or input bundle is suspect"
-            )
-        coeffs.append(int(v))
-    return ChowClass(r, tuple(coeffs), s)
-
-
-def class_to_character(c: ChowClass) -> ChernCharacter:
-    """Power sums from Chern numbers: p_m = e_1 p_{m-1} - ... + (-1)^{m-1} m e_m."""
-    r = c.r
-    e = [Fraction(x) for x in c.coeffs]
-    psums = [Fraction(c.rank)] + [Fraction(0)] * (r - 1)
-    for m in range(1, r):
-        acc = (-1) ** (m - 1) * m * e[m]
-        for l in range(1, m):
-            acc += (-1) ** (l - 1) * e[l] * psums[m - l]
-        psums[m] = acc
-    return ChernCharacter(r, tuple(psums[m] / factorial(m) for m in range(r)))
+# Chern classes from Hilbert polynomials and from resolutions
 
 
 def chern_from_hilbert(hd) -> tuple[int, ChowClass]:
-    """Rank and Chern class of the bundle behind a HilbertData fit."""
-    ch = character_from_chi(hd.r, hd.fitted)
-    cls = character_to_class(ch)
-    return cls.rank, cls
+    """Rank and Chern class of the bundle behind a Hilbert polynomial.
+
+    A polynomial P of degree < r is the chi-polynomial of exactly one
+    rational K-class sum_k q_k [O(-k)], k = 0..r-1 (Beilinson's basis of
+    K_0(P^{r-1})), since sum_{d>=0} P(d) t^d = sum_k q_k t^k / (1-t)^r.
+    Hence q_k = sum_{j<=k} (-1)^j binom(r, j) P(k - j), an integer for
+    every k exactly when P is integer-valued, and then Whitney gives
+    c = prod_k (1 - k h)^{q_k}.
+    """
+    r, fitted = hd.r, hd.fitted
+    if len(fitted) > r:
+        raise NonIntegralChernError(
+            f"Hilbert polynomial of degree {len(fitted) - 1} on P^{r - 1} "
+            "is not a chi-polynomial"
+        )
+    out = trivial_class(r, 0)
+    for k in range(r):
+        q = sum(
+            (-1) ** j * comb(r, j) * polyd.evaluate(fitted, k - j)
+            for j in range(k + 1)
+        )
+        if q.denominator != 1:
+            raise NonIntegralChernError(
+                f"K-class coefficient q_{k} = {q} of [O(-{k})] is not an integer"
+            )
+        q = int(q)
+        out = whitney(out, chow(r, [binom_int(q, m) * (-k) ** m for m in range(r)], q))
+    return out.rank, out
 
 
 def chern_from_resolution(r: int, levels) -> tuple[int, ChowClass]:

@@ -46,6 +46,7 @@ from .chowring import (
 )
 from .gfalg import SUPPORTED_PRIMES, build_field, kernel_p, matmul_p, rank_p
 from .kemod import (
+    DEFAULT_SEED,
     ConstantSoFar,
     Falsified,
     KEModule,
@@ -64,6 +65,7 @@ from .kemod import (
     tensor,
 )
 from .realize import (
+    DEFAULT_MAX_DIM,
     ResolutionSpec,
     ResourceCapError,
     SpecInvalidError,
@@ -86,7 +88,6 @@ from .thetasheaf import (
     twist_shift_check,
 )
 
-DEFAULT_SEED = 0xC0FFEE
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3))
 
 
@@ -925,11 +926,18 @@ def build_parser():
     algebra.add_argument("--p", type=int, help="characteristic")
     algebra.add_argument("--r", type=int, help="rank of the group")
     cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--max-dim", type=int, default=5000)
+    cap.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=_seed, help="default: CJT_SEED or 0xC0FFEE")
-    sampling.add_argument("--samples", type=_at_least(0), default=200)
-    sampling.add_argument("--field-ext", type=_at_least(1), default=4, help="largest e")
+    sampling.add_argument(
+        "--seed", type=_seed, help=f"default: CJT_SEED or 0x{DEFAULT_SEED:X}"
+    )
+    sampling.add_argument("--samples", type=_at_least(0), default=SamplingPlan.extra)
+    sampling.add_argument(
+        "--field-ext",
+        type=_at_least(1),
+        default=SamplingPlan.max_ext_degree,
+        help="largest e",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, about, parents=(algebra, cap)):

@@ -1,8 +1,7 @@
 """Small exact-polynomial helpers: one variable, Fraction coefficients.
 
 Polynomials are tuples of Fractions, lowest degree first, with no
-trailing zeros.  Used for Hilbert polynomials (in the twist degree d)
-and for the Riemann-Roch bookkeeping.
+trailing zeros.  Used for Hilbert polynomials in the twist degree d.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ def scale(c, f):
     return trim([Fraction(c) * x for x in f])
 
 
-def sub(f, g):
-    return add(f, scale(-1, g))
-
-
 def mul(f, g):
     if not f or not g:
         return ZERO
@@ -65,14 +60,6 @@ def shift_var(f, c):
         out = add(out, scale(a, binom_poly))
         binom_poly = mul(binom_poly, lin)
     return out
-
-
-def degree(f) -> int:
-    return len(f) - 1 if f else -1
-
-
-def leading(f) -> Fraction:
-    return f[-1] if f else Fraction(0)
 
 
 def binomial_poly(a: int, r: int):

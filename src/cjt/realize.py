@@ -211,6 +211,8 @@ class StableModels:
         self.p = p
         self.r = r
         self.max_dim = max_dim
+        # the generators live in degree eps: 1 for p = 2, their Bocksteins 2
+        self.eps = 1 if p == 2 else 2
         k = builtin("trivial", p, r)
         self.models = {0: k}
         self.pairs = {}  # j -> ShiftPair linking model(j) to model(j-1)
@@ -302,9 +304,8 @@ class StableModels:
             raise ValueError(f"generator index must be in 1..r, got {i}")
         if i in self._gen_cocycles:
             return self._gen_cocycles[i]
-        p, r = self.p, self.r
+        p, r, eps = self.p, self.r, self.eps
         kE = group_algebra(p, r)
-        eps = 1 if p == 2 else 2
         if p == 2:
             # Omega k sits inside kE; take the coefficient of the monomial X_i
             pair = self.pair(1)
@@ -366,7 +367,7 @@ class StableModels:
         key = (exponents, shift_j)
         if key in self._monomials:
             return self._monomials[key]
-        eps = 1 if self.p == 2 else 2
+        eps = self.eps
         sequence = [
             i + 1 for i, e in enumerate(exponents) for _ in range(e)
         ]
@@ -388,17 +389,11 @@ class StableModels:
 
     def _lifted_generator(self, i: int, amount: int) -> ModuleHom:
         key = ("lifted", i, amount)
-        if key in self._monomials:
-            return self._monomials[key]
-        eps = 1 if self.p == 2 else 2
-        f = self.generator_cocycle(i).hom
-        src, tgt = eps, 0
-        for _ in range(amount):
-            f = self.lift_up(f, src, tgt)
-            src += 1
-            tgt += 1
-        self._monomials[key] = f
-        return f
+        if key not in self._monomials:
+            self._monomials[key] = self._shift_hom(
+                self.generator_cocycle(i).hom, self.eps, 0, amount
+            )
+        return self._monomials[key]
 
     def _shift_hom(self, f: ModuleHom, src: int, tgt: int, steps: int) -> ModuleHom:
         while steps > 0:
@@ -619,8 +614,8 @@ def realize_bundle(
             f"resolution length {spec.length} exceeds the cap {MAX_LENGTH}"
         )
     p, r = spec.p, spec.r
-    eps = 1 if p == 2 else 2
     models = stable_models(p, r, max_dim)
+    eps = models.eps
     report = RealizeReport(eps=eps, expected_rank=spec.rank(), level_dims=[],
                            cone_dims=[], stripped=[])
 
@@ -658,8 +653,7 @@ def realize_bundle(
         current, a, _ = strip_free_with_inclusion(current)
         report.stripped.append(a)
     else:
-        current = sums[L][0]
-        f_cur = differential(L - 1)  # current -> level L-1 module
+        f_cur = differential(L - 1)  # level L -> level L-1 module
         for i in range(L - 1, -1, -1):
             cres = cone(f_cur)
             report.cone_dims.append(cres.module.n)
@@ -674,9 +668,7 @@ def realize_bundle(
                 g = differential(i - 1)
                 h = descend(cres, f_cur, g)
                 f_cur = h @ incl
-                current = stripped
-            else:
-                current = stripped
+            current = stripped
     report.final_dim = current.n
     current.constant_by_construction = True
     report.verdict = check_constant(current, plan or SamplingPlan())

@@ -1,27 +1,21 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from cjt import polyd
 from cjt.chowring import (
-    ChernCharacter,
     ChowClass,
     NonIntegralChernError,
     binom_int,
-    character_from_chi,
-    character_of_line_bundle,
-    character_to_class,
     chern_from_hilbert,
     chern_from_resolution,
-    chi_polynomial,
     chow,
-    class_to_character,
     divisibility_check,
     dual_class,
     fermat_product_identity_holds,
     frobenius_pullback,
-    hrr_chi,
     line_bundle_class,
     product_twists,
     sum_of_line_bundles_class,
@@ -29,6 +23,109 @@ from cjt.chowring import (
     twist,
     whitney,
 )
+
+
+# ---------------------------------------------------------------------------
+# Riemann-Roch oracle: the rational route from a Hilbert polynomial to Chern
+# numbers, through the Todd class and Newton's identities.  A Chern character
+# is a tuple ch_0..ch_{r-1} of Fractions; ch_0 is the rank.
+
+
+def _series_mul(f, g, r):
+    out = [Fraction(0)] * r
+    for i in range(r):
+        for j in range(r - i):
+            out[i + j] += f[i] * g[j]
+    return out
+
+
+def todd_series(r):
+    """Td(P^{r-1}) = (h/(1 - e^{-h}))^r as Fractions mod h^r."""
+    # B(h) = (1 - e^{-h})/h = sum_{j>=0} (-1)^j h^j / (j+1)!, inverted termwise
+    B = [Fraction((-1) ** j, factorial(j + 1)) for j in range(r)]
+    inv = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for m in range(1, r):
+        inv[m] = -sum(B[j] * inv[m - j] for j in range(1, m + 1))
+    out = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for _ in range(r):
+        out = _series_mul(out, inv, r)
+    return out
+
+
+def _chi_coefficient_polys(r):
+    """T_m(d) = [h^{r-1-m}] (e^{dh} Td) as polynomials in d, m = 0..r-1."""
+    Td = todd_series(r)
+    return [
+        polyd.trim([Td[r - 1 - m - l] / factorial(l) for l in range(r - m)])
+        for m in range(r)
+    ]
+
+
+def character_of_line_bundle(r, a):
+    return tuple(Fraction(a**m, factorial(m)) for m in range(r))
+
+
+def chi_polynomial(ch):
+    """chi(F(d)) = deg(ch(F) e^{dh} Td(P^{r-1})) as a polynomial in d."""
+    out = polyd.ZERO
+    for m, T in enumerate(_chi_coefficient_polys(len(ch))):
+        out = polyd.add(out, polyd.scale(ch[m], T))
+    return out
+
+
+def hrr_chi(ch, d):
+    return polyd.evaluate(chi_polynomial(ch), d)
+
+
+def character_from_chi(r, fitted):
+    """The character whose chi-polynomial is fitted (degree < r).
+
+    The system is triangular: T_m has degree exactly r-1-m.
+    """
+    assert len(fitted) <= r
+    polys = _chi_coefficient_polys(r)
+    residual = [Fraction(x) for x in fitted] + [Fraction(0)] * (r - len(fitted))
+    ch = [Fraction(0)] * r
+    for m in range(r):
+        ch[m] = residual[r - 1 - m] / polys[m][r - 1 - m]
+        for l, c in enumerate(polys[m]):
+            residual[l] -= ch[m] * c
+    assert not any(residual)
+    return tuple(ch)
+
+
+def character_to_class(ch):
+    """Newton: m e_m = sum_{l=1..m} (-1)^{l-1} e_{m-l} p_l, p_m = m! ch_m."""
+    r = len(ch)
+    psums = [factorial(m) * ch[m] for m in range(r)]
+    e = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for m in range(1, r):
+        e[m] = sum((-1) ** (l - 1) * e[m - l] * psums[l] for l in range(1, m + 1)) / m
+    if any(x.denominator != 1 for x in (ch[0], *e)):
+        raise NonIntegralChernError(f"rank {ch[0]} or Chern numbers {e} not integral")
+    return ChowClass(r, tuple(int(x) for x in e), int(ch[0]))
+
+
+def class_to_character(c):
+    """Power sums from Chern numbers: p_m = e_1 p_{m-1} - ... + (-1)^{m-1} m e_m."""
+    r = c.r
+    psums = [Fraction(c.rank)] + [Fraction(0)] * (r - 1)
+    for m in range(1, r):
+        psums[m] = (-1) ** (m - 1) * m * c.c(m) + sum(
+            (-1) ** (l - 1) * c.c(l) * psums[m - l] for l in range(1, m)
+        )
+    return tuple(Fraction(psums[m], factorial(m)) for m in range(r))
+
+
+def hrr_class(r, fitted):
+    """Rank and Chern class of fitted by the Riemann-Roch oracle."""
+    c = character_to_class(character_from_chi(r, fitted))
+    return c.rank, c
+
+
+class _HD:
+    def __init__(self, r, fitted):
+        self.r, self.fitted = r, fitted
 
 
 def random_class(rng, r, smax=10, cmax=9):
@@ -140,8 +237,7 @@ class TestHRR:
             assert hrr_chi(ch, d) == d - 2
 
     def test_zero_character(self):
-        ch = ChernCharacter(3, (0, 0, 0))
-        assert hrr_chi(ch, 5) == 0
+        assert hrr_chi((Fraction(0),) * 3, 5) == 0
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_line_bundles_give_binomials(self, r):
@@ -168,10 +264,9 @@ class TestHRR:
             c = sum_of_line_bundles_class(r, twists)
             ch = class_to_character(c)
             expected = [
-                sum(Fraction(a**m, 1) for a in twists) / __import__("math").factorial(m)
-                for m in range(r)
+                sum(Fraction(a**m, 1) for a in twists) / factorial(m) for m in range(r)
             ]
-            assert list(ch.ch) == expected
+            assert list(ch) == expected
 
 
 class TestChernFromHilbert:
@@ -198,6 +293,35 @@ class TestChernFromHilbert:
 
         with pytest.raises(NonIntegralChernError):
             chern_from_hilbert(HD)
+
+    def test_degree_at_least_r_rejected(self):
+        # 1 + d + d^2 is no chi-polynomial on P^1: its degree is r
+        with pytest.raises(NonIntegralChernError):
+            chern_from_hilbert(_HD(2, (Fraction(1), Fraction(1), Fraction(1))))
+
+    def test_non_integer_constant_rejected(self):
+        # chi = -11/6 on P^5 would be 11/6 times the class of a point, whose
+        # Newton inversion happens to come out integral (c_5 = -44)
+        with pytest.raises(NonIntegralChernError):
+            chern_from_hilbert(_HD(6, (Fraction(-11, 6),)))
+
+    def test_random_integer_k_classes(self):
+        # sum_a n_a [O(a)] over twists a outside 0..-(r-1) too, against the
+        # Riemann-Roch oracle and Whitney over the two-level resolution
+        rng = random.Random(11)
+        for _ in range(400):
+            r = rng.randint(1, 8)
+            terms = {
+                rng.randint(-6, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))
+            }
+            fitted = polyd.ZERO
+            for a, n in terms.items():
+                fitted = polyd.add(fitted, polyd.scale(n, polyd.binomial_poly(a, r)))
+            pos = [a for a, n in terms.items() if n > 0 for _ in range(n)]
+            neg = [a for a, n in terms.items() if n < 0 for _ in range(-n)]
+            got = chern_from_hilbert(_HD(r, fitted))
+            assert got == hrr_class(r, fitted), (r, terms)
+            assert got == chern_from_resolution(r, [pos, neg]), (r, terms)
 
     def test_tangent_twist_polynomial(self):
         # chi of T(-1)(d) on P^2 equals chi(O(d))*3 shifted: use resolution
@@ -309,7 +433,8 @@ class TestBridgeToModules:
         # F_i is a signed sum of line bundles O(shift - k) read off the
         # Hilbert numerators of Im theta^{i-1}, theta^i, theta^{i+1} in
         # graded_dim's rank identity; Whitney on that two-level resolution
-        # against HRR inverted on hilbert()'s polynomial
+        # and the Riemann-Roch oracle against the K-class of hilbert()'s
+        # polynomial
         from cjt.cli import DEFAULT_PAIRS, _battery
         from cjt.realize import euler_spec, realize_bundle
         from cjt.thetasheaf import NotConstantError, _certified_image, hilbert
@@ -330,9 +455,9 @@ class TestBridgeToModules:
                 ):
                     for k, c in num.items():
                         (pos if sign * c > 0 else neg).extend([shift - k] * abs(c))
-                assert chern_from_resolution(M.r, [pos, neg]) == chern_from_hilbert(
-                    hd
-                ), (M, i)
+                got = chern_from_hilbert(hd)
+                assert chern_from_resolution(M.r, [pos, neg]) == got, (M, i)
+                assert hrr_class(M.r, hd.fitted) == got, (M, i)
                 checked += 1
         assert checked == 93
 
