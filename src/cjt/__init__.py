@@ -11,10 +11,11 @@ The package computes, in exact arithmetic over small finite fields:
 - modules realizing a prescribed bundle through mapping cones over
   cocycle matrices derived from a twist resolution (`realize`);
 - the underlying dense linear algebra over GF(p^e) (`gfalg`);
-- a command line, file formats and verification suites (`cli`).
+- module and resolution-spec files and module references (`formats`),
+  the `cjt verify` suites (`suites`) and the command line (`cli`).
 """
 
-from .gfalg import FFMatrix, FieldCtx, build_field, kernel_basis, rank, solve
+from .gfalg import FFMatrix, FieldCtx, build_field, kernel_basis
 from .kemod import (
     ConstancyVerdict,
     ConstantSoFar,

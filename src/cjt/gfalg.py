@@ -17,11 +17,11 @@ that only need pivot columns take the cheaper unreduced form, since pivot
 columns do not depend on the echelon form chosen.  A GF(p^e) matrix is blocked by
 replacing each entry with its e x e companion matrix; ranks are blocked
 ranks divided by e.  Blocking is a ring embedding that maps the reduced
-echelon form of A to that of blocked(A) (both are unique), so kernels and
-solutions over GF(p^e) are read back from the GF(p) ones by
-``_unblock``.  The same embedding is the scalar arithmetic: ``FieldCtx``
-multiplies by applying an element's e x e matrix to digits, and Frobenius
-is one e x e matrix on digits, so GF(p^e) has one representation.
+echelon form of A to that of blocked(A) (both are unique), so kernels
+over GF(p^e) are read back from the GF(p) ones by ``_unblock``.  The
+same embedding is the scalar arithmetic: ``FieldCtx`` multiplies by
+applying an element's e x e matrix to digits, and Frobenius is one e x e
+matrix on digits, so GF(p^e) has one representation.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -325,10 +325,6 @@ class FFMatrix:
         return f"FFMatrix({self.ctx}, {self.array.tolist()})"
 
 
-def ff_identity(ctx: FieldCtx, n: int) -> FFMatrix:
-    return FFMatrix(ctx, np.eye(n, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # prime-field elimination core (uint8 arrays, p <= 13)
 
@@ -438,28 +434,11 @@ def solve_p(A, B, p):
 # linear algebra over GF(p^e), through companion blocks over GF(p)
 
 
-def rank(m: FFMatrix) -> int:
-    """Rank of m over its field."""
-    return rank_ext(m.ctx, m.array)
-
-
 def kernel_basis(m: FFMatrix) -> FFMatrix:
     """Basis of the right kernel; columns echelon-normalized and deterministic."""
     ctx = m.ctx
     K = kernel_p(blocked_over_prime(ctx, m.array), ctx.p)
     return FFMatrix(ctx, _unblock(ctx, K))
-
-
-def solve(a: FFMatrix, b: FFMatrix):
-    """One solution X of aX = b, or None when the system is inconsistent."""
-    if a.ctx is not b.ctx:
-        raise ValueError("matrices live over different fields")
-    if a.rows != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows} rows vs {b.rows}")
-    ctx = a.ctx
-    A, B = (blocked_over_prime(ctx, m.array) for m in (a, b))
-    X = solve_p(A, B, ctx.p)
-    return None if X is None else FFMatrix(ctx, _unblock(ctx, X))
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,6 @@ class JordanType:
         """a_1..a_{p-1}; blocks of length p dropped."""
         return self.a[:-1]
 
-    def multiplicity(self, i: int) -> int:
-        return self.a[i - 1]
-
     def __add__(self, other):
         assert self.p == other.p
         return JordanType(self.p, tuple(x + y for x, y in zip(self.a, other.a)))

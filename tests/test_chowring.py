@@ -435,7 +435,7 @@ class TestBridgeToModules:
         # graded_dim's rank identity; Whitney on that two-level resolution
         # and the Riemann-Roch oracle against the K-class of hilbert()'s
         # polynomial
-        from cjt.cli import DEFAULT_PAIRS, _battery
+        from cjt.suites import DEFAULT_PAIRS, _battery
         from cjt.realize import euler_spec, realize_bundle
         from cjt.thetasheaf import NotConstantError, _certified_image, hilbert
 

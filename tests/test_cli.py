@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import cjt
-from cjt import cli, thetasheaf
-from cjt.cli import main, parse_module, parse_spec, print_module
+from cjt import cli, suites, thetasheaf
+from cjt.cli import main
+from cjt.formats import parse_module, parse_spec, print_module
 from cjt.realize import realize_bundle
 from cjt.kemod import builtin, jordan_type_at, projective_points
 
@@ -544,15 +545,15 @@ class TestVerify:
             calls.append(spec)
             return realize_bundle(spec, **kw)
 
-        monkeypatch.setattr(cli, "realize_bundle", counted)
-        cli._realized.cache_clear()
+        monkeypatch.setattr(suites, "realize_bundle", counted)
+        suites._realized.cache_clear()
         args = cli.build_parser().parse_args(["verify", "all", "--p", "3", "--r", "2"])
         args.seed = cli.DEFAULT_SEED
         names = ["exactness", "main-theorem", "divisibility"]
         try:
-            assert cli.run_verify(names, args, out=io.StringIO()) == 0
+            assert suites.run_verify(names, args, out=io.StringIO()) == 0
         finally:
-            cli._realized.cache_clear()
+            suites._realized.cache_clear()
         assert len(calls) == len(set(calls)) == 6
 
     def test_certificate_over_budget_exit_1(self, monkeypatch, capsys):
@@ -562,23 +563,43 @@ class TestVerify:
         assert out == ""
         assert err.startswith("failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("p,cases", [(2, 48), (3, 50)])
+    def test_verify_all_at_rank_one(self, p, cases, capsys):
+        # exactness realizes the Koszul tail only at r = 2, as main-theorem does
+        code, out, err = run_cli(["verify", "all", "--p", str(p), "--r", "1"], capsys)
+        assert code == 0 and err == ""
+        assert f"exactness p={p} r=1 euler " in out
+        assert out.endswith(f"{cases}/{cases} cases passed\n")
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CJT_SEED", "0x123")
         code, out, _ = run_cli(["verify", "hm-obstruction"], capsys)
         assert code == 0
 
 
+def run_child(*argv):
+    # the child imports cjt from where this process found it, so the tests
+    # also run from a checkout whose src is only on pytest's pythonpath
+    src = str(Path(cjt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntry:
     def test_installed_script(self):
-        # the child imports cjt from where this process found it, so the test
-        # also runs from a checkout whose src is only on pytest's pythonpath
-        src = str(Path(cjt.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cjt.cli", "verify", "hm-obstruction"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "cjt.cli", "verify", "hm-obstruction")
         assert proc.returncode == 0
         assert "pass" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["cjt.formats", "cjt.suites", "cjt.cli"])
+    def test_each_module_imports_first(self, module):
+        # an import cycle among cli, suites and formats breaks whichever of
+        # them a fresh interpreter imports first; only cli parses arguments
+        proc = run_child("-c", f"import sys, {module}; print('argparse' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{module == 'cjt.cli'}\n"

@@ -10,13 +10,32 @@ from cjt.gfalg import (
     _unblock,
     blocked_over_prime,
     build_field,
-    ff_identity,
     kernel_basis,
-    rank,
     rank_ext,
-    solve,
+    solve_p,
 )
 from cjt.kemod import Point, _blocked_x_alpha, builtin, direct_sum
+
+
+def rank(m):
+    """Rank of an FFMatrix over its field, through the blocked embedding."""
+    return rank_ext(m.ctx, m.array)
+
+
+def solve(a, b):
+    """One solution X of aX = b over a's field, or None when inconsistent."""
+    if a.ctx is not b.ctx:
+        raise ValueError("matrices live over different fields")
+    if a.rows != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows} rows vs {b.rows}")
+    ctx = a.ctx
+    A, B = (blocked_over_prime(ctx, m.array) for m in (a, b))
+    X = solve_p(A, B, ctx.p)
+    return None if X is None else FFMatrix(ctx, _unblock(ctx, X))
+
+
+def identity(ctx, n):
+    return FFMatrix(ctx, np.eye(n, dtype=np.int64))
 
 
 def brute_irreducible(p, e):
@@ -180,7 +199,7 @@ class TestRank:
     def test_zero_and_identity(self):
         F = build_field(3)
         assert rank(FFMatrix(F, np.zeros((3, 3)))) == 0
-        assert rank(ff_identity(F, 5)) == 5
+        assert rank(identity(F, 5)) == 5
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_nilpotent_jordan_block_powers(self, p):
@@ -373,7 +392,7 @@ class TestEchelonKernel:
 class TestKernel:
     def test_identity_has_empty_kernel(self):
         F = build_field(5)
-        assert kernel_basis(ff_identity(F, 4)).cols == 0
+        assert kernel_basis(identity(F, 4)).cols == 0
 
     def test_zero_matrix_kernel_is_standard_basis(self):
         F = build_field(3)
@@ -391,7 +410,7 @@ class TestSolve:
     def test_identity_system(self):
         F = build_field(7)
         B = FFMatrix(F, [[1, 2], [3, 4], [5, 6]])
-        X = solve(ff_identity(F, 3), B)
+        X = solve(identity(F, 3), B)
         assert X == B
 
     def test_zero_zero(self):
