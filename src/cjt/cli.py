@@ -39,7 +39,15 @@ from .kemod import (
     tensor,
 )
 from .realize import DEFAULT_MAX_DIM, ResourceCapError, SpecInvalidError, realize_bundle
-from .suites import MODULE_SUITES, N_SUITES, SUITES, run_verify, sampling_plan
+from .suites import (
+    DEFAULT_PAIRS,
+    MODULE_SUITES,
+    N_SUITES,
+    SUITES,
+    run_verify,
+    sampling_plan,
+    verify_pairs,
+)
 from .thetasheaf import NotConstantError, StabilizationFailedError, fiber, hilbert
 
 
@@ -159,6 +167,13 @@ def _cmd_verify(args, out):
             raise UsageError(
                 f"cjt verify: {flag} applies only to all, {', '.join(readers)}"
             )
+    if not verify_pairs(args.p, args.r):
+        flag, value = ("--p", args.p) if args.p is not None else ("--r", args.r)
+        pairs = ", ".join(map(str, DEFAULT_PAIRS))
+        raise UsageError(
+            f"cjt verify: {flag} {value} matches no default pair {pairs}; "
+            "give both --p and --r"
+        )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     return run_verify(names, args, out)
 

@@ -9,12 +9,17 @@ Extension moduli are never looked up in a table: ``build_field`` scans
 monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
-Every elimination runs over GF(p), in one loop: ``echelon_p`` clears
-below each pivot, or above it too when ``reduced`` is set, and touches
-only the columns from the pivot on (the pivot row is zero left of it).
-``rref_p`` is its reduced form and ``rank_p`` its pivot count; callers
-that only need pivot columns take the cheaper unreduced form, since pivot
-columns do not depend on the echelon form chosen.  A GF(p^e) matrix is blocked by
+Every elimination runs over GF(p).  One matrix goes through one loop:
+``echelon_p`` clears below each pivot, or above it too when ``reduced``
+is set, and touches only the columns from the pivot on (the pivot row is
+zero left of it).  ``rref_p`` is its reduced form and ``rank_p`` its
+pivot count; callers that only need pivot columns take the cheaper
+unreduced form, since pivot columns do not depend on the echelon form
+chosen.  Many matrices of one shape go through ``stacked_pivots_p``,
+one loop over the columns for the whole stack, which returns each
+matrix's pivot columns, equal to ``echelon_p``'s; the constancy sampler
+uses it, since its small sparse eliminations cost numpy overhead per
+column rather than arithmetic.  A GF(p^e) matrix is blocked by
 replacing each entry with its e x e companion matrix; ranks are blocked
 ranks divided by e.  Blocking is a ring embedding that maps the reduced
 echelon form of A to that of blocked(A) (both are unique), so kernels
@@ -378,6 +383,56 @@ def echelon_p(A, p, reduced=False):
         pivots.append(c)
         rank += 1
     return R, pivots
+
+
+def stacked_pivots_p(S, p):
+    """Pivot columns over GF(p) of each matrix in a (b, rows, cols) uint8 stack.
+
+    S is not modified.  Returns one list per matrix, equal to echelon_p's
+    pivots for it.  One loop over the columns serves the whole stack, so
+    the per-column numpy overhead is paid once for b matrices.
+
+    Rows are never swapped or scaled.  A matrix's free rows (not yet chosen
+    as a pivot row) are zero in every earlier column, so column c is a pivot
+    column exactly when some free row is nonzero there: the pivot columns
+    are the column rank profile, the same for any elimination order.  Each
+    step takes every matrix's first free nonzero row as its pivot row and
+    clears, in one update, only the (matrix, row) pairs of free rows that
+    hold a nonzero in column c, from column c on.
+    """
+    R = np.array(S, dtype=np.uint8, copy=True)
+    b, rows, cols = R.shape
+    inv = np.array(_inverses(p), dtype=np.uint8)
+    products = _products(p)
+    free = np.ones((b, rows), dtype=bool)
+    found = []  # (column, matrices with a pivot there)
+    for c in range(cols):
+        nonzero = R[:, :, c] != 0
+        nonzero &= free
+        m = nonzero.any(axis=1).nonzero()[0]
+        if m.size == 0:
+            continue
+        found.append((c, m))
+        clear = nonzero[m]
+        first = clear.argmax(axis=1)
+        free[m, first] = False
+        clear[np.arange(m.size), first] = False
+        k, row = clear.nonzero()
+        if k.size:
+            pivot_rows = R[m, first, c:][k]
+            mk = m[k]
+            sub = R[mk, row, c:]
+            factor = products[sub[:, 0], inv[pivot_rows[:, 0]]]
+            # (p - factor) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
+            upd = (p - factor)[:, None] * pivot_rows
+            upd += sub
+            upd %= p
+            R[mk, row, c:] = upd
+    pivots = [[] for _ in range(b)]
+    for c, m in found:
+        for i in m.tolist():
+            pivots[i].append(c)
+    return pivots
 
 
 def rref_p(A, p):

@@ -27,6 +27,8 @@ from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
 DEFAULT_SEED = 0xC0FFEE
 # check_constant visits every GF(p^2)-point of P^{r-1} when there are at most this many
 QUADRATIC_CAP = 10_000
+# most uint8 cells in one stack of blocked X_alpha that check_constant eliminates
+STACK_CELLS = 2**19
 
 
 class ModuleError(ValueError):
@@ -487,6 +489,51 @@ def projective_points(p, r, e=1):
     return pts
 
 
+def _orbit_representatives(points):
+    """The first point of each Galois orbit, in visit order, but points[0]'s."""
+    seen = {_orbit_key(points[0])}
+    for pt in points:
+        key = _orbit_key(pt)
+        if key not in seen:
+            seen.add(key)
+            yield pt
+
+
+def _rank_mismatches(M: KEModule, points, ranks):
+    """Indices of the points, all over one field, whose Jordan type differs
+    from the one with ranks[j] = rank X_alpha^j (in field units).
+
+    The points' blocked X_alpha are eliminated in stacks of at most
+    STACK_CELLS cells, each power on the image of the one before, as in
+    jordan_type_at.  A point drops out at its first rank off the reference,
+    so the points left share their pivot counts, and the loop stops at the
+    first power of reference rank 0: equal ranks up to there give equal types.
+    """
+    p, e = M.p, points[0].ctx.e
+    size = M.n * e
+    per_stack = max(1, STACK_CELLS // max(1, size * size))
+    out = []
+    for start in range(0, len(points), per_stack):
+        B = np.empty((min(per_stack, len(points) - start), size, size), dtype=np.uint8)
+        for i in range(len(B)):
+            B[i] = _blocked_x_alpha(M, points[start + i])
+        live = np.arange(len(B))  # C[s] spans Im X_alpha^j at point start + live[s]
+        C = B
+        for j in range(1, p):
+            if j > 1:
+                image = np.empty((keep.size, size, e * ranks[j - 1]), dtype=np.uint8)
+                for s, t in enumerate(keep):
+                    image[s] = matmul_p(B[live[t]], C[t][:, pivots[t]], p)
+                live, C = live[keep], image
+            pivots = gfalg.stacked_pivots_p(C, p)
+            ok = np.array([len(cols) == e * ranks[j] for cols in pivots], dtype=bool)
+            out += (start + live[~ok]).tolist()
+            keep = ok.nonzero()[0]
+            if ranks[j] == 0 or keep.size == 0:
+                break
+    return out
+
+
 def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVerdict:
     """Sampling-based constancy check; a falsifier, never a certificate.
 
@@ -495,6 +542,10 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     plan.extra seeded-random points over GF(p^e) with e <= plan.max_ext_degree.
     Points of one Galois orbit share a Jordan type, so only the first of
     each orbit is evaluated; points_checked counts every point covered.
+    The first points of the orbits are taken in chunks of 1, 2, 4, ...
+    points; each chunk's points of one field are checked against the
+    reference ranks as stacks (_rank_mismatches), and the first failing
+    point in visit order is the witness, its type from jordan_type_at.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))
@@ -527,21 +578,29 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
 
     # the earliest point of each Galois orbit stands for the orbit: a later
     # one was preceded by a point of the same type, the reference type, or
-    # the loop would have returned there, so the first failing point is kept
-    seen = {_orbit_key(points[0])}
-    checked = 0
-    for pt in points + extras:
-        checked += 1
-        key = _orbit_key(pt)
-        if key in seen:
-            continue
-        seen.add(key)
-        t = jordan_type_at(M, pt)
-        if t != reference:
-            verdict = Falsified(pt, t, reference)
+    # the check would have stopped there, so the first failing point is kept
+    # rank of X_alpha^j on the reference type: each block of length i > j gives i - j
+    ranks = [
+        sum((i - j) * m for i, m in enumerate(reference.a, 1) if i > j) for j in range(p)
+    ]
+    representatives = _orbit_representatives(points + extras)
+    size = 1
+    while chunk := list(itertools.islice(representatives, size)):
+        by_field = {}
+        for i, pt in enumerate(chunk):
+            by_field.setdefault(pt.ctx, []).append(i)
+        failing = [
+            where[k]
+            for where in by_field.values()
+            for k in _rank_mismatches(M, [chunk[i] for i in where], ranks)
+        ]
+        if failing:
+            witness = chunk[min(failing)]
+            verdict = Falsified(witness, jordan_type_at(M, witness), reference)
             M._cache[("constancy", plan)] = verdict
             return verdict
-    verdict = ConstantSoFar(reference, checked, tuple(fields_used))
+        size *= 2
+    verdict = ConstantSoFar(reference, len(points) + len(extras), tuple(fields_used))
     M._cache[("constancy", plan)] = verdict
     return verdict
 

@@ -447,14 +447,16 @@ MODULE_SUITES = ("fij-shift", "filtration", "prop-bundles", "omega-shift", "omeg
 N_SUITES = ("omegank",)
 
 
+def verify_pairs(p, r):
+    """The (p, r) pairs that --p and --r select: the pair itself when both
+    are given, else the DEFAULT_PAIRS that match the one given, or all."""
+    if p is not None and r is not None:
+        return [(p, r)]
+    return [(q, s) for q, s in DEFAULT_PAIRS if p in (None, q) and r in (None, s)]
+
+
 def run_verify(names, args, out=sys.stdout):
-    pairs = [
-        (p, r)
-        for (p, r) in DEFAULT_PAIRS
-        if (args.p is None or args.p == p) and (args.r is None or args.r == r)
-    ]
-    if args.p is not None and args.r is not None:
-        pairs = [(args.p, args.r)]
+    pairs = verify_pairs(args.p, args.r)
     for p, r in pairs:
         cap(p**r, "group algebra", args.max_dim)
     cases = [case for name in names for case in SUITE_RUNNERS[name](pairs, args)]

@@ -378,6 +378,10 @@ class TestCommands:
             ["verify", "rho-even", "--p", "2", "--r", "2", "--module", "builtin:radq2"],
             ["verify", "omegank", "--p", "2", "--r", "2", "--module", "builtin:radq2"],
             ["verify", "prop-bundles", "--p", "2", "--r", "2", "--n", "2"],
+            # --p or --r alone that matches no default (p, r) pair
+            ["verify", "exactness", "--r", "1"],
+            ["verify", "all", "--r", "4"],
+            ["verify", "fij-shift", "--p", "7"],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
@@ -570,6 +574,12 @@ class TestVerify:
         assert code == 0 and err == ""
         assert f"exactness p={p} r=1 euler " in out
         assert out.endswith(f"{cases}/{cases} cases passed\n")
+
+    def test_r_alone_selects_the_default_pairs_with_that_r(self, capsys):
+        code, out, err = run_cli(["verify", "rho-odd", "--r", "2"], capsys)
+        assert code == 0 and err == ""
+        assert "rho-odd p=3 r=2 x_1" in out and " r=3 " not in out
+        assert out.endswith("2/2 cases passed\n")
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CJT_SEED", "0x123")

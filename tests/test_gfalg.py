@@ -376,6 +376,33 @@ def kernel_inputs(p):
     return out
 
 
+def stacked_inputs(p):
+    """Seeded (b, rows, cols) stacks: mixed ranks (with an all-zero member),
+    all zero, 0-row, 0-column and 0-matrix shapes, and blocked X_alpha at
+    e = 1..4 with their squares."""
+    rng = np.random.default_rng(900 + p)
+    mixed = []
+    for inner in range(9):
+        A = rng.integers(0, p, size=(20, inner)) @ rng.integers(0, p, size=(inner, 30))
+        mixed.append(A % p)
+    for density in (0.05, 0.2):
+        mixed.append(rng.integers(1, p, size=(20, 30)) * (rng.random((20, 30)) < density))
+    mixed.insert(4, np.zeros((20, 30)))
+    out = [np.array(mixed, dtype=np.uint8)]
+    for shape in [(5, 6, 6), (3, 0, 5), (3, 5, 0), (0, 4, 4)]:
+        out.append(np.zeros(shape, dtype=np.uint8))
+    M = direct_sum(builtin("rad_quotient", p, 2, m=2), builtin("perm", p, 2, i=1))
+    for e in (1, 2, 3, 4):
+        ctx = build_field(p, e)
+        points = [
+            Point(ctx, (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q))))
+            for _ in range(6)
+        ]
+        B = np.array([_blocked_x_alpha(M, pt) for pt in points])
+        out += [B, np.array([gfalg.matmul_p(A, A, p) for A in B])]
+    return out
+
+
 class TestEchelonKernel:
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_bit_identical_to_reference_loop(self, p):
@@ -387,6 +414,16 @@ class TestEchelonKernel:
                 assert got[0].dtype == want[0].dtype == np.uint8
                 assert np.array_equal(got[0], want[0])
                 assert got[1] == want[1]
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_stacked_pivots_equal_echelon_p(self, p):
+        stacks = stacked_inputs(p)
+        ranks = {len(gfalg.echelon_p(A, p)[1]) for A in stacks[0]}
+        assert len(ranks) >= 5 and 0 in ranks
+        for S in stacks:
+            before = S.copy()
+            assert gfalg.stacked_pivots_p(S, p) == [gfalg.echelon_p(A, p)[1] for A in S]
+            assert np.array_equal(S, before)
 
 
 class TestKernel:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cjt import realize
+from cjt import kemod, realize
 from cjt.gfalg import MAX_FIELD_ORDER, blocked_over_prime, build_field, matpow_p, rank_p
 from cjt.kemod import (
     QUADRATIC_CAP,
@@ -268,8 +268,8 @@ class TestImageChain:
                     assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
 
 
-def brute_force_check_constant(M, plan):
-    """check_constant without orbit memo or early stop: every point, all p ranks."""
+def visit_order(M, plan):
+    """check_constant's points in visit order, and the fields it reports."""
     p, r = M.p, M.r
     points = projective_points(p, r)
     fields = [f"GF({p})"]
@@ -284,10 +284,39 @@ def brute_force_check_constant(M, plan):
         coords = tuple(rng.randrange(ctx.q) for _ in range(r))
         points.append(Point(ctx, coords if any(coords) else (1,) + coords[1:]))
         extra_fields.add(f"GF({p}^{ctx.e})" if ctx.e > 1 else f"GF({p})")
-    fields += sorted(extra_fields - set(fields))
+    return points, fields + sorted(extra_fields - set(fields))
+
+
+def brute_force_check_constant(M, plan):
+    """check_constant without orbit memo or early stop: every point, all p ranks."""
+    points, fields = visit_order(M, plan)
     reference = full_jordan_type(M, points[0])
     for pt in points:
         t = full_jordan_type(M, pt)
+        if t != reference:
+            return Falsified(pt, t, reference)
+    return ConstantSoFar(reference, len(points), tuple(fields))
+
+
+def orbit_representatives(points):
+    """The first point of each Galois orbit but points[0]'s, in visit order."""
+    seen = {_orbit_key(points[0])}
+    out = []
+    for pt in points:
+        key = _orbit_key(pt)
+        if key not in seen:
+            seen.add(key)
+            out.append(pt)
+    return out
+
+
+def one_orbit_at_a_time(M, plan):
+    """check_constant with one jordan_type_at per orbit, stopping at the first
+    failing representative."""
+    points, fields = visit_order(M, plan)
+    reference = reference_jordan_type(M)
+    for pt in orbit_representatives(points):
+        t = jordan_type_at(M, pt)
         if t != reference:
             return Falsified(pt, t, reference)
     return ConstantSoFar(reference, len(points), tuple(fields))
@@ -325,13 +354,25 @@ DIFFERENTIAL_MODULES = {
     "radq2 p=3 r=3": (lambda: builtin("rad_quotient", 3, 3, m=2), (None, None)),
     "radq3 p=5 r=2": (lambda: builtin("rad_quotient", 5, 2, m=3), (None, None)),
     "conic2 p=3 r=2": (lambda: conic_module(3, 2, 2), (2, 2)),
+    "conic2 p=2 r=2": (lambda: conic_module(2, 2, 2), (2, 2)),
     "conic3 p=2 r=2": (lambda: conic_module(2, 2, 3), (3, 3)),
-    # degenerate only at GF(16)-points, which the second plan never visits
+    # degenerate only at GF(p^3)-points, or at GF(16)-points for conic4: the
+    # second plan's random GF(p^3)-points miss them at p = 3 and 5, and it
+    # visits no GF(16)-point
+    "conic3 p=3 r=2": (lambda: conic_module(3, 2, 3), (3, None)),
+    "conic3 p=5 r=2": (lambda: conic_module(5, 2, 3), (3, None)),
     "conic4 p=2 r=2": (lambda: conic_module(2, 2, 4), (4, None)),
     "euler p=2 r=3": (lambda: realized(realize.euler_spec(2, 3)), (None, None)),
     "O(-1) p=3 r=2": (lambda: realized(realize.line_bundle_spec(3, 2, -1)), (None, None)),
     "O(-1) p=5 r=2": (lambda: realized(realize.line_bundle_spec(5, 2, -1)), (None, None)),
 }
+
+FALSIFIED = [
+    (name, k)
+    for name, (_, degrees) in DIFFERENTIAL_MODULES.items()
+    for k, degree in enumerate(degrees)
+    if degree is not None
+]
 
 
 class TestOrbitMemo:
@@ -355,6 +396,38 @@ class TestOrbitMemo:
             assert got.witness.ctx is want.witness.ctx
             assert got.type_at_witness == want.type_at_witness
             assert got.reference_type == want.reference_type
+
+    @pytest.mark.parametrize("name,k", FALSIFIED)
+    def test_at_most_twice_the_orbits_of_one_at_a_time(self, name, k, monkeypatch):
+        # orbits evaluated = blocked X_alpha built, the reference point's included
+        built = []
+        original = kemod._blocked_x_alpha
+        monkeypatch.setattr(
+            kemod, "_blocked_x_alpha", lambda M, pt: built.append(pt) or original(M, pt)
+        )
+        M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
+        M._cache.pop(("constancy", plan), None)
+        want = one_orbit_at_a_time(M, plan)
+        one_at_a_time = len(built)
+        built.clear()
+        assert check_constant(M, plan) == want
+        assert len(built) <= 2 * one_at_a_time
+
+    @pytest.mark.parametrize(
+        "name,k",
+        [("conic2 p=2 r=2", 0), ("conic2 p=2 r=2", 1), ("conic3 p=3 r=2", 0),
+         ("conic3 p=5 r=2", 0), ("conic4 p=2 r=2", 0)],
+    )
+    def test_witness_behind_another_field_past_the_first_chunk(self, name, k):
+        # check_constant takes the representatives in chunks of 1, 2, 4, ...;
+        # chunk j holds indices 2^j - 1 .. 2^(j+1) - 2
+        M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
+        witness = brute_force_check_constant(M, plan).witness
+        reps = orbit_representatives(visit_order(M, plan)[0])
+        w = reps.index(witness)
+        start = 2 ** ((w + 1).bit_length() - 1) - 1
+        assert start > 0
+        assert any(pt.ctx is not witness.ctx for pt in reps[start:w])
 
     @pytest.mark.parametrize("name", ["omega1 p=5 r=2", "conic3 p=2 r=2", "euler p=2 r=3"])
     @pytest.mark.parametrize("e", [2, 3, 4])
