@@ -27,6 +27,8 @@ from .formats import (
 )
 from .kemod import (
     DEFAULT_SEED,
+    EXTRA_CAP,
+    EXTRA_DEGREES,
     ConstantSoFar,
     ModuleError,
     SamplingPlan,
@@ -200,8 +202,8 @@ def _seed(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _at_least(low):
-    """An argparse type: a decimal integer >= low."""
+def _at_least(low, high=None):
+    """An argparse type: a decimal integer >= low, and <= high if given."""
 
     def convert(text):
         try:
@@ -210,6 +212,8 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return convert
@@ -238,10 +242,12 @@ def build_parser():
     sampling.add_argument(
         "--seed", type=_seed, help=f"default: CJT_SEED or 0x{DEFAULT_SEED:X}"
     )
-    sampling.add_argument("--samples", type=_at_least(0), default=SamplingPlan.extra)
+    sampling.add_argument(
+        "--samples", type=_at_least(0, EXTRA_CAP), default=SamplingPlan.extra
+    )
     sampling.add_argument(
         "--field-ext",
-        type=_at_least(1),
+        type=_at_least(1, max(EXTRA_DEGREES)),
         default=SamplingPlan.max_ext_degree,
         help="largest e",
     )

@@ -159,8 +159,10 @@ class FieldCtx:
     companion matrix of the modulus: a product is that matrix applied to
     the other factor's digits, an inverse the product of the other
     Frobenius conjugates divided by the norm.  At e = 1 the matrix of a
-    is [[a]].  Do not construct directly; use :func:`build_field` so
-    contexts are cached and shared.
+    is [[a]].  ``mul_array`` and ``inv_array`` do this elementwise on
+    arrays of encoded elements; ``mul`` and ``inv`` are their one-element
+    case.  Do not construct directly; use :func:`build_field` so contexts
+    are cached and shared.
     """
 
     def __init__(self, p: int, e: int, modulus):
@@ -184,7 +186,16 @@ class FieldCtx:
             x = x * self.p + int(c) % self.p
         return x
 
-    # -- scalar operations on encoded elements
+    @functools.cached_property
+    def weights(self):
+        """p^0 .. p^(e-1): digit vectors encode as their dot with these."""
+        return self.p ** np.arange(self.e, dtype=np.int64)
+
+    def digit_array(self, x):
+        """Digits of an array of encoded elements, as a new last axis of length e."""
+        return np.asarray(x, dtype=np.int64)[..., None] // self.weights % self.p
+
+    # -- operations on encoded elements
 
     def add(self, a: int, b: int) -> int:
         return self.encode(x + y for x, y in zip(self.digits(a), self.digits(b)))
@@ -192,24 +203,32 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         return self.encode(-x for x in self.digits(a))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.encode(self.element_matrix(a).astype(np.int64) @ self.digits(b))
+    def mul_array(self, a, b):
+        """Elementwise products of (broadcast) arrays of encoded elements."""
+        digits = self.digit_array(b)[..., None]
+        return (self.element_matrix(a) @ digits)[..., 0] % self.p @ self.weights
 
-    def inv(self, a: int) -> int:
-        """a^-1 = b / N(a), b the product of the conjugates a^(p^k), 0 < k < e.
+    def inv_array(self, a):
+        """Elementwise inverses: a^-1 = b / N(a), b the product of the
+        conjugates a^(p^k), 0 < k < e.
 
         The norm N(a) = a b is fixed by Frobenius, so it lies in GF(p).
         """
-        if a == 0:
+        conj = self.digit_array(a)
+        if not conj.any(axis=-1).all():
             raise ZeroDivisionError("inverse of zero field element")
-        p = self.p
-        conj = np.array(self.digits(a), dtype=np.int64)
-        b = np.array(self.digits(1), dtype=np.int64)
+        b = 1
         for _ in range(self.e - 1):
-            conj = self.frobenius_matrix @ conj % p
-            b = np.einsum("k,kab->ab", conj, self.companion_powers) @ b % p
-        norm = self.mul(a, self.encode(b))
-        return self.encode(b * _inverses(p)[norm])
+            conj = conj @ self.frobenius_matrix.T % self.p
+            b = self.mul_array(conj @ self.weights, b)
+        norm = self.mul_array(a, b)
+        return self.mul_array(b, np.array(_inverses(self.p))[norm])
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_array(a, b))
+
+    def inv(self, a: int) -> int:
+        return int(self.inv_array(a))
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -258,11 +277,12 @@ class FieldCtx:
         out.setflags(write=False)
         return out
 
-    def element_matrix(self, a: int):
-        """The e x e matrix of multiplication by the encoded element a."""
-        digits = np.array(self.digits(a), dtype=np.int64)
-        out = np.einsum("k,kab->ab", digits, self.companion_powers) % self.p
-        return out.astype(np.uint8)
+    def element_matrix(self, a):
+        """The e x e matrices of multiplication by encoded elements (int64),
+        as two new last axes of the array a."""
+        e = self.e
+        mats = self.digit_array(a) @ self.companion_powers.reshape(e, e * e) % self.p
+        return mats.reshape(np.shape(a) + (e, e))
 
     def __repr__(self):
         if self.e == 1:

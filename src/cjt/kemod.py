@@ -27,6 +27,10 @@ from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
 DEFAULT_SEED = 0xC0FFEE
 # check_constant visits every GF(p^2)-point of P^{r-1} when there are at most this many
 QUADRATIC_CAP = 10_000
+# most seeded-random points a SamplingPlan may ask for; all are built up front
+EXTRA_CAP = 10_000
+# extension degrees of the seeded-random points, before max_ext_degree caps them
+EXTRA_DEGREES = (2, 3, 4)
 # most uint8 cells in one stack of blocked X_alpha that check_constant eliminates
 STACK_CELLS = 2**19
 
@@ -186,15 +190,11 @@ class Point:
 
     def normalized(self) -> "Point":
         """First nonzero coordinate scaled to 1 (projective representative)."""
-        for c in self.coords:
-            if c == 1:
-                return self
-            if c:
-                s = self.ctx.inv(c)
-                return Point(
-                    self.ctx, tuple(self.ctx.mul(s, x) for x in self.coords)
-                )
-        raise AssertionError
+        lead = next(c for c in self.coords if c)
+        if lead == 1:
+            return self
+        scaled = self.ctx.mul_array(self.ctx.inv(lead), self.coords)
+        return Point(self.ctx, tuple(scaled.tolist()))
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + f") over {self.ctx}"
@@ -222,9 +222,21 @@ ConstancyVerdict = ConstantSoFar | Falsified
 
 @dataclasses.dataclass(frozen=True)
 class SamplingPlan:
+    """extra seeded-random points (at most EXTRA_CAP) over GF(p^e), with e
+    drawn from EXTRA_DEGREES and capped at max_ext_degree (1..4)."""
+
     extra: int = 200
     max_ext_degree: int = 4
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if not 0 <= self.extra <= EXTRA_CAP:
+            raise ModuleError(f"extra points must be in 0..{EXTRA_CAP}, got {self.extra}")
+        if not 1 <= self.max_ext_degree <= max(EXTRA_DEGREES):
+            raise ModuleError(
+                f"max_ext_degree must be in 1..{max(EXTRA_DEGREES)}, "
+                f"got {self.max_ext_degree}"
+            )
 
 
 class ModuleHom:
@@ -406,19 +418,27 @@ def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
     return FFMatrix(ctx, np.tensordot(ctx.p ** np.arange(ctx.e), planes, axes=1))
 
 
-def _blocked_x_alpha(M: KEModule, alpha: Point):
-    """X_alpha as an (n*e) x (n*e) matrix over GF(p), via companion blocks.
+def _blocked_x_alpha(M: KEModule, points):
+    """X_alpha of each point, all over one field, as a (b, n*e, n*e) uint8
+    stack over GF(p), via companion blocks.
 
     Block (i, j) is sum_s X_s[i, j] E_s, where E_s = sum_k digit_k(lambda_s) C^k
-    is the e x e matrix of lambda_s; all r of them are built in one go.
+    is the e x e matrix of lambda_s.  The E_s of every point are built at
+    once; each point's blocks are then one float32 product of its (e^2, r)
+    element entries with the (r, n^2) actions, exact since every sum is at
+    most r * 144, and are reduced and written straight into the stack.
     """
-    ctx = alpha.ctx
-    e, p = ctx.e, ctx.p
-    lam = np.array(alpha.coords, dtype=np.int64)
-    digits = (lam[:, None] // p ** np.arange(e)) % p
-    elems = np.einsum("sk,kab->sab", digits, ctx.companion_powers)
-    blocks = np.einsum("sij,sab->iajb", np.array(M.X, dtype=np.int64), elems) % p
-    return blocks.reshape(M.n * e, M.n * e).astype(np.uint8)
+    ctx = points[0].ctx
+    e, p, n, r = ctx.e, ctx.p, M.n, M.r
+    elems = ctx.element_matrix([pt.coords for pt in points])
+    elems = elems.reshape(len(points), r, e * e)
+    elems = elems.transpose(0, 2, 1).astype(np.float32)  # (b, e^2, r)
+    actions = np.array(M.X, dtype=np.float32).reshape(r, n * n)
+    out = np.empty((len(points), n * e, n * e), dtype=np.uint8)
+    for B, E in zip(out, elems):
+        blocks = ((E @ actions).astype(np.int32) % p).reshape(e, e, n, n)
+        B.reshape(n, e, n, e)[...] = blocks.transpose(2, 0, 3, 1)
+    return out
 
 
 def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
@@ -432,9 +452,11 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     Im B^(j-1), so C_j spans Im B^j and has its rank, with r_{j-1} columns
     instead of n*e.
     """
+    if alpha.r != M.r:
+        raise ModuleError("point rank does not match the module")
     p = M.p
     e = alpha.ctx.e
-    B = _blocked_x_alpha(M, alpha)
+    B = _blocked_x_alpha(M, [alpha])[0]
     ranks = [M.n]  # rank of X^0 in GF(p^e) units
     C = B
     for j in range(1, p):
@@ -451,27 +473,43 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     return JordanType(p, a)
 
 
-def _orbit_key(alpha: Point):
-    """A key shared by the points of alpha's Galois orbit on P^{r-1}.
+def _orbit_keys(points):
+    """Keys shared by the points of each Galois orbit on P^{r-1}, one per
+    point; the points all have r coordinates.
 
     The X_i have entries in GF(p), so c * alpha and Frob(alpha) have the
-    Jordan type of alpha.  A GF(p)-rational point keys as e = 1 over every
-    field, since GF(p) elements encode to the same integer in each (digit 0
-    is the constant term); any other point keys as (e, least Frobenius
-    conjugate of its normalized coordinates).
+    Jordan type of alpha.  A GF(p)-rational point keys as (1, its normalized
+    coordinates) over every field, since GF(p) elements encode to the same
+    integer in each (digit 0 is the constant term); any other point keys as
+    (e, least Frobenius conjugate of its normalized coordinates), least in
+    lexicographic order.  The points of one field go through one array pass:
+    the inverses of the first nonzero coordinates, the normalized
+    coordinates, and each conjugate, kept where its first coordinate off
+    the least so far is smaller.
     """
-    ctx = alpha.ctx
-    coords = alpha.normalized().coords
-    p = ctx.p
-    if all(c < p for c in coords):
-        return 1, coords
-    weights = p ** np.arange(ctx.e)
-    digits = (np.array(coords)[:, None] // weights) % p
-    key = coords
-    for _ in range(ctx.e - 1):
-        digits = digits @ ctx.frobenius_matrix.T % p
-        key = min(key, tuple((digits @ weights).tolist()))
-    return ctx.e, key
+    keys = [None] * len(points)
+    by_field = {}
+    for i, pt in enumerate(points):
+        by_field.setdefault(pt.ctx, []).append(i)
+    for ctx, where in by_field.items():
+        coords = np.array([points[i].coords for i in where], dtype=np.int64)
+        rows = np.arange(len(where))
+        lead = coords[rows, (coords != 0).argmax(axis=1)]
+        normal = ctx.mul_array(ctx.inv_array(lead)[:, None], coords)
+        least = normal
+        digits = ctx.digit_array(normal)
+        for _ in range(ctx.e - 1):
+            digits = digits @ ctx.frobenius_matrix.T % ctx.p
+            conj = digits @ ctx.weights
+            differ = conj != least
+            col = differ.argmax(axis=1)
+            smaller = differ[rows, col] & (conj[rows, col] < least[rows, col])
+            least = np.where(smaller[:, None], conj, least)
+        # Frobenius fixes a GF(p)-rational point, so its least conjugate is itself
+        rational = (normal < ctx.p).all(axis=1)
+        for i, is_rational, row in zip(where, rational.tolist(), least.tolist()):
+            keys[i] = (1 if is_rational else ctx.e, tuple(row))
+    return keys
 
 
 def projective_points(p, r, e=1):
@@ -491,9 +529,9 @@ def projective_points(p, r, e=1):
 
 def _orbit_representatives(points):
     """The first point of each Galois orbit, in visit order, but points[0]'s."""
-    seen = {_orbit_key(points[0])}
-    for pt in points:
-        key = _orbit_key(pt)
+    keys = _orbit_keys(points)
+    seen = {keys[0]}
+    for pt, key in zip(points, keys):
         if key not in seen:
             seen.add(key)
             yield pt
@@ -514,9 +552,7 @@ def _rank_mismatches(M: KEModule, points, ranks):
     per_stack = max(1, STACK_CELLS // max(1, size * size))
     out = []
     for start in range(0, len(points), per_stack):
-        B = np.empty((min(per_stack, len(points) - start), size, size), dtype=np.uint8)
-        for i in range(len(B)):
-            B[i] = _blocked_x_alpha(M, points[start + i])
+        B = _blocked_x_alpha(M, points[start : start + per_stack])
         live = np.arange(len(B))  # C[s] spans Im X_alpha^j at point start + live[s]
         C = B
         for j in range(1, p):
@@ -563,7 +599,7 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
         fields_used.append(f"GF({p}^2)")
 
     rng = random.Random(plan.seed)
-    ext_degrees = sorted({min(e, plan.max_ext_degree) for e in (2, 3, 4)})
+    ext_degrees = sorted({min(e, plan.max_ext_degree) for e in EXTRA_DEGREES})
     extra_fields = set()
     extras = []
     for k in range(plan.extra):

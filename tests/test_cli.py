@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cjt
-from cjt import cli, suites, thetasheaf
+from cjt import cli, kemod, suites, thetasheaf
 from cjt.cli import main
 from cjt.formats import parse_module, parse_spec, print_module
 from cjt.realize import realize_bundle
@@ -322,6 +322,14 @@ class TestCommands:
             ["fiber", "builtin:trivial", "--p", "4", "--r", "2", "--point", "1,0"],
             ["check-constant", "builtin:trivial", "--p", "2", "--r", "2",
              "--field-ext", "0"],
+            # sampling values above the caps: more extra points than
+            # kemod.EXTRA_CAP, an extension degree the sampler never draws
+            ["check-constant", "builtin:trivial", "--p", "13", "--r", "2",
+             "--samples", "100000000"],
+            ["check-constant", "builtin:trivial", "--p", "13", "--r", "2",
+             "--field-ext", "9"],
+            ["realize", "file:" + SPEC_O_MINUS_1, "--field-ext", "5"],
+            ["verify", "exactness", "--p", "2", "--r", "2", "--samples", "10001"],
             ["fiber", "builtin:trivial", "--p", "13", "--r", "2", "--point", "1,0",
              "--field-ext-point", "10"],
             ["jordan-type", "builtin:radqx", "--p", "2", "--r", "2"],
@@ -421,6 +429,24 @@ class TestCommands:
         assert code == 1
         assert err.startswith("failure: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value,cap",
+        [("--samples", "100000000", kemod.EXTRA_CAP), ("--field-ext", "9", 4)],
+    )
+    def test_sampling_caps_refused_before_any_point(self, flag, value, cap, capsys):
+        argv = ["check-constant", "builtin:trivial", "--p", "13", "--r", "2", flag, value]
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err == (
+            f"error: cjt check-constant: argument {flag}: must be <= {cap}, got {value}\n"
+        )
+        assert peak < 1 << 20
 
     def test_max_dim_refuses_realize_before_group_algebra(self, tmp_path, capsys):
         f = tmp_path / "s.txt"

@@ -14,7 +14,7 @@ from cjt.gfalg import (
     rank_ext,
     solve_p,
 )
-from cjt.kemod import Point, _blocked_x_alpha, builtin, direct_sum
+from cjt.kemod import Point, _blocked_x_alpha, builtin, direct_sum, x_alpha
 
 
 def rank(m):
@@ -87,6 +87,9 @@ def oracle_matmul(F, A, B):
 
 SMALL_FIELDS = [
     (p, e) for p in gfalg.SUPPORTED_PRIMES for e in range(1, 5) if p**e <= 125
+]
+TABLE_FIELDS = [
+    (p, e) for p in gfalg.SUPPORTED_PRIMES for e in range(1, 5) if p**e <= 625
 ]
 
 
@@ -176,6 +179,37 @@ class TestFieldArithmetic:
             assert F.frobenius(a) == power
         with pytest.raises(ZeroDivisionError):
             F.inv(0)
+
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_array_forms_against_polynomial_oracle(self, p, e):
+        # mul_array on every pair a <= b (and its symmetry on all pairs),
+        # inv_array on every nonzero element, each in one call
+        F = build_field(p, e)
+        a, b = np.triu_indices(F.q)
+        want = [oracle_mul(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert F.mul_array(a, b).tolist() == want
+        grid = F.mul_array(np.arange(F.q)[:, None], np.arange(F.q))
+        assert np.array_equal(grid, grid.T)
+        nonzero = np.arange(1, F.q)
+        inverses = F.inv_array(nonzero)
+        assert all(oracle_mul(F, x, y) == 1 for x, y in zip(nonzero, inverses.tolist()))
+        assert F.mul(a[-1], b[-1]) == want[-1] and F.inv(1) == 1
+        with pytest.raises(ZeroDivisionError):
+            F.inv_array(np.array([1, 0, 2]))
+
+    def test_array_forms_in_the_largest_field(self):
+        F = build_field(13, 4)
+        rng = np.random.default_rng(13)
+        a = rng.integers(0, F.q, size=2000)
+        b = rng.integers(1, F.q, size=2000)
+        got = F.mul_array(a, b).tolist()
+        assert got == [oracle_mul(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        inverses = F.inv_array(b.reshape(40, 50))
+        assert inverses.shape == (40, 50)
+        assert all(
+            oracle_mul(F, x, y) == 1 for x, y in zip(b.tolist(), inverses.ravel().tolist())
+        )
+        assert [F.inv(x) for x in b[:20].tolist()] == inverses.ravel()[:20].tolist()
 
     def test_element_matrix_embedding(self):
         F = build_field(3, 2)
@@ -371,8 +405,26 @@ def kernel_inputs(p):
     for e in (1, 2, 3, 4):
         ctx = build_field(p, e)
         coords = (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q)))
-        B = _blocked_x_alpha(M, Point(ctx, coords))
+        B = _blocked_x_alpha(M, [Point(ctx, coords)])[0]
         out += [B, gfalg.matmul_p(B, B, p)]
+    return out
+
+
+def blocked_stacks(p):
+    """(module, points, _blocked_x_alpha stack) at e = 1..4: per field a mixed
+    stack of axis points, a point with a leading zero, a GF(p)-rational point
+    and seeded random points."""
+    rng = np.random.default_rng(900 + p)
+    M = direct_sum(builtin("rad_quotient", p, 2, m=2), builtin("perm", p, 2, i=1))
+    out = []
+    for e in (1, 2, 3, 4):
+        ctx = build_field(p, e)
+        points = [Point(ctx, c) for c in [(1, 0), (0, 1), (0, ctx.q - 1), (p - 1, 1)]]
+        points += [
+            Point(ctx, (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q))))
+            for _ in range(6)
+        ]
+        out.append((M, points, _blocked_x_alpha(M, points)))
     return out
 
 
@@ -391,14 +443,7 @@ def stacked_inputs(p):
     out = [np.array(mixed, dtype=np.uint8)]
     for shape in [(5, 6, 6), (3, 0, 5), (3, 5, 0), (0, 4, 4)]:
         out.append(np.zeros(shape, dtype=np.uint8))
-    M = direct_sum(builtin("rad_quotient", p, 2, m=2), builtin("perm", p, 2, i=1))
-    for e in (1, 2, 3, 4):
-        ctx = build_field(p, e)
-        points = [
-            Point(ctx, (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q))))
-            for _ in range(6)
-        ]
-        B = np.array([_blocked_x_alpha(M, pt) for pt in points])
+    for _, _, B in blocked_stacks(p):
         out += [B, np.array([gfalg.matmul_p(A, A, p) for A in B])]
     return out
 
@@ -424,6 +469,18 @@ class TestEchelonKernel:
             before = S.copy()
             assert gfalg.stacked_pivots_p(S, p) == [gfalg.echelon_p(A, p)[1] for A in S]
             assert np.array_equal(S, before)
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_stack_builder_matches_x_alpha(self, p):
+        # each matrix of the stack is that point's X_alpha, built entrywise
+        # over GF(p^e) and then blocked; a stack of one gives the same matrix
+        for M, points, B in blocked_stacks(p):
+            size = M.n * points[0].ctx.e
+            assert B.dtype == np.uint8 and B.shape == (len(points), size, size)
+            for pt, got in zip(points, B):
+                want = blocked_over_prime(pt.ctx, x_alpha(M, pt).array)
+                assert np.array_equal(got, want)
+                assert np.array_equal(_blocked_x_alpha(M, [pt])[0], want)
 
 
 class TestKernel:

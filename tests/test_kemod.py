@@ -1,23 +1,35 @@
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cjt import kemod, realize
-from cjt.gfalg import MAX_FIELD_ORDER, blocked_over_prime, build_field, matpow_p, rank_p
+from cjt.gfalg import (
+    MAX_FIELD_ORDER,
+    SUPPORTED_PRIMES,
+    FieldCtx,
+    blocked_over_prime,
+    build_field,
+    matpow_p,
+    rank_p,
+)
 from cjt.kemod import (
+    EXTRA_CAP,
+    EXTRA_DEGREES,
     QUADRATIC_CAP,
     ConstantSoFar,
     Falsified,
     JordanType,
+    ModuleError,
     ModuleHom,
     NonCommutingError,
     NotPNilpotentError,
     Point,
     SamplingPlan,
     _blocked_x_alpha,
-    _orbit_key,
+    _orbit_keys,
     builtin,
     check_constant,
     direct_sum,
@@ -157,6 +169,14 @@ class TestXAlpha:
         with pytest.raises(ValueError):
             Point(build_field(2), (0, 0))
 
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 1)])
+    def test_point_of_another_rank_rejected(self, coords):
+        M = builtin("rad_quotient", 2, 2, m=2)
+        pt = Point(build_field(2, 2), coords)
+        for f in (x_alpha, jordan_type_at):
+            with pytest.raises(ModuleError):
+                f(M, pt)
+
 
 class TestJordanType:
     def test_regular_kE_p2r2(self):
@@ -210,6 +230,22 @@ class TestCheckConstant:
         assert v.type_at_witness == JordanType(2, (3, 0))
         assert v.reference_type == JordanType(2, (1, 1))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"extra": 10**8}, {"extra": EXTRA_CAP + 1}, {"extra": -1},
+         {"max_ext_degree": 5}, {"max_ext_degree": 0}],
+    )
+    def test_plan_refuses_out_of_range_before_any_point(self, fields):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModuleError):
+                SamplingPlan(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert SamplingPlan(extra=EXTRA_CAP, max_ext_degree=max(EXTRA_DEGREES))
+
     def test_trivial_constant(self):
         v = check_constant(builtin("trivial", 3, 2), SamplingPlan(extra=10))
         assert isinstance(v, ConstantSoFar)
@@ -262,7 +298,7 @@ class TestImageChain:
                         pts.append(Point(ctx, coords))
                 for pt in pts:
                     blocked = blocked_over_prime(ctx, x_alpha(M, pt).array)
-                    got = _blocked_x_alpha(M, pt)
+                    got = _blocked_x_alpha(M, [pt])[0]
                     assert got.dtype == blocked.dtype == np.uint8
                     assert np.array_equal(got, blocked)
                     assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
@@ -298,12 +334,30 @@ def brute_force_check_constant(M, plan):
     return ConstantSoFar(reference, len(points), tuple(fields))
 
 
+def orbit_key(alpha):
+    """kemod._orbit_keys for one point, one coordinate at a time: (1,
+    normalized coordinates) if GF(p)-rational, else (e, least Frobenius
+    conjugate of the normalized coordinates), as Python tuples."""
+    ctx = alpha.ctx
+    coords = alpha.normalized().coords
+    p = ctx.p
+    if all(c < p for c in coords):
+        return 1, coords
+    weights = p ** np.arange(ctx.e)
+    digits = (np.array(coords)[:, None] // weights) % p
+    key = coords
+    for _ in range(ctx.e - 1):
+        digits = digits @ ctx.frobenius_matrix.T % p
+        key = min(key, tuple((digits @ weights).tolist()))
+    return ctx.e, key
+
+
 def orbit_representatives(points):
     """The first point of each Galois orbit but points[0]'s, in visit order."""
-    seen = {_orbit_key(points[0])}
+    seen = {orbit_key(points[0])}
     out = []
     for pt in points:
-        key = _orbit_key(pt)
+        key = orbit_key(pt)
         if key not in seen:
             seen.add(key)
             out.append(pt)
@@ -403,7 +457,9 @@ class TestOrbitMemo:
         built = []
         original = kemod._blocked_x_alpha
         monkeypatch.setattr(
-            kemod, "_blocked_x_alpha", lambda M, pt: built.append(pt) or original(M, pt)
+            kemod,
+            "_blocked_x_alpha",
+            lambda M, pts: built.extend(pts) or original(M, pts),
         )
         M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
         M._cache.pop(("constancy", plan), None)
@@ -455,14 +511,70 @@ class TestOrbitMemo:
         for ctx in (F9, F81):
             c = ctx.q - 2
             scaled = Point(ctx, tuple(ctx.mul(c, x) for x in rational.coords))
-            assert _orbit_key(scaled) == _orbit_key(rational) == (1, (1, 2, 0))
+            assert orbit_key(scaled) == orbit_key(rational) == (1, (1, 2, 0))
         pt = Point(F81, (5, 17, 40))
         conj = pt
         for _ in range(3):
             conj = Point(F81, tuple(F81.frobenius(x) for x in conj.coords))
-            assert _orbit_key(conj) == _orbit_key(pt)
-        assert _orbit_key(pt)[0] == 4
-        assert _orbit_key(pt) != _orbit_key(Point(F81, (5, 17, 41)))
+            assert orbit_key(conj) == orbit_key(pt)
+        assert orbit_key(pt)[0] == 4
+        assert orbit_key(pt) != orbit_key(Point(F81, (5, 17, 41)))
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_orbit_keys_match_scalar_keys(self, p, r):
+        # the visit order depends on (p, r) and the plan only, so these are
+        # the points check_constant visits for every module of the
+        # suites' battery at (p, r); trivial is the one cheap to build
+        rng = random.Random(p * r)
+        M = builtin("trivial", p, r)
+        points = visit_order(M, SamplingPlan(extra=200, seed=p))[0]
+        for e in (2, 3, 4):
+            if p**e > MAX_FIELD_ORDER:
+                continue
+            ctx = build_field(p, e)
+            for _ in range(20):
+                # a scaled point with leading zeros, and a GF(p)-rational
+                # point scaled by an element of GF(p^e)
+                c = rng.randrange(1, ctx.q)
+                lead = rng.randrange(r)
+                tail = [rng.randrange(ctx.q) for _ in range(r - lead - 1)]
+                points.append(Point(ctx, (0,) * lead + (c,) + tuple(tail)))
+                rational = [rng.randrange(p) for _ in range(r - 1)] + [1]
+                scaled = ctx.mul_array(c, rng.sample(rational, r)).tolist()
+                points.append(Point(ctx, tuple(scaled)))
+        assert _orbit_keys(points) == [orbit_key(pt) for pt in points]
+
+    def test_orbit_keys_in_the_largest_field_at_r5(self):
+        ctx = build_field(13, 4)
+        rng = random.Random(5)
+        points = [
+            Point(ctx, tuple(rng.randrange(ctx.q) for _ in range(5)))
+            for _ in range(300)
+        ]
+        points += [Point(ctx, (0, 0) + pt.coords[2:]) for pt in points[:50]]
+        keys = _orbit_keys(points)
+        assert keys == [orbit_key(pt) for pt in points]
+        assert {k[0] for k in keys} == {4}
+
+    def test_no_scalar_field_arithmetic_per_point(self, monkeypatch):
+        plan = SamplingPlan(extra=200)
+        # fields and their Frobenius matrices are built once per process
+        for r in (2, 3):
+            check_constant(builtin("trivial", 3, r), plan)
+        calls = []
+        for name in ("mul", "inv"):
+            scalar = getattr(FieldCtx, name)
+            monkeypatch.setattr(
+                FieldCtx,
+                name,
+                lambda self, *args, name=name, scalar=scalar: calls.append(name)
+                or scalar(self, *args),
+            )
+        constant = check_constant(builtin("rad_quotient", 3, 3, m=2), plan)
+        assert isinstance(constant, ConstantSoFar) and constant.points_checked > 200
+        assert isinstance(check_constant(conic_module(3, 2, 2), plan), Falsified)
+        assert calls == []
 
 
 class TestSumTensorDual:
