@@ -18,29 +18,31 @@ from . import polyd
 from .chowring import chern_from_hilbert
 from .formats import (
     ParseError,
-    cap,
-    capped_omega,
     parse_point,
     parse_spec,
     print_module,
     resolve_module,
 )
 from .kemod import (
+    DEFAULT_MAX_DIM,
     DEFAULT_SEED,
     EXTRA_CAP,
     EXTRA_DEGREES,
     ConstantSoFar,
     ModuleError,
+    ResourceCapError,
     SamplingPlan,
+    cap,
     check_constant,
     direct_sum,
     dual,
     jordan_type_at,
+    omega,
     reference_jordan_type,
     strip_free,
     tensor,
 )
-from .realize import DEFAULT_MAX_DIM, ResourceCapError, SpecInvalidError, realize_bundle
+from .realize import SpecInvalidError, realize_bundle
 from .suites import (
     DEFAULT_PAIRS,
     MODULE_SUITES,
@@ -132,7 +134,7 @@ def _cmd_chern(args, out):
 
 def _cmd_module_op(args, out):
     if args.op == "omega":
-        result = capped_omega(_module(args.module, args), args.n, args.max_dim)
+        result = omega(_module(args.module, args), args.n, args.max_dim)
     elif args.op == "dual":
         result = dual(_module(args.module, args))
     elif args.op == "sum":
@@ -152,7 +154,6 @@ def _cmd_module_op(args, out):
 
 def _cmd_realize(args, out):
     spec = parse_spec(args.specfile)
-    cap(spec.p**spec.r, "group algebra", args.max_dim)
     M, report = realize_bundle(spec, max_dim=args.max_dim, plan=sampling_plan(args))
     for line in str(report).splitlines():
         print(f"# {line}", file=sys.stderr)
@@ -316,9 +317,7 @@ def main(argv=None) -> int:
         return args.fn(args, sys.stdout)
     except SystemExit as exc:  # --help; the parser raises UsageError otherwise
         return exc.code
-    except (
-        UsageError, ParseError, ModuleError, SpecInvalidError, FileNotFoundError
-    ) as exc:
+    except (UsageError, ParseError, ModuleError, SpecInvalidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StabilizationFailedError, NotConstantError, ResourceCapError) as exc:

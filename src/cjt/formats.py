@@ -19,25 +19,33 @@ from __future__ import annotations
 import numpy as np
 
 from .gfalg import SUPPORTED_PRIMES, build_field
-from .kemod import KEModule, ModuleError, Point, builtin, new_module, omega
-from .realize import ResolutionSpec, ResourceCapError
+from .kemod import KEModule, ModuleError, Point, builtin, cap, new_module, omega
+from .realize import ResolutionSpec
 
 
 class ParseError(ValueError):
+    """A file that cannot be read or parsed; line is None for the whole file."""
+
     def __init__(self, path, line, message):
         self.path = path
         self.line = line
-        super().__init__(f"{path}:{line}: {message}")
-
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 def _content_lines(path):
+    """(line number, text) of each line with something left besides comments."""
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                out.append((lineno, text))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    out.append((lineno, text))
+    except UnicodeDecodeError:
+        raise ParseError(path, None, "not UTF-8 text") from None
+    except OSError as exc:
+        raise ParseError(path, None, exc.strerror or "cannot be read") from None
     return out
 
 
@@ -212,23 +220,8 @@ def resolve_module(ref: str, p, r, max_dim) -> KEModule:
     if name.startswith("zigzag"):
         return builtin("zigzag", p, r, n=_builtin_index(name, "zigzag"))
     if name.startswith("omega"):
-        return capped_omega(k, _builtin_index(name, "omega"), max_dim)
+        return omega(k, _builtin_index(name, "omega"), max_dim)
     raise ModuleError(f"unknown builtin module {name!r}")
-
-
-def cap(dim, what, max_dim):
-    """Refuse a module of dimension dim above --max-dim (kE has p^r)."""
-    if dim > max_dim:
-        raise ResourceCapError(f"{what} of dimension {dim} above --max-dim {max_dim}")
-
-
-def capped_omega(M, n, max_dim):
-    """omega(M, n) one Heller shift at a time, each result within max_dim."""
-    cap(M.p**M.r, "group algebra", max_dim)
-    for _ in range(abs(n)):
-        M = omega(M, 1 if n > 0 else -1)
-        cap(M.n, "Heller shift", max_dim)
-    return M
 
 
 def _builtin_index(name: str, prefix: str) -> int:

@@ -33,10 +33,22 @@ EXTRA_CAP = 10_000
 EXTRA_DEGREES = (2, 3, 4)
 # most uint8 cells in one stack of blocked X_alpha that check_constant eliminates
 STACK_CELLS = 2**19
+# largest module dimension omega and realize_bundle build by default
+DEFAULT_MAX_DIM = 5000
 
 
 class ModuleError(ValueError):
     pass
+
+
+class ResourceCapError(RuntimeError):
+    pass
+
+
+def cap(dim, what, max_dim):
+    """Refuse a module of dimension dim above max_dim (kE has dimension p^r)."""
+    if dim > max_dim:
+        raise ResourceCapError(f"{what} of dimension {dim} above the cap {max_dim}")
 
 
 class NonCommutingError(ModuleError):
@@ -850,16 +862,18 @@ def injective_hull(M: KEModule) -> HullData:
     return data
 
 
-def omega(M: KEModule, n: int) -> KEModule:
-    """Heller shift: iterated minimal-cover kernels (n>0) or hull cokernels (n<0)."""
-    out = M
-    if n > 0:
-        for _ in range(n):
-            out = projective_cover(out).kernel
-    elif n < 0:
-        for _ in range(-n):
-            out = injective_hull(out).cokernel
-    return out
+def omega(M: KEModule, n: int, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
+    """Heller shift: iterated minimal-cover kernels (n>0) or hull cokernels (n<0).
+
+    Each step's cover or hull is cached on the module it starts from, so
+    Omega^n M walks a chain built once.  kE, then every step, must stay
+    within max_dim.
+    """
+    cap(M.p**M.r, "group algebra", max_dim)
+    for _ in range(abs(n)):
+        M = projective_cover(M).kernel if n > 0 else injective_hull(M).cokernel
+        cap(M.n, "Heller shift", max_dim)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -26,32 +26,31 @@ import numpy as np
 from . import gfalg
 from .gfalg import matmul_p
 from .kemod import (
+    DEFAULT_MAX_DIM,
     ConstantSoFar,
     Falsified,
     KEModule,
     ModuleHom,
+    ResourceCapError,
     SamplingPlan,
     builtin,
+    cap,
     check_constant,
     direct_sum,
     group_algebra,
     hom_from_free,
     injective_hull,
     monomial_actions,
+    omega,
     projective_cover,
     quotient_module,
     strip_free_with_inclusion,
 )
 
-DEFAULT_MAX_DIM = 5000
 MAX_LENGTH = 6  # longest resolution realize_bundle accepts
 
 
 class SpecInvalidError(ValueError):
-    pass
-
-
-class ResourceCapError(RuntimeError):
     pass
 
 
@@ -166,9 +165,11 @@ def euler_spec(p: int, r: int) -> ResolutionSpec:
 
 
 def koszul_tail_spec(p: int, r: int) -> ResolutionSpec:
-    """The last three Koszul terms on P^{r-1}; the cokernel sheaf is O.
+    """The last three Koszul terms on P^{r-1}.
 
-    Only r = 2 stays desk-sized: levels O(-2) -> O(-1)^2 -> O.
+    Only r = 2 stays desk-sized: levels O(-2) -> O(-1)^2 -> O.  That
+    complex is exact on P^1, so the resolved sheaf is zero: the spec has
+    rank 0 and realizes the zero module.
     """
     if r != 2:
         raise SpecInvalidError("koszul tail spec is provided for r = 2 only")
@@ -205,7 +206,11 @@ class ShiftPair:
 
 
 class StableModels:
-    """Explicit models of the Heller shifts of k, doubly linked."""
+    """Explicit models of the Heller shifts of k, doubly linked.
+
+    The chain itself is kemod.omega's: model(j) is Omega^j k, and the
+    linking sequences are the covers and hulls omega caches on the way.
+    """
 
     def __init__(self, p, r, max_dim=DEFAULT_MAX_DIM):
         self.p = p
@@ -213,45 +218,21 @@ class StableModels:
         self.max_dim = max_dim
         # the generators live in degree eps: 1 for p = 2, their Bocksteins 2
         self.eps = 1 if p == 2 else 2
-        k = builtin("trivial", p, r)
-        self.models = {0: k}
-        self.pairs = {}  # j -> ShiftPair linking model(j) to model(j-1)
+        self.k = builtin("trivial", p, r)
         self._gen_cocycles = {}
         self._monomials = {}
 
     def model(self, j: int) -> KEModule:
-        if j not in self.models:
-            if j > 0:
-                self.pair(j)
-            else:
-                self.pair(j + 1)
-        return self.models[j]
+        return omega(self.k, j, self.max_dim)
 
     def pair(self, j: int) -> ShiftPair:
         """The linking sequence between model(j) and model(j-1)."""
-        if j in self.pairs:
-            return self.pairs[j]
+        self.model(j if j >= 1 else j - 1)  # builds and caps both ends
         if j >= 1:
-            below = self.model(j - 1)
-            data = projective_cover(below)
-            self._cap(data.kernel)
-            self.models.setdefault(j, data.kernel)
-            pair = ShiftPair(data.free, data.inclusion, data.cover)
-        else:
-            above = self.model(j)
-            data = injective_hull(above)
-            self._cap(data.cokernel)
-            self.models.setdefault(j - 1, data.cokernel)
-            pair = ShiftPair(data.free, data.hull, data.projection)
-        self.pairs[j] = pair
-        return pair
-
-    def _cap(self, M):
-        if M.n > self.max_dim:
-            raise ResourceCapError(
-                f"Heller shift model of dimension {M.n} exceeds the cap "
-                f"{self.max_dim}"
-            )
+            data = projective_cover(self.model(j - 1))
+            return ShiftPair(data.free, data.inclusion, data.cover)
+        data = injective_hull(self.model(j))
+        return ShiftPair(data.free, data.hull, data.projection)
 
     # -- chain maps
 
@@ -579,7 +560,6 @@ def _sum_of_shifts(models: StableModels, shifts):
     for part in parts[1:]:
         offsets.append(total.n)
         total = direct_sum(total, part)
-    total.constant_by_construction = True
     return total, parts, offsets
 
 
@@ -657,10 +637,7 @@ def realize_bundle(
         for i in range(L - 1, -1, -1):
             cres = cone(f_cur)
             report.cone_dims.append(cres.module.n)
-            if cres.module.n > max_dim:
-                raise ResourceCapError(
-                    f"cone dimension {cres.module.n} exceeds the cap {max_dim}"
-                )
+            cap(cres.module.n, "cone", max_dim)
             stripped, a, incl = strip_free_with_inclusion(cres.module)
             report.stripped.append(a)
             report.triangles.append((f_cur.source, f_cur.target, stripped))
@@ -670,7 +647,6 @@ def realize_bundle(
                 f_cur = h @ incl
             current = stripped
     report.final_dim = current.n
-    current.constant_by_construction = True
     report.verdict = check_constant(current, plan or SamplingPlan())
     if isinstance(report.verdict, Falsified):
         current.constant_by_construction = False

@@ -29,13 +29,14 @@ from .chowring import (
     ChowClass,
     NonIntegralChernError,
 )
-from .formats import cap, resolve_module
+from .formats import resolve_module
 from .gfalg import kernel_p, matmul_p, rank_p
 from .kemod import (
     ConstantSoFar,
     Falsified,
     SamplingPlan,
     builtin,
+    cap,
     check_constant,
     dual,
     omega,
@@ -154,7 +155,7 @@ def _omega_suite(pairs, args, label, n, law):
     """Compare F_j(Omega^n M) with F_i(M)(shift), where law(p, i) = (j, shift)."""
     for p, r in pairs:
         for name, M in _members(_omega_members, p, r, args):
-            OM = omega(M, n)
+            OM = omega(M, n, args.max_dim)
             detail = []
             for i in range(1, p):
                 j, shift = law(p, i)
@@ -178,17 +179,17 @@ def suite_omegank(pairs, args):
         wanted = getattr(args, "n", None)
         if p == 2:
             for n in (1, 2, 3) if wanted is None else (wanted,):
-                hd = hilbert(omega(k, n), 1)
+                hd = hilbert(omega(k, n, args.max_dim), 1)
                 ok = hd.fitted == polyd.binomial_poly(-n, r)
                 yield Case(f"omegank p={p} r={r} Omega^{n}", ok, f"expect O({-n})")
         else:
             for n in (1, 2) if wanted is None else (wanted,):
-                hd = hilbert(omega(k, 2 * n), 1)
+                hd = hilbert(omega(k, 2 * n, args.max_dim), 1)
                 ok = hd.fitted == polyd.binomial_poly(-n * p, r)
                 yield Case(
                     f"omegank p={p} r={r} Omega^{2 * n}", ok, f"expect O({-n * p})"
                 )
-            hd = hilbert(omega(k, 1), p - 1)
+            hd = hilbert(omega(k, 1, args.max_dim), p - 1)
             ok = hd.fitted == polyd.binomial_poly(1 - p, r)
             yield Case(f"omegank p={p} r={r} Omega^1 top", ok, f"expect O({1 - p})")
 

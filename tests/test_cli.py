@@ -77,6 +77,17 @@ SPEC_EULER_P2R3 = textwrap.dedent(
 )
 
 
+def unreadable_path(tmp_path, kind):
+    """A directory, or a file that is not UTF-8 text (0xff never is)."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        rng = np.random.default_rng(0)
+        path.write_bytes(b"\xff" + rng.integers(0, 256, 199, dtype=np.uint8).tobytes())
+    return str(path)
+
+
 class TestModuleFiles:
     def test_parse_trivial(self, tmp_path):
         f = tmp_path / "m.txt"
@@ -108,6 +119,14 @@ class TestModuleFiles:
 
         with pytest.raises(ParseError):
             parse_module(str(f))
+
+    @pytest.mark.parametrize("parse", [parse_module, parse_spec])
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_path_is_a_parse_error(self, tmp_path, parse, kind):
+        path = unreadable_path(tmp_path, kind)
+        with pytest.raises(cli.ParseError) as exc:
+            parse(path)
+        assert exc.value.path == path and exc.value.line is None
 
     @pytest.mark.parametrize(
         "mod",
@@ -447,6 +466,16 @@ class TestCommands:
             f"error: cjt check-constant: argument {flag}: must be <= {cap}, got {value}\n"
         )
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize(
+        "argv", [["jordan-type", "PATH", "--p", "2", "--r", "2"], ["realize", "PATH"]]
+    )
+    def test_unreadable_path_exit_2(self, tmp_path, kind, argv, capsys):
+        path = unreadable_path(tmp_path, kind)
+        code, _, err = run_cli([path if a == "PATH" else a for a in argv], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_max_dim_refuses_realize_before_group_algebra(self, tmp_path, capsys):
         f = tmp_path / "s.txt"

@@ -24,6 +24,7 @@ from cjt.kemod import (
     JordanType,
     ModuleError,
     ModuleHom,
+    ResourceCapError,
     NonCommutingError,
     NotPNilpotentError,
     Point,
@@ -650,6 +651,38 @@ class TestOmega:
         k = builtin("trivial", 3, 2)
         assert omega(k, 1).n == 8
         assert omega(k, 2).n == 10
+
+    @pytest.mark.parametrize(
+        "p,r,n,max_dim",
+        [
+            (2, 3, 1, 7),  # kE has dimension 2^3 = 8
+            (2, 3, 0, 7),
+            (2, 2, 2, 4),  # Omega^2 k has dimension 5 at p = r = 2
+            (2, 2, -2, 4),
+        ],
+    )
+    def test_max_dim_refused(self, p, r, n, max_dim):
+        k = builtin("trivial", p, r)
+        with pytest.raises(ResourceCapError):
+            omega(k, n, max_dim)
+        # a chain cached under a larger cap is refused all the same
+        omega(k, n, max_dim=100)
+        with pytest.raises(ResourceCapError):
+            omega(k, n, max_dim)
+
+    def test_steps_within_max_dim_pass(self):
+        assert omega(builtin("trivial", 2, 2), 1, max_dim=4).n == 3
+
+    def test_default_cap_refuses_before_any_cover(self):
+        k = builtin("trivial", 2, 13)  # kE has dimension 8192 > DEFAULT_MAX_DIM
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                omega(k, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_roundtrip_equals_strip(self):
         # omega then omega^{-1} agrees with strip_free in dimension and type

@@ -1,12 +1,19 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from cjt import kemod
 from cjt.chowring import chern_from_hilbert, chern_from_resolution, frobenius_pullback
 from cjt.kemod import (
     ConstantSoFar,
     SamplingPlan,
     builtin,
+    injective_hull,
     jordan_type_at,
+    omega,
+    projective_cover,
     projective_points,
     reference_jordan_type,
     strip_free,
@@ -15,7 +22,9 @@ from cjt.polyd import binomial_poly
 from cjt.realize import (
     CocycleMap,
     ResolutionSpec,
+    ResourceCapError,
     SpecInvalidError,
+    StableModels,
     cone,
     descend,
     euler_spec,
@@ -47,6 +56,39 @@ class TestResolutionOfK:
     def test_p3r2_dims(self):
         sm = stable_models(3, 2)
         assert [sm.model(j).n for j in (1, 2, 3)] == [8, 10, 17]
+
+    def test_deep_model_needs_no_recursion(self):
+        # the chain is walked by a loop: 60 shifts fit in 60 spare frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            M = stable_models(2, 2).model(60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert M.n == 121  # Omega^j k has dimension 2j + 1 at p = r = 2
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (2, 4)])
+    def test_models_and_pairs_are_the_omega_chain(self, p, r):
+        sm = stable_models(p, r)
+        k = sm.model(0)
+        for j in range(-3, 5):
+            assert sm.model(j) is omega(k, j)
+            pair = sm.pair(j)
+            if j >= 1:
+                data = projective_cover(sm.model(j - 1))
+                want = (data.free, data.inclusion, data.cover)
+            else:
+                data = injective_hull(sm.model(j))
+                want = (data.free, data.hull, data.projection)
+            assert all(a is b for a, b in zip((pair.free, pair.incl, pair.proj), want))
+
+    def test_pair_refuses_either_end_above_max_dim(self):
+        sm = StableModels(2, 2, max_dim=4)
+        assert sm.pair(1).free.n == 4  # model(1) has dimension 3
+        with pytest.raises(ResourceCapError):
+            sm.pair(2)  # model(2) has dimension 5
+        with pytest.raises(ResourceCapError):
+            sm.pair(-1)  # and so has model(-2)
 
     def test_exactness_of_pairs(self):
         sm = stable_models(2, 3)
@@ -288,6 +330,20 @@ class TestRealize:
                 ((0,), (-1,), (-2,)),
                 ((((y1,),)[0],), (((y1,),)[0],)),
             ).validate()
+
+    def test_group_algebra_above_max_dim_refused_before_it_is_built(self, monkeypatch):
+        built = []
+        init = kemod.GroupAlgebra.__init__
+
+        def spy(self, p, r):
+            built.append((p, r))
+            init(self, p, r)
+
+        kemod.group_algebra.cache_clear()
+        monkeypatch.setattr(kemod.GroupAlgebra, "__init__", spy)
+        with pytest.raises(ResourceCapError):
+            realize_bundle(line_bundle_spec(2, 4, -1), max_dim=15)  # kE has 16
+        assert (2, 4) not in built
 
     def test_report_contents(self):
         M, rep = realize_bundle(euler_spec(2, 3), plan=SamplingPlan(extra=60))
