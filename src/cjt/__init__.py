@@ -57,15 +57,12 @@ from .chowring import (
     whitney,
 )
 from .realize import (
-    CocycleMap,
     ResolutionSpec,
     cone,
     euler_spec,
     koszul_tail_spec,
     line_bundle_spec,
-    lift,
     realize_bundle,
-    resolution_of_k,
     stable_models,
 )
 

@@ -52,7 +52,13 @@ from .suites import (
     sampling_plan,
     verify_pairs,
 )
-from .thetasheaf import NotConstantError, StabilizationFailedError, fiber, hilbert
+from .thetasheaf import (
+    MAX_DEGREE,
+    NotConstantError,
+    StabilizationFailedError,
+    fiber,
+    hilbert,
+)
 
 
 def _module(ref, args):
@@ -276,7 +282,9 @@ def build_parser():
     sp = add("hilbert", _cmd_hilbert, "graded dimensions and fitted polynomial")
     sp.add_argument("module")
     sp.add_argument("--functor", type=int, required=True, help="index i of F_i")
-    sp.add_argument("--degree-cap", type=_at_least(0), help="last degree reported")
+    sp.add_argument(
+        "--degree-cap", type=_at_least(0, MAX_DEGREE), help="last degree reported"
+    )
 
     sp = add("chern", _cmd_chern, "rank and Chern class of F_i")
     sp.add_argument("module")

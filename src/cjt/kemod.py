@@ -844,12 +844,6 @@ def injective_hull(M: KEModule) -> HullData:
     soc = socle_basis(M)
     s = soc.shape[1]
     I = free_module(p, M.r, s)
-    if s == 0:
-        hull = ModuleHom(M, I, np.zeros((0, M.n)), validate=False)
-        Q, proj = quotient_module(I, np.zeros((0, 0)))
-        data = HullData(I, hull, Q, proj)
-        M._cache[key] = data
-        return data
     # functionals f_j with f_j(t_l) = delta_jl, via a deterministic left inverse
     F = gfalg.solve_p(soc.T, np.eye(s, dtype=np.uint8), p)
     assert F is not None

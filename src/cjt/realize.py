@@ -4,9 +4,10 @@ The input is a resolution of the target bundle by sums of twists of the
 structure sheaf, with matrices of homogeneous polynomials in Y_1..Y_r.
 Each variable Y_i corresponds to a distinguished cohomology class of E:
 a degree-one class for p = 2 and its degree-two Bockstein for odd p.
-Monomials become maps between Heller shifts of the trivial module by
-composing lifted representing cocycles, the resolution matrices become
-maps between sums of shifts, and mapping cones (computed in the stable
+A cocycle is a plain ModuleHom between the Heller-shift models of the
+trivial module that StableModels keeps: a monomial composes generator
+cocycles shifted along the chain.  The resolution matrices become maps
+between sums of shifts, and mapping cones (computed in the stable
 category as cokernels into injective hulls) assemble the final module,
 top level first, with free summands stripped after every cone.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -188,7 +190,7 @@ def koszul_tail_spec(p: int, r: int) -> ResolutionSpec:
 
 
 # ---------------------------------------------------------------------------
-# the canonical chain of Heller shifts of k
+# the canonical chain of Heller shifts of k, and cocycles between its models
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,6 +212,9 @@ class StableModels:
 
     The chain itself is kemod.omega's: model(j) is Omega^j k, and the
     linking sequences are the covers and hulls omega caches on the way.
+    Cocycles are ModuleHoms between these models; the caches on the
+    cocycle methods live as long as the instance, which stable_models
+    keeps for the whole process.
     """
 
     def __init__(self, p, r, max_dim=DEFAULT_MAX_DIM):
@@ -219,8 +224,6 @@ class StableModels:
         # the generators live in degree eps: 1 for p = 2, their Bocksteins 2
         self.eps = 1 if p == 2 else 2
         self.k = builtin("trivial", p, r)
-        self._gen_cocycles = {}
-        self._monomials = {}
 
     def model(self, j: int) -> KEModule:
         return omega(self.k, j, self.max_dim)
@@ -240,8 +243,7 @@ class StableModels:
         """model(src+1) -> model(tgt+1) lifting f: model(src) -> model(tgt)."""
         pair_s, pair_t = self.pair(src + 1), self.pair(tgt + 1)
         q = group_algebra(self.p, self.r).q
-        b = pair_s.free.n // q
-        gen_cols = pair_s.proj.matrix[:, [t * q for t in range(b)]]
+        gen_cols = pair_s.proj.matrix[:, ::q]  # images of the free generators
         rhs = matmul_p(f.matrix, gen_cols, self.p)
         V = gfalg.solve_p(pair_t.proj.matrix, rhs, self.p)
         if V is None:
@@ -257,7 +259,7 @@ class StableModels:
         """model(src-1) -> model(tgt-1) induced on hull cokernels."""
         pair_s, pair_t = self.pair(src), self.pair(tgt)
         rhs = matmul_p(pair_t.incl.matrix, f.matrix, self.p)  # A_src -> F_tgt
-        G = _solve_free_source(pair_s.free, f.source, pair_s.incl.matrix, pair_t.free, rhs)
+        G = _solve_free_source(f.source, pair_s.incl.matrix, pair_t.free, rhs)
         if G is None:
             raise NoSolutionError("injective co-lift failed")
         # induced map on cokernels: h proj_s = proj_t G
@@ -271,69 +273,64 @@ class StableModels:
             self.model(src - 1), self.model(tgt - 1), H.T, validate=False
         )
 
+    def shift(self, f: ModuleHom, src: int, tgt: int, steps: int) -> ModuleHom:
+        """f: model(src) -> model(tgt) moved steps along the chain.
+
+        Positive steps lift toward deeper shifts (covers), negative ones
+        descend through hull cokernels; the result maps model(src + steps)
+        to model(tgt + steps) and represents the same stable class.
+        """
+        for _ in range(steps):
+            f = self.lift_up(f, src, tgt)
+            src, tgt = src + 1, tgt + 1
+        for _ in range(-steps):
+            f = self.lift_down(f, src, tgt)
+            src, tgt = src - 1, tgt - 1
+        return f
+
     # -- cocycles
 
-    def generator_cocycle(self, i: int) -> "CocycleMap":
-        """The map of shift models representing the i-th polynomial generator.
+    @functools.cache
+    def generator_cocycle(self, i: int) -> ModuleHom:
+        """The map model(eps) -> model(0) representing the i-th polynomial generator.
 
-        p = 2: the degree-one class, as model(1) -> model(0) reading off
-        the i-th linear coordinate of the augmentation ideal.  p odd: its
-        Bockstein, as model(2) -> model(0) reading off the top power of
-        the i-th variable in the corresponding syzygy coordinate.
+        p = 2: the degree-one class, reading off the i-th linear
+        coordinate of the augmentation ideal Omega k inside kE.  p odd: its
+        Bockstein, reading off the top power of the i-th variable in the
+        coordinate of Omega^2 k (the syzygies of the minimal generators
+        of the augmentation ideal) of the generator that maps to X_i.
         """
         if not 1 <= i <= self.r:
             raise ValueError(f"generator index must be in 1..r, got {i}")
-        if i in self._gen_cocycles:
-            return self._gen_cocycles[i]
-        p, r, eps = self.p, self.r, self.eps
+        p, r = self.p, self.r
         kE = group_algebra(p, r)
+        incl1 = self.pair(1).incl.matrix  # Omega k -> kE coordinates
+        x_i = kE.index[tuple(int(t == i - 1) for t in range(r))]
         if p == 2:
-            # Omega k sits inside kE; take the coefficient of the monomial X_i
-            pair = self.pair(1)
-            mono = tuple(1 if t == i - 1 else 0 for t in range(r))
-            row = np.zeros((1, kE.q), dtype=np.uint8)
-            row[0, kE.index[mono]] = 1
-            mat = matmul_p(row, pair.incl.matrix, p)
+            mat = incl1[[x_i]]
         else:
-            # Omega^2 k is the syzygy module of the minimal generators of
-            # the augmentation ideal; read the X_i^{p-1} coefficient in
-            # the coordinate of the generator that maps to X_i
-            pair1 = self.pair(1)
-            omega1 = self.model(1)
-            data1 = projective_cover(omega1)
-            # find which generator of the cover of Omega k is the monomial X_i:
-            # generators are coordinate indices into the Omega k model, whose
-            # basis is kernel_basis of the augmentation cover
-            target = None
-            incl1 = pair1.incl.matrix  # Omega k -> kE coordinates
-            mono_i = kE.index[tuple(1 if t == i - 1 else 0 for t in range(r))]
-            for t, g in enumerate(data1.generators):
-                col = incl1[:, g]
-                if col[mono_i] and np.count_nonzero(col) == 1:
-                    target = t
-                    break
+            data1 = projective_cover(self.model(1))
+            target = next(
+                (t for t, g in enumerate(data1.generators)
+                 if np.flatnonzero(incl1[:, g]).tolist() == [x_i]),
+                None,
+            )
             if target is None:
                 raise AssertionError("cover generators do not include X_i")
-            top = tuple(p - 1 if t == i - 1 else 0 for t in range(r))
-            row = np.zeros((1, data1.free.n), dtype=np.uint8)
-            row[0, target * kE.q + kE.index[top]] = 1
-            mat = matmul_p(row, self.pair(2).incl.matrix, p)
-        hom = ModuleHom(self.model(eps), self.model(0), mat, validate=True)
-        cocycle = CocycleMap(hom, source_shift=eps, target_shift=0, eps=eps)
+            top = kE.index[tuple((p - 1) * int(t == i - 1) for t in range(r))]
+            mat = data1.inclusion.matrix[[target * kE.q + top]]
+        hom = ModuleHom(self.model(self.eps), self.model(0), mat, validate=True)
         if not self.is_stably_nonzero(hom):
             raise AssertionError("generator cocycle is stably trivial")
-        self._gen_cocycles[i] = cocycle
-        return cocycle
+        return hom
 
     def is_stably_nonzero(self, f: ModuleHom) -> bool:
         """True unless f factors through the injective hull of its source."""
         hull = injective_hull(f.source)
-        t = _solve_free_source(
-            hull.free, f.source, hull.hull.matrix, f.target, f.matrix
-        )
+        t = _solve_free_source(f.source, hull.hull.matrix, f.target, f.matrix)
         return t is None  # no t: I(A) -> target with t o hull = f
 
-    def monomial_cocycle(self, exponents, shift_j: int = 0) -> "CocycleMap":
+    def monomial_cocycle(self, exponents, shift_j: int = 0) -> ModuleHom:
         """Composite cocycle for the monomial with the given exponents.
 
         Represents the product of the polynomial generators, as a map
@@ -342,116 +339,55 @@ class StableModels:
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.r or any(e < 0 for e in exponents):
             raise ValueError("exponents must be r nonnegative integers")
-        n = sum(exponents)
-        if n == 0:
+        if sum(exponents) == 0:
             raise ValueError("monomial must have positive degree")
-        key = (exponents, shift_j)
-        if key in self._monomials:
-            return self._monomials[key]
+        return self._monomial_cocycle(exponents, shift_j)
+
+    @functools.cache
+    def _monomial_cocycle(self, exponents: tuple, shift_j: int) -> ModuleHom:
         eps = self.eps
-        sequence = [
-            i + 1 for i, e in enumerate(exponents) for _ in range(e)
-        ]
-        f = self.generator_cocycle(sequence[0]).hom
-        src, tgt = eps, 0
-        for t, i in enumerate(sequence[1:], start=1):
-            g = self._lifted_generator(i, eps * t)
-            f = f @ g
-            src = eps * (t + 1)
-        f = self._shift_hom(f, src, tgt, shift_j * eps)
-        out = CocycleMap(
-            f,
-            source_shift=eps * (n + shift_j),
-            target_shift=eps * shift_j,
-            eps=eps,
+        sequence = [i + 1 for i, e in enumerate(exponents) for _ in range(e)]
+        # the t-th factor, shifted eps*t, maps model(eps*(t+1)) -> model(eps*t)
+        f = functools.reduce(
+            operator.matmul,
+            (self._lifted_generator(i, eps * t) for t, i in enumerate(sequence)),
         )
-        self._monomials[key] = out
-        return out
+        return self.shift(f, eps * len(sequence), 0, eps * shift_j)
 
+    @functools.cache
     def _lifted_generator(self, i: int, amount: int) -> ModuleHom:
-        key = ("lifted", i, amount)
-        if key not in self._monomials:
-            self._monomials[key] = self._shift_hom(
-                self.generator_cocycle(i).hom, self.eps, 0, amount
-            )
-        return self._monomials[key]
-
-    def _shift_hom(self, f: ModuleHom, src: int, tgt: int, steps: int) -> ModuleHom:
-        while steps > 0:
-            f = self.lift_up(f, src, tgt)
-            src += 1
-            tgt += 1
-            steps -= 1
-        while steps < 0:
-            f = self.lift_down(f, src, tgt)
-            src -= 1
-            tgt -= 1
-            steps += 1
-        return f
+        return self.shift(self.generator_cocycle(i), self.eps, 0, amount)
 
 
-def _solve_free_source(free_src, A, incl_matrix, target, rhs_matrix):
-    """Solve t: free_src -> target with t o incl = rhs, t a module hom.
+def _solve_free_source(A, incl_matrix, target, rhs_matrix):
+    """Solve t: kE^s -> target with t o incl = rhs, t a module hom.
 
-    free_src = kE^s, incl: A -> free_src, rhs: A -> target.  Since t is
-    determined by its s generator images and all maps are module homs,
-    the constraint is imposed only at a minimal generating set of A.
+    incl: A -> kE^s, rhs: A -> target.  Since t is determined by its s
+    generator images and all maps are module homs, the constraint is
+    imposed only at a minimal generating set of A: coordinate w of
+    incl(g) in copy j contributes X^w to the block (g, j) of the system.
     Returns the full matrix of t, or None if the system is inconsistent.
     """
-    p, r = free_src.p, free_src.r
-    kE = group_algebra(p, r)
-    q = kE.q
-    s = free_src.n // q
-    n_t = target.n
-    gens = projective_cover(A).generators  # a minimal generating set of A
-    if s == 0 or n_t == 0:
-        if np.any(rhs_matrix[:, list(gens)] if n_t else 0):
-            return None
-        return np.zeros((n_t, free_src.n), dtype=np.uint8)
-    acts_t = monomial_actions(target)
-    # unknowns u[(j, tau)] = coordinate tau of the image of generator j
-    sys = np.zeros((len(gens) * n_t, s * n_t), dtype=np.int64)
-    for j in range(s):
-        Hj = incl_matrix[j * q : (j + 1) * q, list(gens)]  # q x gens
-        for w in range(q):
-            coeffs = Hj[w]
-            if not np.any(coeffs):
-                continue
-            W = acts_t[w].astype(np.int64)  # n_t x n_t
-            for gidx, c in enumerate(coeffs):
-                if c:
-                    blk = sys[
-                        gidx * n_t : (gidx + 1) * n_t, j * n_t : (j + 1) * n_t
-                    ]
-                    blk += int(c) * W
+    p, n_t = A.p, target.n
+    q = group_algebra(p, A.r).q
+    s = incl_matrix.shape[0] // q
+    gens = list(projective_cover(A).generators)  # a minimal generating set of A
+    H = incl_matrix[:, gens].reshape(s, q, len(gens))
+    acts = np.stack(monomial_actions(target))
+    # unknowns u[(j, tau)] = coordinate tau of the image of generator j;
+    # every entry is a sum of q products below p^2, so int32 holds it
+    sys = np.einsum("jwg,wab->gajb", H, acts, dtype=np.int32)
     sys %= p
-    rhs = rhs_matrix[:, list(gens)].T.reshape(-1, 1)  # (gens * n_t) x 1
-    sol = gfalg.solve_p(sys.astype(np.uint8), rhs.astype(np.uint8), p)
+    sys = sys.reshape(len(gens) * n_t, s * n_t)
+    rhs = rhs_matrix[:, gens].T.reshape(-1, 1)  # (gens * n_t) x 1
+    sol = gfalg.solve_p(sys, rhs, p)
     if sol is None:
         return None
     return hom_from_free(target, sol.reshape(s, n_t).T)  # generator images
 
 
 # ---------------------------------------------------------------------------
-# cocycles and cones
-
-
-@dataclasses.dataclass(frozen=True)
-class CocycleMap:
-    """A map between Heller-shift models representing a cohomology class."""
-
-    hom: ModuleHom
-    source_shift: int
-    target_shift: int
-    eps: int
-
-
-def lift(models: StableModels, f: CocycleMap, times: int) -> CocycleMap:
-    """Shift a cocycle map: positive times toward deeper shifts."""
-    hom = models._shift_hom(f.hom, f.source_shift, f.target_shift, times)
-    return CocycleMap(
-        hom, f.source_shift + times, f.target_shift + times, f.eps
-    )
+# mapping cones
 
 
 @dataclasses.dataclass(frozen=True)
@@ -489,7 +425,7 @@ def descend(cone_res: ConeResult, f: ModuleHom, g: ModuleHom) -> ModuleHom:
     p = A.p
     rhs = matmul_p(g.matrix, f.matrix, p)
     hull = cone_res.hull
-    t = _solve_free_source(hull.free, A, hull.hull.matrix, T, rhs)
+    t = _solve_free_source(A, hull.hull.matrix, T, rhs)
     if t is None:
         raise NoSolutionError(
             "map does not descend to the cone; composite is not stably zero"
@@ -538,18 +474,6 @@ class RealizeReport:
 @functools.lru_cache(maxsize=None)
 def stable_models(p: int, r: int, max_dim: int = DEFAULT_MAX_DIM) -> StableModels:
     return StableModels(p, r, max_dim)
-
-
-def resolution_of_k(p: int, r: int, length: int, max_dim: int = DEFAULT_MAX_DIM):
-    """Minimal-resolution data of the trivial module, levels 0..length.
-
-    Returns a list of (shift model, linking pair) with pair j the exact
-    sequence 0 -> model(j) -> free -> model(j-1) -> 0.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    models = stable_models(p, r, max_dim)
-    return [(models.model(j), models.pair(j)) for j in range(1, length + 1)]
 
 
 def _sum_of_shifts(models: StableModels, shifts):
@@ -615,8 +539,8 @@ def realize_bundle(
                 for coeff, exps in poly:
                     if coeff % p == 0:
                         continue
-                    cmap = models.monomial_cocycle(exps, shift_j=-tgt_twists[t])
-                    term = (coeff * cmap.hom.matrix.astype(np.int64)) % p
+                    hom = models.monomial_cocycle(exps, shift_j=-tgt_twists[t])
+                    term = (coeff * hom.matrix.astype(np.int64)) % p
                     acc = term if acc is None else (acc + term) % p
                 if acc is not None:
                     blocks[(t, s)] = ModuleHom(

@@ -245,13 +245,13 @@ def suite_exactness(pairs, args):
 
 def _monomial_image_ok(p, r, exps):
     sm = stable_models(p, r)
-    cm = sm.monomial_cocycle(exps)
-    src = cm.hom.source
+    hom = sm.monomial_cocycle(exps)
+    src = hom.source
     n_deg = sum(exps) * (1 if p == 2 else p)
     theta = ThetaOp(src)
     for d in range(n_deg, n_deg + 2):
         ker = kernel_p(theta.degree_matrix(d), p)
-        big = np.kron(np.eye(s_dim(r, d), dtype=np.uint8), cm.hom.matrix)
+        big = np.kron(np.eye(s_dim(r, d), dtype=np.uint8), hom.matrix)
         img = matmul_p(big, ker, p)
         if rank_p(img, p) != s_dim(r, d - n_deg):
             return False

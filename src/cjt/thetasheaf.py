@@ -59,6 +59,7 @@ from .kemod import (
 )
 
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of elimination storage per step
+MAX_DEGREE = 10_000  # largest d_max hilbert accepts; samples grow linearly in it
 
 
 class StabilizationFailedError(RuntimeError):
@@ -464,13 +465,15 @@ def hilbert(
     theta^{i+1}.  dim S_x = binom(x + r - 1, r - 1) is polynomial in x > -r,
     so the same sum of binomial_poly is the Hilbert polynomial, exact from
     the first d where every x > -r; stable_from walks back from there.
-    d_max (default dim M + p + 5) sets the last reported sample.
+    d_max (default dim M + p + 5; given, 0..MAX_DEGREE) sets the last
+    reported sample.
     """
     if not 1 <= i <= M.p:
         raise ValueError(f"functor index must be in 1..p, got {i}")
-    d_max = d_max if d_max is not None else M.n + M.p + 5
-    if d_max < 0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
+    if d_max is None:
+        d_max = M.n + M.p + 5
+    elif not 0 <= d_max <= MAX_DEGREE:
+        raise ValueError(f"d_max must be in 0..{MAX_DEGREE}, got {d_max}")
     if not skip_constancy_check:
         _require_constant(M)
     images = prefetch_image_dims(M, (i - 1, i, i + 1))

@@ -467,6 +467,30 @@ class TestCommands:
         )
         assert peak < 1 << 20
 
+    def test_degree_cap_refused_before_any_module(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "resolve_module", lambda *args: built.append(args))
+        value = str(thetasheaf.MAX_DEGREE + 1)
+        code, out, err = run_cli(
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree-cap", value],
+            capsys,
+        )
+        assert code == 2 and not out and not built
+        assert err == (
+            f"error: cjt hilbert: argument --degree-cap: "
+            f"must be <= {thetasheaf.MAX_DEGREE}, got {value}\n"
+        )
+
+    def test_degree_cap_at_max_degree_passes(self, capsys):
+        code, out, _ = run_cli(
+            ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
+             "--degree-cap", str(thetasheaf.MAX_DEGREE)],
+            capsys,
+        )
+        assert code == 0
+        assert f" {thetasheaf.MAX_DEGREE}:" in out
+
     @pytest.mark.parametrize("kind", ["directory", "binary"])
     @pytest.mark.parametrize(
         "argv", [["jordan-type", "PATH", "--p", "2", "--r", "2"], ["realize", "PATH"]]

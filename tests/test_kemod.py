@@ -641,6 +641,17 @@ class TestOmega:
         M = omega(builtin("regular", 2, 2), 1)
         assert M.n == 0
 
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 3)])
+    def test_ends_of_the_zero_module_are_zero(self, p, r):
+        Z = new_module(p, r, [np.zeros((0, 0))] * r)
+        Z.constant_by_construction = True
+        cover, hull = projective_cover(Z), injective_hull(Z)
+        assert cover.free.n == hull.free.n == 0
+        for end in (cover.kernel, hull.cokernel):
+            assert end.n == 0 and end.constant_by_construction
+        for hom in (cover.cover, cover.inclusion, hull.hull, hull.projection):
+            assert hom.matrix.shape == (0, 0)
+
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
     def test_omega_negative_then_positive(self, p, r):
         k = builtin("trivial", p, r)

@@ -8,6 +8,7 @@ from cjt import kemod
 from cjt.chowring import chern_from_hilbert, chern_from_resolution, frobenius_pullback
 from cjt.kemod import (
     ConstantSoFar,
+    ModuleHom,
     SamplingPlan,
     builtin,
     injective_hull,
@@ -20,7 +21,6 @@ from cjt.kemod import (
 )
 from cjt.polyd import binomial_poly
 from cjt.realize import (
-    CocycleMap,
     ResolutionSpec,
     ResourceCapError,
     SpecInvalidError,
@@ -29,10 +29,8 @@ from cjt.realize import (
     descend,
     euler_spec,
     koszul_tail_spec,
-    lift,
     line_bundle_spec,
     realize_bundle,
-    resolution_of_k,
     stable_models,
 )
 from cjt.thetasheaf import hilbert, monomials, s_dim
@@ -41,13 +39,12 @@ from cjt.thetasheaf import hilbert, monomials, s_dim
 class TestResolutionOfK:
     def test_p2r2_betti_numbers(self):
         # minimal generator counts b_j = j + 1 for the rank-2 exterior case
-        levels = resolution_of_k(2, 2, 5)
+        sm = stable_models(2, 2)
         q = 4
-        assert [pair.free.n // q for _, pair in levels] == [1, 2, 3, 4, 5]
+        assert [sm.pair(j).free.n // q for j in range(1, 6)] == [1, 2, 3, 4, 5]
 
     def test_p2r2_omega1_dim(self):
-        levels = resolution_of_k(2, 2, 1)
-        assert levels[0][0].n == 3
+        assert stable_models(2, 2).model(1).n == 3
 
     def test_omega0_is_trivial(self):
         sm = stable_models(3, 2)
@@ -105,16 +102,16 @@ class TestGeneratorCocycles:
         sm = stable_models(p, r)
         for i in range(1, r + 1):
             c = sm.generator_cocycle(i)
-            assert sm.is_stably_nonzero(c.hom)
+            assert c.source is sm.model(sm.eps) and c.target is sm.model(0)
+            assert sm.is_stably_nonzero(c)
             # a map to the trivial module kills J * source
-            src = c.hom.source
-            for A in src.X:
-                assert not np.any((c.hom.matrix.astype(np.int64) @ A) % p)
+            for A in c.source.X:
+                assert not np.any((c.matrix.astype(np.int64) @ A) % p)
 
     def test_distinct_generators_differ(self, ):
         sm = stable_models(2, 2)
         assert not np.array_equal(
-            sm.generator_cocycle(1).hom.matrix, sm.generator_cocycle(2).hom.matrix
+            sm.generator_cocycle(1).matrix, sm.generator_cocycle(2).matrix
         )
 
 
@@ -122,53 +119,53 @@ class TestLift:
     def test_lift_of_identity_is_stably_identity(self):
         sm = stable_models(3, 2)
         k = sm.model(0)
-        ident = CocycleMap(
-            __import__("cjt.kemod", fromlist=["ModuleHom"]).ModuleHom(
-                k, k, np.eye(1, dtype=np.uint8), validate=False
-            ),
-            0,
-            0,
-            2,
-        )
-        up = lift(sm, ident, 1)
+        ident = ModuleHom(k, k, np.eye(1, dtype=np.uint8), validate=False)
+        up = sm.shift(ident, 0, 0, 1)
+        assert up.source is sm.model(1) and up.target is sm.model(1)
         # difference from the identity factors through a projective
         diff = (
-            up.hom.matrix.astype(np.int64)
+            up.matrix.astype(np.int64)
             - np.eye(sm.model(1).n, dtype=np.int64)
         ) % 3
-        from cjt.kemod import ModuleHom
-
         assert not sm.is_stably_nonzero(
             ModuleHom(sm.model(1), sm.model(1), diff, validate=False)
         )
 
     def test_lift_of_zero_is_stably_zero(self):
         sm = stable_models(2, 2)
-        from cjt.kemod import ModuleHom
-
-        zero = CocycleMap(
-            ModuleHom(
-                sm.model(1), sm.model(0), np.zeros((1, 3)), validate=False
-            ),
-            1,
-            0,
-            1,
-        )
-        up = lift(sm, zero, 2)
-        assert not sm.is_stably_nonzero(up.hom)
+        zero = ModuleHom(sm.model(1), sm.model(0), np.zeros((1, 3)), validate=False)
+        up = sm.shift(zero, 1, 0, 2)
+        assert up.source is sm.model(3) and up.target is sm.model(2)
+        assert not sm.is_stably_nonzero(up)
 
     def test_square_of_generator_is_monomial(self):
         # composition of a lifted generator with itself represents the square
         sm = stable_models(2, 2)
         sq = sm.monomial_cocycle((2, 0))
-        assert sq.source_shift == 2 and sq.target_shift == 0
-        assert sm.is_stably_nonzero(sq.hom)
+        assert sq.source is sm.model(2) and sq.target is sm.model(0)
+        assert sm.is_stably_nonzero(sq)
+        assert sm.monomial_cocycle([2, 0]) is sq  # cached on the normalized key
 
     def test_negative_shift(self):
         sm = stable_models(2, 2)
         c = sm.monomial_cocycle((1, 0), shift_j=-1)
-        assert (c.source_shift, c.target_shift) == (0, -1)
-        assert sm.is_stably_nonzero(c.hom)
+        assert c.source is sm.model(0) and c.target is sm.model(-1)
+        assert sm.is_stably_nonzero(c)
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+    def test_shift_round_trips(self, p, r):
+        # lift_up and lift_down undo each other on every generator cocycle
+        sm = stable_models(p, r)
+        eps = sm.eps
+        for i in range(1, r + 1):
+            g = sm.generator_cocycle(i)
+            for s in (1, -1, 2, -2):
+                f = sm.shift(g, eps, 0, s)
+                assert f.source is sm.model(eps + s) and f.target is sm.model(s)
+                back = sm.shift(f, eps + s, s, -s)
+                assert back.source is g.source and back.target is g.target
+                assert back.matrix.dtype == g.matrix.dtype
+                assert np.array_equal(back.matrix, g.matrix), (i, s)
 
 
 class TestMonomialImage:
@@ -189,13 +186,13 @@ class TestMonomialImage:
         from cjt.thetasheaf import ThetaOp, monomial_index
 
         sm = stable_models(p, r)
-        cm = sm.monomial_cocycle(exps)
-        src = cm.hom.source
+        hom = sm.monomial_cocycle(exps)
+        src = hom.source
         n_deg = sum(exps) * (1 if p == 2 else p)
         theta = ThetaOp(src)
         for d in range(n_deg, n_deg + 3):
             ker = kernel_p(theta.degree_matrix(d), p)
-            big = np.kron(np.eye(s_dim(r, d), dtype=np.uint8), cm.hom.matrix)
+            big = np.kron(np.eye(s_dim(r, d), dtype=np.uint8), hom.matrix)
             img = matmul_p(big, ker, p)
             # expected: the monomial times S_{d - n_deg}
             expect_dim = s_dim(r, d - n_deg)
@@ -212,16 +209,12 @@ class TestMonomialImage:
 
 class TestCone:
     def test_cone_of_identity_is_stably_zero(self):
-        from cjt.kemod import ModuleHom
-
         k = builtin("trivial", 2, 2)
         res = cone(ModuleHom(k, k, np.eye(1), validate=False))
         stripped, a = strip_free(res.module)
         assert stripped.n == 0 and a == 1
 
     def test_cone_of_zero_splits(self):
-        from cjt.kemod import ModuleHom, injective_hull
-
         A = builtin("trivial", 3, 2)
         B = builtin("rad_quotient", 3, 2, m=2)
         res = cone(ModuleHom(A, B, np.zeros((3, 1)), validate=False))
@@ -241,8 +234,8 @@ class TestCone:
 
         sm = stable_models(2, 2)
         c = sm.generator_cocycle(1)
-        res = cone(c.hom)
-        A, B = c.hom.source, c.hom.target
+        res = cone(c)
+        A, B = c.source, c.target
         om_inv = injective_hull(A).cokernel
         for pt in projective_points(2, 2) + projective_points(2, 2, 2):
             tA = jordan_type_at(A, pt)
@@ -277,6 +270,19 @@ class TestRealize:
         M, rep = realize_bundle(line_bundle_spec(3, 2, 1))
         hd = hilbert(M, 1)
         assert hd.fitted == binomial_poly(3, 2)
+
+    @pytest.mark.parametrize("p,dim,c1", [(2, 5, 2), (3, 19, 6)])
+    def test_differential_into_positive_twists(self, p, dim, c1):
+        # 0 -> O -> O(1)^2 via (Y1, Y2) on P^1 resolves O(2); the
+        # differential lands in negative shifts, through lift_down
+        y1, y2 = ((1, (1, 0)),), ((1, (0, 1)),)
+        spec = ResolutionSpec(p, 2, ((1, 1), (0,)), (((y1,), (y2,)),))
+        M, rep = realize_bundle(spec)
+        assert M.n == dim
+        assert isinstance(rep.verdict, ConstantSoFar)
+        assert rep.verdict.type.stable() == (1,) + (0,) * (p - 2)  # [1]^1
+        rk, c = chern_from_hilbert(hilbert(M, 1))
+        assert (rk, c.coeffs) == (1, (1, c1))  # O(2), or F*O(2) at odd p
 
     @pytest.mark.parametrize("a", [-3, -2, -1, 0])
     def test_line_bundles_p2(self, a):

@@ -6,8 +6,9 @@ import pytest
 from math import comb
 from operator import le
 
-from cjt.gfalg import build_field, echelon_p
+from cjt.gfalg import SUPPORTED_PRIMES, build_field, echelon_p
 from cjt.kemod import (
+    DEFAULT_MAX_DIM,
     Point,
     builtin,
     direct_sum,
@@ -20,6 +21,7 @@ from cjt.kemod import (
 from cjt.polyd import binomial_poly, evaluate, fit_integer_samples
 from cjt import thetasheaf
 from cjt.thetasheaf import (
+    MAX_DEGREE,
     NotConstantError,
     StabilizationFailedError,
     ThetaOp,
@@ -362,6 +364,15 @@ class TestCertificate:
     def test_negative_d_max_refused(self):
         with pytest.raises(ValueError):
             hilbert(builtin("trivial", 2, 2), 1, d_max=-3)
+
+    def test_d_max_above_max_degree_refused(self):
+        # the default d_max = dim M + p + 5, passed explicitly, is never
+        # refused for a module inside the default cap
+        assert DEFAULT_MAX_DIM + max(SUPPORTED_PRIMES) + 5 <= MAX_DEGREE
+        M = builtin("trivial", 2, 2)
+        assert max(hilbert(M, 1, d_max=MAX_DEGREE).samples) == MAX_DEGREE
+        with pytest.raises(ValueError, match=f"0..{MAX_DEGREE}"):
+            hilbert(M, 1, d_max=MAX_DEGREE + 1)
 
     def test_omega1_k_p2r4_reaches_requested_degree(self):
         # the 512 MB sampling window used to stop at degree 18 of 22 here
