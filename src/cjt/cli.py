@@ -1,8 +1,10 @@
 """Command-line front end: the parser, one function per command, and main.
 
 Exit codes: 0 on success, 1 on mathematical failure (a falsified
-constancy check, a failed suite case, a Hilbert certificate over the
-memory budget), 2 on usage or input errors, each on one ``error:`` line.
+constancy check, a failed suite case, a realize chain-map solve with no
+solution) or a resource cap (a Hilbert certificate over the memory
+budget, a module above --max-dim), each on one ``failure:`` line, 2 on
+usage or input errors, each on one ``error:`` line.
 Each command takes only the flags it reads (see build_parser).  File
 formats and module references are in ``formats``, the verification
 suites in ``suites``.
@@ -42,7 +44,7 @@ from .kemod import (
     strip_free,
     tensor,
 )
-from .realize import SpecInvalidError, realize_bundle
+from .realize import NoSolutionError, SpecInvalidError, realize_bundle
 from .suites import (
     DEFAULT_PAIRS,
     MODULE_SUITES,
@@ -147,8 +149,7 @@ def _cmd_module_op(args, out):
         result = direct_sum(_module(args.module, args), _module(args.other, args))
     elif args.op == "tensor":
         M, N = _module(args.module, args), _module(args.other, args)
-        cap(M.n * N.n, "tensor product", args.max_dim)
-        result = tensor(M, N)
+        result = tensor(M, N, args.max_dim)
     else:  # strip-free
         M = _module(args.module, args)
         cap(M.p**M.r, "group algebra", args.max_dim)
@@ -328,7 +329,12 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, ModuleError, SpecInvalidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StabilizationFailedError, NotConstantError, ResourceCapError) as exc:
+    except (
+        StabilizationFailedError,
+        NotConstantError,
+        ResourceCapError,
+        NoSolutionError,
+    ) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

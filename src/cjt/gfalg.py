@@ -15,18 +15,23 @@ is set, and touches only the columns from the pivot on (the pivot row is
 zero left of it).  ``rref_p`` is its reduced form and ``rank_p`` its
 pivot count; callers that only need pivot columns take the cheaper
 unreduced form, since pivot columns do not depend on the echelon form
-chosen.  Many matrices of one shape go through ``stacked_pivots_p``,
-one loop over the columns for the whole stack, which returns each
-matrix's pivot columns, equal to ``echelon_p``'s; the constancy sampler
-uses it, since its small sparse eliminations cost numpy overhead per
-column rather than arithmetic.  A GF(p^e) matrix is blocked by
-replacing each entry with its e x e companion matrix; ranks are blocked
-ranks divided by e.  Blocking is a ring embedding that maps the reduced
-echelon form of A to that of blocked(A) (both are unique), so kernels
-over GF(p^e) are read back from the GF(p) ones by ``_unblock``.  The
-same embedding is the scalar arithmetic: ``FieldCtx`` multiplies by
-applying an element's e x e matrix to digits, and Frobenius is one e x e
-matrix on digits, so GF(p^e) has one representation.
+chosen.  A GF(p^e) matrix is blocked by replacing each entry with its
+e x e companion matrix; ranks are blocked ranks divided by e.  Blocking
+is a ring embedding that maps the reduced echelon form of A to that of
+blocked(A) (both are unique), so kernels over GF(p^e) are read back
+from the GF(p) ones by ``_unblock``.  The same embedding is the scalar
+arithmetic: ``FieldCtx`` multiplies by applying an element's e x e
+matrix to digits, and Frobenius is one e x e matrix on digits, so
+GF(p^e) has one representation.
+
+Many matrices of one shape go through ``stacked_pivots``, one loop over
+the GF(p^e) columns for the whole stack, which returns each matrix's
+GF(p^e) pivot columns; the constancy sampler uses it.  Its entries are
+digit vectors, and a row operation applies e x e matrices over GF(p)
+from the per-field table ``FieldCtx.matrix_table`` to them.  So its loop
+runs once per GF(p^e) column, not e times as on the blocked matrix, and
+each entry it updates is e digits, not e^2 blocked cells.  At e = 1 it
+is plain elimination over GF(p).
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -284,6 +289,19 @@ class FieldCtx:
         mats = self.digit_array(a) @ self.companion_powers.reshape(e, e * e) % self.p
         return mats.reshape(np.shape(a) + (e, e))
 
+    @functools.cached_property
+    def matrix_table(self):
+        """The transposed e x e matrices of all q elements, indexed by
+        encoding: digits(b) @ matrix_table[a] = digits(a * b) mod p.
+
+        uint16, so products with uint8 digits need no cast; q e^2 * 2
+        bytes, 914 KB at GF(13^4).  Read by stacked_pivots.
+        """
+        out = self.element_matrix(np.arange(self.q)).transpose(0, 2, 1)
+        out = out.astype(np.uint16)
+        out.setflags(write=False)
+        return out
+
     def __repr__(self):
         if self.e == 1:
             return f"GF({self.p})"
@@ -405,49 +423,59 @@ def echelon_p(A, p, reduced=False):
     return R, pivots
 
 
-def stacked_pivots_p(S, p):
-    """Pivot columns over GF(p) of each matrix in a (b, rows, cols) uint8 stack.
+def stacked_pivots(D, ctx):
+    """Pivot columns over GF(p^e) of each matrix in a (b, rows, cols, e)
+    uint8 stack of digit vectors, e = ctx.e.
 
-    S is not modified.  Returns one list per matrix, equal to echelon_p's
-    pivots for it.  One loop over the columns serves the whole stack, so
-    the per-column numpy overhead is paid once for b matrices.
+    D is not modified.  Returns one list per matrix: its GF(p^e) pivot
+    columns, those of its unique reduced echelon form.  One loop over the
+    columns serves the whole stack, so the per-column numpy overhead is
+    paid once for b matrices.  Entries stay digit vectors and every
+    product applies an element's e x e matrix (ctx.matrix_table) to
+    digits, so all arithmetic is over GF(p); at e = 1 this is plain
+    elimination over GF(p).  The blocked matrix over GF(p) has the pivots
+    {j*e + k : k < e} for each pivot j here, since block column j spans the
+    GF(p^e)-span of column j.
 
-    Rows are never swapped or scaled.  A matrix's free rows (not yet chosen
-    as a pivot row) are zero in every earlier column, so column c is a pivot
-    column exactly when some free row is nonzero there: the pivot columns
-    are the column rank profile, the same for any elimination order.  Each
-    step takes every matrix's first free nonzero row as its pivot row and
-    clears, in one update, only the (matrix, row) pairs of free rows that
-    hold a nonzero in column c, from column c on.
+    Rows are never swapped.  A free row (not yet chosen as a pivot row) is
+    zero in every earlier column, so column c is a pivot column exactly
+    when some free row of the matrix is nonzero there: the pivot columns
+    are the column rank profile, the same for any elimination order.  The
+    rows of all matrices are numbered through, so each gather takes one
+    index array.  Each step takes every matrix's first free nonzero row,
+    with entry a in column c, as its pivot row, and clears only the free
+    rows that hold a nonzero f there, from column c on, in one
+    fraction-free update: a * row - f * pivot row.  That needs no inverses,
+    and a != 0 keeps the row space.
     """
-    R = np.array(S, dtype=np.uint8, copy=True)
-    b, rows, cols = R.shape
-    inv = np.array(_inverses(p), dtype=np.uint8)
-    products = _products(p)
-    free = np.ones((b, rows), dtype=bool)
+    b, rows, cols, e = D.shape
+    R = np.array(D, dtype=np.uint8, copy=True).reshape(b * rows, cols, e)
+    p = ctx.p
+    mats = ctx.matrix_table
+    free = np.ones(b * rows, dtype=bool)
     found = []  # (column, matrices with a pivot there)
     for c in range(cols):
-        nonzero = R[:, :, c] != 0
-        nonzero &= free
-        m = nonzero.any(axis=1).nonzero()[0]
-        if m.size == 0:
+        lead = R[:, c] @ ctx.weights  # encoded entries of column c
+        nonzero = (lead * free).nonzero()[0]
+        if nonzero.size == 0:
             continue
-        found.append((c, m))
-        clear = nonzero[m]
-        first = clear.argmax(axis=1)
-        free[m, first] = False
-        clear[np.arange(m.size), first] = False
-        k, row = clear.nonzero()
-        if k.size:
-            pivot_rows = R[m, first, c:][k]
-            mk = m[k]
-            sub = R[mk, row, c:]
-            factor = products[sub[:, 0], inv[pivot_rows[:, 0]]]
-            # (p - factor) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
-            upd = (p - factor)[:, None] * pivot_rows
-            upd += sub
+        matrix = nonzero // rows
+        first = np.empty(nonzero.size, dtype=bool)  # first of its matrix
+        first[0] = True
+        np.not_equal(matrix[1:], matrix[:-1], out=first[1:])
+        pivot = nonzero[first]
+        found.append((c, matrix[first]))
+        free[pivot] = False
+        if pivot.size < nonzero.size:
+            clear = nonzero[~first]
+            # each row's pivot row is the last one above it: they are sorted
+            owner = pivot[np.searchsorted(pivot, clear) - 1]
+            # a * row + (-f) * pivot row, the matrix of -f with entries in
+            # 1..p: at most 2 * 4 * 12 * 13 before reduction, exact in uint16
+            upd = R[clear, c:] @ mats[lead[owner]]
+            upd += R[owner, c:] @ (p - mats[lead[clear]])
             upd %= p
-            R[mk, row, c:] = upd
+            R[clear, c:] = upd
     pivots = [[] for _ in range(b)]
     for c, m in found:
         for i in m.tolist():

@@ -371,10 +371,14 @@ def direct_sum(M: KEModule, N: KEModule) -> KEModule:
     )
 
 
-def tensor(M: KEModule, N: KEModule) -> KEModule:
-    """Tensor product with the diagonal action: X acts as X(x)1 + 1(x)X + X(x)X."""
+def tensor(M: KEModule, N: KEModule, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
+    """Tensor product with the diagonal action: X acts as X(x)1 + 1(x)X + X(x)X.
+
+    Refuses a product of dimension M.n * N.n above max_dim before building it.
+    """
     if (M.p, M.r) != (N.p, N.r):
         raise ModuleError("tensor needs matching p and r")
+    cap(M.n * N.n, "tensor product", max_dim)
     p = M.p
     X = []
     for A, B in zip(M.X, N.X):
@@ -551,30 +555,41 @@ def _orbit_representatives(points):
 
 def _rank_mismatches(M: KEModule, points, ranks):
     """Indices of the points, all over one field, whose Jordan type differs
-    from the one with ranks[j] = rank X_alpha^j (in field units).
+    from the one with ranks[j] = rank X_alpha^j over GF(p^e).
 
-    The points' blocked X_alpha are eliminated in stacks of at most
-    STACK_CELLS cells, each power on the image of the one before, as in
-    jordan_type_at.  A point drops out at its first rank off the reference,
-    so the points left share their pivot counts, and the loop stops at the
-    first power of reference rank 0: equal ranks up to there give equal types.
+    The points' blocked X_alpha are built in stacks of at most STACK_CELLS
+    cells and ranked by their GF(p^e) columns with gfalg.stacked_pivots,
+    each power on the image of the one before, as in jordan_type_at.
+    Column 0 of block (i, j) holds the digits of X_alpha[i, j], so C_1, the
+    digit stack eliminated first, is a view of every block's column 0.  The
+    next image C_j = B C_{j-1}[:, P] is one matmul_p per point, with B the
+    blocked X_alpha and P the GF(p^e) pivot columns of C_{j-1}: it holds the
+    digits of X_alpha applied to a basis of Im X_alpha^(j-1), with
+    r_{j-1} columns rather than the blocked e * r_{j-1}.  A point drops out
+    at its first rank off the reference, so the points left share their
+    pivot counts, and the loop stops at the first power of reference rank
+    0: equal ranks up to there give equal types.
     """
-    p, e = M.p, points[0].ctx.e
-    size = M.n * e
+    ctx = points[0].ctx
+    p, e, n = M.p, ctx.e, M.n
+    size = n * e
     per_stack = max(1, STACK_CELLS // max(1, size * size))
     out = []
     for start in range(0, len(points), per_stack):
         B = _blocked_x_alpha(M, points[start : start + per_stack])
         live = np.arange(len(B))  # C[s] spans Im X_alpha^j at point start + live[s]
-        C = B
+        C = B[:, :, ::e]
         for j in range(1, p):
             if j > 1:
-                image = np.empty((keep.size, size, e * ranks[j - 1]), dtype=np.uint8)
+                image = np.empty((keep.size, size, ranks[j - 1]), dtype=np.uint8)
                 for s, t in enumerate(keep):
                     image[s] = matmul_p(B[live[t]], C[t][:, pivots[t]], p)
                 live, C = live[keep], image
-            pivots = gfalg.stacked_pivots_p(C, p)
-            ok = np.array([len(cols) == e * ranks[j] for cols in pivots], dtype=bool)
+            # column t of C[s] holds the digits of a GF(p^e) column, entry
+            # i's at rows i*e .. i*e + e - 1
+            digits = C.reshape(len(C), n, e, C.shape[2]).transpose(0, 1, 3, 2)
+            pivots = gfalg.stacked_pivots(digits, ctx)
+            ok = np.array([len(cols) == ranks[j] for cols in pivots], dtype=bool)
             out += (start + live[~ok]).tolist()
             keep = ok.nonzero()[0]
             if ranks[j] == 0 or keep.size == 0:

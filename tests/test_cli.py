@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cjt
-from cjt import cli, kemod, suites, thetasheaf
+from cjt import cli, kemod, realize, suites, thetasheaf
 from cjt.cli import main
 from cjt.formats import parse_module, parse_spec, print_module
 from cjt.realize import realize_bundle
@@ -448,6 +448,17 @@ class TestCommands:
         assert code == 1
         assert err.startswith("failure: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_no_solution_exit_1(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise realize.NoSolutionError("no chain map lifts the cocycle")
+
+        monkeypatch.setattr(cli, "realize_bundle", fail)
+        f = tmp_path / "s.txt"
+        f.write_text(SPEC_O_MINUS_1)
+        code, out, err = run_cli(["realize", str(f)], capsys)
+        assert code == 1 and out == ""
+        assert err == "failure: no chain map lifts the cocycle\n"
 
     @pytest.mark.parametrize(
         "flag,value,cap",

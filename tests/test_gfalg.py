@@ -211,6 +211,22 @@ class TestFieldArithmetic:
         )
         assert [F.inv(x) for x in b[:20].tolist()] == inverses.ravel()[:20].tolist()
 
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 3), (13, 4)])
+    def test_matrix_table(self, p, e):
+        # matrix_table[a] is the transpose of a's e x e matrix, read-only
+        # uint16, so digits(b) @ matrix_table[a] = digits(a * b); GF(13^4)
+        # is the largest field
+        F = build_field(p, e)
+        mats = F.matrix_table
+        assert mats.shape == (F.q, e, e) and mats.dtype == np.uint16
+        assert not mats.flags.writeable
+        assert np.array_equal(mats, F.element_matrix(np.arange(F.q)).transpose(0, 2, 1))
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, F.q, size=(2, min(F.q, 300)))
+        got = (F.digit_array(b)[:, None, :] @ mats[a])[:, 0] % p @ F.weights
+        want = [oracle_mul(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == want
+
     def test_element_matrix_embedding(self):
         F = build_field(3, 2)
         for a in F.elements():
@@ -428,23 +444,31 @@ def blocked_stacks(p):
     return out
 
 
-def stacked_inputs(p):
-    """Seeded (b, rows, cols) stacks: mixed ranks (with an all-zero member),
-    all zero, 0-row, 0-column and 0-matrix shapes, and blocked X_alpha at
-    e = 1..4 with their squares."""
-    rng = np.random.default_rng(900 + p)
+def stacked_inputs(p, e):
+    """Seeded (b, rows, cols) stacks of encoded GF(p^e) matrices: mixed ranks
+    (with an all-zero member), all zero, 0-row, 0-column and 0-matrix shapes,
+    and the X_alpha of blocked_stacks' points at e with their squares."""
+    ctx = build_field(p, e)
+    rng = np.random.default_rng((900 + p, e))
+
+    def product(L, R):  # L @ R over GF(p^e), through the blocked embedding
+        A = gfalg.matmul_p(blocked_over_prime(ctx, L), blocked_over_prime(ctx, R), p)
+        return _unblock(ctx, A)
+
     mixed = []
     for inner in range(9):
-        A = rng.integers(0, p, size=(20, inner)) @ rng.integers(0, p, size=(inner, 30))
-        mixed.append(A % p)
+        L = rng.integers(0, ctx.q, size=(20, inner))
+        mixed.append(product(L, rng.integers(0, ctx.q, size=(inner, 30))))
     for density in (0.05, 0.2):
-        mixed.append(rng.integers(1, p, size=(20, 30)) * (rng.random((20, 30)) < density))
-    mixed.insert(4, np.zeros((20, 30)))
-    out = [np.array(mixed, dtype=np.uint8)]
+        sparse = rng.random((20, 30)) < density
+        mixed.append(rng.integers(1, ctx.q, size=(20, 30)) * sparse)
+    mixed.insert(4, np.zeros((20, 30), dtype=np.int64))
+    out = [np.array(mixed)]
     for shape in [(5, 6, 6), (3, 0, 5), (3, 5, 0), (0, 4, 4)]:
-        out.append(np.zeros(shape, dtype=np.uint8))
-    for _, _, B in blocked_stacks(p):
-        out += [B, np.array([gfalg.matmul_p(A, A, p) for A in B])]
+        out.append(np.zeros(shape, dtype=np.int64))
+    M, points, B = blocked_stacks(p)[e - 1]
+    out.append(np.array([x_alpha(M, pt).array for pt in points]))
+    out.append(np.array([_unblock(ctx, gfalg.matmul_p(A, A, p)) for A in B]))
     return out
 
 
@@ -462,13 +486,20 @@ class TestEchelonKernel:
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_stacked_pivots_equal_echelon_p(self, p):
-        stacks = stacked_inputs(p)
-        ranks = {len(gfalg.echelon_p(A, p)[1]) for A in stacks[0]}
-        assert len(ranks) >= 5 and 0 in ranks
-        for S in stacks:
-            before = S.copy()
-            assert gfalg.stacked_pivots_p(S, p) == [gfalg.echelon_p(A, p)[1] for A in S]
-            assert np.array_equal(S, before)
+        # GF(p^e) pivot j stands for the blocked pivots j*e .. j*e + e - 1
+        for e in (1, 2, 3, 4):
+            ctx = build_field(p, e)
+            for i, S in enumerate(stacked_inputs(p, e)):
+                D = ctx.digit_array(S).astype(np.uint8)
+                before = D.copy()
+                got = gfalg.stacked_pivots(D, ctx)
+                want = [gfalg.echelon_p(blocked_over_prime(ctx, A), p)[1] for A in S]
+                blocked = [[j * e + k for j in cols for k in range(e)] for cols in got]
+                assert blocked == want
+                assert np.array_equal(D, before)
+                if i == 0:
+                    ranks = {len(cols) for cols in got}
+                    assert len(ranks) >= 5 and 0 in ranks
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_stack_builder_matches_x_alpha(self, p):

@@ -596,6 +596,23 @@ class TestSumTensorDual:
         for pt in projective_points(3, 2):
             assert jordan_type_at(T, pt) == jordan_type_at(M, pt)
 
+    def test_tensor_refuses_above_max_dim(self):
+        # radq2 (x) radq2 has dimension 9 at p = r = 2
+        M = builtin("rad_quotient", 2, 2, m=2)
+        with pytest.raises(ResourceCapError, match="tensor product of dimension 9"):
+            tensor(M, M, max_dim=8)
+        assert tensor(M, M, max_dim=9).n == 9
+        # the default cap refuses before the kron products are built
+        big = builtin("regular", 2, 7)  # 128 * 128 > DEFAULT_MAX_DIM
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                tensor(big, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_tensor_dim_bookkeeping_at_axis(self):
         M = tensor(builtin("trivial", 3, 2), builtin("perm", 3, 2, i=1))
         t = jordan_type_at(M, axis_point(3, 2, 0))
