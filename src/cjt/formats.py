@@ -2,9 +2,9 @@
 references.
 
 Module files are line-oriented ASCII: a header line ``p r n`` followed
-by r blocks of n lines of n integers (the actions).  ``#`` starts a
-comment.  Resolution-spec files start with ``p r L``, then one line per
-level ``level i: a_1 ... a_m`` (i = 0..L), then blocks ``map i``
+by r blocks of n lines of n integers (the actions, read mod p).  ``#``
+starts a comment.  Resolution-spec files start with ``p r L``, then one
+line per level ``level i: a_1 ... a_m`` (i = 0..L), then blocks ``map i``
 (i = 1..L, sending level i to level i-1) whose lines read
 ``row col : coef e_1 ... e_r [+ coef e_1 ... e_r ...]`` with 1-based
 row/col into the twist lists.
@@ -62,6 +62,12 @@ def parse_module(path) -> KEModule:
         p, r, n = (int(x) for x in parts)
     except ValueError:
         raise ParseError(path, lineno, "header entries must be integers") from None
+    if p not in SUPPORTED_PRIMES or r < 1:
+        raise ParseError(
+            path, lineno, f"header needs p in {SUPPORTED_PRIMES} and r >= 1"
+        )
+    if n < 0:
+        raise ParseError(path, lineno, f"header needs n >= 0, got {n}")
     rows = lines[1:]
     if len(rows) != r * n:
         raise ParseError(
@@ -71,14 +77,14 @@ def parse_module(path) -> KEModule:
         )
     X = []
     for b in range(r):
-        mat = np.zeros((n, n), dtype=np.int64)
+        mat = np.zeros((n, n), dtype=np.uint8)
         for i in range(n):
             lineno, text = rows[b * n + i]
             entries = text.split()
             if len(entries) != n:
                 raise ParseError(path, lineno, f"expected {n} integers")
             try:
-                mat[i] = [int(x) for x in entries]
+                mat[i] = [int(x) % p for x in entries]
             except ValueError:
                 raise ParseError(path, lineno, "entries must be integers") from None
         X.append(mat)

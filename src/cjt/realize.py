@@ -6,10 +6,16 @@ Each variable Y_i corresponds to a distinguished cohomology class of E:
 a degree-one class for p = 2 and its degree-two Bockstein for odd p.
 A cocycle is a plain ModuleHom between the Heller-shift models of the
 trivial module that StableModels keeps: a monomial composes generator
-cocycles shifted along the chain.  The resolution matrices become maps
-between sums of shifts, and mapping cones (computed in the stable
-category as cokernels into injective hulls) assemble the final module,
-top level first, with free summands stripped after every cone.
+cocycles shifted along the chain.  A shift toward deeper models lifts
+the images of the free generators through the projective covers; a
+shift the other way extends socle rows along the hull inclusions, since
+a map into a free module is the trace-pairing map of its socle rows.
+Either way only those columns or rows are solved for.  The resolution
+matrices become maps between sums of shifts, and mapping cones
+(computed in the stable category as cokernels into injective hulls)
+assemble the final module, top level first, with free summands stripped
+after every cone; each level sum and each cone is refused above the
+size cap before it is built.
 
 For p = 2 the first bundle functor of the result is the resolved bundle
 itself; for odd p it is the Frobenius pullback (the variables arrive as
@@ -41,6 +47,7 @@ from .kemod import (
     direct_sum,
     group_algebra,
     hom_from_free,
+    hom_to_free,
     injective_hull,
     monomial_actions,
     omega,
@@ -199,7 +206,9 @@ class ShiftPair:
 
     The middle is free, hence both a projective cover of model(j-1) and
     an injective hull of model(j): one sequence serves lifting in both
-    directions.
+    directions.  Going up, a map into the free middle is fixed by the
+    images of the generator columns of proj; going down, a map out of it
+    into a free module is fixed by its socle rows (kemod.hom_to_free).
     """
 
     free: KEModule
@@ -256,12 +265,18 @@ class StableModels:
         return ModuleHom(self.model(src + 1), self.model(tgt + 1), Z, validate=False)
 
     def lift_down(self, f: ModuleHom, src: int, tgt: int) -> ModuleHom:
-        """model(src-1) -> model(tgt-1) induced on hull cokernels."""
+        """model(src-1) -> model(tgt-1) induced on hull cokernels.
+
+        The mirror of lift_up: a map phi into kE^b is hom_to_free of its
+        socle rows (coeff_v phi(a) = coeff_z phi(X^(z-v) a)), so the
+        extension G of incl_t f along incl_s is solved for on those rows
+        only; the system is consistent because incl_s is injective.
+        """
         pair_s, pair_t = self.pair(src), self.pair(tgt)
+        q = group_algebra(self.p, self.r).q
         rhs = matmul_p(pair_t.incl.matrix, f.matrix, self.p)  # A_src -> F_tgt
-        G = _solve_free_source(f.source, pair_s.incl.matrix, pair_t.free, rhs)
-        if G is None:
-            raise NoSolutionError("injective co-lift failed")
+        L = gfalg.solve_p(pair_s.incl.matrix.T, rhs[q - 1 :: q].T, self.p)
+        G = hom_to_free(pair_s.free, L.T)  # G incl_s = incl_t f
         # induced map on cokernels: h proj_s = proj_t G
         lhs = matmul_p(pair_t.proj.matrix, G, self.p)
         H = gfalg.solve_p(
@@ -326,9 +341,7 @@ class StableModels:
 
     def is_stably_nonzero(self, f: ModuleHom) -> bool:
         """True unless f factors through the injective hull of its source."""
-        hull = injective_hull(f.source)
-        t = _solve_free_source(f.source, hull.hull.matrix, f.target, f.matrix)
-        return t is None  # no t: I(A) -> target with t o hull = f
+        return _extend_over_hull(f) is None
 
     def monomial_cocycle(self, exponents, shift_j: int = 0) -> ModuleHom:
         """Composite cocycle for the monomial with the given exponents.
@@ -359,27 +372,29 @@ class StableModels:
         return self.shift(self.generator_cocycle(i), self.eps, 0, amount)
 
 
-def _solve_free_source(A, incl_matrix, target, rhs_matrix):
-    """Solve t: kE^s -> target with t o incl = rhs, t a module hom.
+def _extend_over_hull(phi: ModuleHom):
+    """t: I(A) -> T with t o hull = phi, for phi: A -> T, or None if none exists.
 
-    incl: A -> kE^s, rhs: A -> target.  Since t is determined by its s
-    generator images and all maps are module homs, the constraint is
-    imposed only at a minimal generating set of A: coordinate w of
-    incl(g) in copy j contributes X^w to the block (g, j) of the system.
-    Returns the full matrix of t, or None if the system is inconsistent.
+    I(A) = kE^s is A's cached injective hull.  Since t is determined by
+    its s generator images and all maps are module homs, the constraint
+    is imposed only at a minimal generating set of A: coordinate w of
+    hull(g) in copy j contributes X^w to the block (g, j) of the system.
+    Returns the full matrix of t.
     """
+    A, target = phi.source, phi.target
     p, n_t = A.p, target.n
     q = group_algebra(p, A.r).q
-    s = incl_matrix.shape[0] // q
+    hull = injective_hull(A).hull.matrix
+    s = hull.shape[0] // q
     gens = list(projective_cover(A).generators)  # a minimal generating set of A
-    H = incl_matrix[:, gens].reshape(s, q, len(gens))
+    H = hull[:, gens].reshape(s, q, len(gens))
     acts = np.stack(monomial_actions(target))
     # unknowns u[(j, tau)] = coordinate tau of the image of generator j;
     # every entry is a sum of q products below p^2, so int32 holds it
     sys = np.einsum("jwg,wab->gajb", H, acts, dtype=np.int32)
     sys %= p
     sys = sys.reshape(len(gens) * n_t, s * n_t)
-    rhs = rhs_matrix[:, gens].T.reshape(-1, 1)  # (gens * n_t) x 1
+    rhs = phi.matrix[:, gens].T.reshape(-1, 1)  # (gens * n_t) x 1
     sol = gfalg.solve_p(sys, rhs, p)
     if sol is None:
         return None
@@ -394,7 +409,6 @@ def _solve_free_source(A, incl_matrix, target, rhs_matrix):
 class ConeResult:
     module: KEModule
     section: np.ndarray  # coordinate section of the quotient projection
-    hull: object  # HullData of A
 
 
 def cone(f: ModuleHom) -> ConeResult:
@@ -412,7 +426,7 @@ def cone(f: ModuleHom) -> ConeResult:
     C.constant_by_construction = (
         A.constant_by_construction and B.constant_by_construction
     )
-    return ConeResult(C, sec, hull)
+    return ConeResult(C, sec)
 
 
 def descend(cone_res: ConeResult, f: ModuleHom, g: ModuleHom) -> ModuleHom:
@@ -421,18 +435,15 @@ def descend(cone_res: ConeResult, f: ModuleHom, g: ModuleHom) -> ModuleHom:
     Solves t: I(A) -> T with t o hull = g o f, then reads h off on
     quotient representatives as (g, -t).
     """
-    A, B, T = f.source, f.target, g.target
-    p = A.p
-    rhs = matmul_p(g.matrix, f.matrix, p)
-    hull = cone_res.hull
-    t = _solve_free_source(A, hull.hull.matrix, T, rhs)
+    p = f.source.p
+    t = _extend_over_hull(g @ f)
     if t is None:
         raise NoSolutionError(
             "map does not descend to the cone; composite is not stably zero"
         )
     stacked = np.hstack([g.matrix, (-t.astype(np.int64)) % p])
     h = matmul_p(stacked.astype(np.uint8), cone_res.section, p)
-    return ModuleHom(cone_res.module, T, h, validate=False)
+    return ModuleHom(cone_res.module, g.target, h, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +490,7 @@ def stable_models(p: int, r: int, max_dim: int = DEFAULT_MAX_DIM) -> StableModel
 def _sum_of_shifts(models: StableModels, shifts):
     """Direct sum of shift models with per-summand coordinate offsets."""
     parts = [models.model(j) for j in shifts]
+    cap(sum(part.n for part in parts), "level sum", models.max_dim)
     total = parts[0]
     offsets = [0]
     for part in parts[1:]:
@@ -559,12 +571,14 @@ def realize_bundle(
     else:
         f_cur = differential(L - 1)  # level L -> level L-1 module
         for i in range(L - 1, -1, -1):
+            A, B = f_cur.source, f_cur.target
+            # (f, hull) is injective, so the cone has dimension B + I(A) - A
+            cap(B.n + injective_hull(A).free.n - A.n, "cone", max_dim)
             cres = cone(f_cur)
             report.cone_dims.append(cres.module.n)
-            cap(cres.module.n, "cone", max_dim)
             stripped, a, incl = strip_free_with_inclusion(cres.module)
             report.stripped.append(a)
-            report.triangles.append((f_cur.source, f_cur.target, stripped))
+            report.triangles.append((A, B, stripped))
             if i > 0:
                 g = differential(i - 1)
                 h = descend(cres, f_cur, g)

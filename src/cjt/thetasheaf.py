@@ -32,9 +32,10 @@ sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
 companion-blocked X_alpha.  fiber blocks the encoded matrix (x_alpha,
-then gfalg.blocked_over_prime); jordan_type_at builds it in one einsum
-of the actions with the coordinates' element matrices.  Sharing neither
-that construction nor the dimension formula, each route checks the other.
+then gfalg.blocked_over_prime); jordan_type_at builds it in
+kemod._blocked_x_alpha, one float32 product of the coordinates' element
+matrices with the actions.  Sharing neither that construction nor the
+dimension formula, each route checks the other.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import os
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cjt
 from cjt import cli, kemod, realize, suites, thetasheaf
@@ -119,6 +121,63 @@ class TestModuleFiles:
 
         with pytest.raises(ParseError):
             parse_module(str(f))
+
+    def test_entries_are_read_mod_p(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text(f"2 2 1\n{10**30}\n{-(2**64)}\n")
+        assert [int(A[0, 0]) for A in parse_module(str(f)).X] == [0, 0]
+        f.write_text(f"3 1 2\n0 {3 * 2**70}\n{10**30} {-(2**63) - 1}\n")
+        (A,) = parse_module(str(f)).X
+        assert A.tolist() == [[0, 0], [1, 0]]  # 10^30 = 1 and -2^63 - 1 = 0 mod 3
+
+    @pytest.mark.parametrize(
+        "header", ["4 2 1", "0 2 1", "-2 2 1", f"{2**64} 2 1", "2 0 1", "2 -1 1", "2 2 -1"]
+    )
+    def test_bad_header_is_a_parse_error(self, tmp_path, header, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text(f"# module\n{header}\n0\n0\n")
+        with pytest.raises(cli.ParseError) as exc:
+            parse_module(str(f))
+        assert exc.value.line == 2
+        code, out, err = run_cli(["jordan-type", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}:2: header needs ") and err.count("\n") == 1
+
+    @settings(
+        max_examples=150,
+        deadline=1000,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        p=st.sampled_from([2, 2, 3, 5, 13, 0, 4, 2**64]),
+        r=st.one_of(st.integers(1, 2), st.integers(-1, 2)),
+        n=st.one_of(st.integers(0, 3), st.integers(-1, 3)),
+        data=st.data(),
+    )
+    def test_jordan_type_on_fuzzed_module_files(self, tmp_path, p, r, n, data):
+        # mostly well-shaped bodies of zeros and small entries, some of any size
+        entry = st.one_of(
+            st.just(0),
+            st.integers(-2, 2),
+            st.integers(-(2**70), 2**70),
+            st.sampled_from([2**63, -(2**63), 2**64, -(2**64) - 1]),
+        )
+        rows = data.draw(st.one_of(st.just(max(r, 0) * max(n, 0)), st.integers(0, 7)))
+        width = data.draw(st.one_of(st.just(max(n, 0)), st.integers(0, 4)))
+        body = [" ".join(str(data.draw(entry)) for _ in range(width)) for _ in range(rows)]
+        f = tmp_path / "m.txt"
+        f.write_text("\n".join([f"{p} {r} {n}"] + body) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["jordan-type", str(f)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "" and out.getvalue().count("\n") == 1
+        else:
+            assert err.count("\n") == 1
+            assert err.startswith("error: " if code == 2 else "failure: ")
 
     @pytest.mark.parametrize("parse", [parse_module, parse_spec])
     @pytest.mark.parametrize("kind", ["directory", "binary"])

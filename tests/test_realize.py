@@ -1,16 +1,19 @@
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cjt import kemod
+from cjt import kemod, realize
 from cjt.chowring import chern_from_hilbert, chern_from_resolution, frobenius_pullback
+from cjt.gfalg import matmul_p
 from cjt.kemod import (
     ConstantSoFar,
     ModuleHom,
     SamplingPlan,
     builtin,
+    hom_commutes,
     injective_hull,
     jordan_type_at,
     omega,
@@ -33,6 +36,7 @@ from cjt.realize import (
     realize_bundle,
     stable_models,
 )
+from cjt.suites import DEFAULT_PAIRS
 from cjt.thetasheaf import hilbert, monomials, s_dim
 
 
@@ -168,6 +172,54 @@ class TestLift:
                 assert np.array_equal(back.matrix, g.matrix), (i, s)
 
 
+class TestLiftDown:
+    """lift_down extends along the hull inclusions through the trace pairing."""
+
+    @pytest.mark.parametrize("p,r", DEFAULT_PAIRS + ((5, 2), (2, 4)))
+    def test_extension_and_descent_commute(self, p, r, monkeypatch):
+        extensions = []
+
+        def spy(M, functionals):
+            extensions.append(kemod.hom_to_free(M, functionals))
+            return extensions[-1]
+
+        monkeypatch.setattr(realize, "hom_to_free", spy)
+        sm = stable_models(p, r)
+        for i in range(1, r + 1):
+            f, src, tgt = sm.generator_cocycle(i), sm.eps, 0
+            for _ in range(3):
+                extensions.clear()
+                h = sm.lift_down(f, src, tgt)
+                (G,) = extensions  # free_s -> free_t
+                pair_s, pair_t = sm.pair(src), sm.pair(tgt)
+                assert hom_commutes(pair_s.free, pair_t.free, G)
+                assert np.array_equal(
+                    matmul_p(G, pair_s.incl.matrix, p),
+                    matmul_p(pair_t.incl.matrix, f.matrix, p),
+                )
+                assert np.array_equal(
+                    matmul_p(h.matrix, pair_s.proj.matrix, p),
+                    matmul_p(pair_t.proj.matrix, G, p),
+                )
+                assert h.source is sm.model(src - 1) and h.target is sm.model(tgt - 1)
+                assert hom_commutes(h.source, h.target, h.matrix)
+                f, src, tgt = h, src - 1, tgt - 1
+
+    def test_six_steps_down_at_rank_four_stay_small(self):
+        # a dense extension system over the free targets would need 2.09 GiB here
+        sm = StableModels(2, 4)
+        g = sm.generator_cocycle(1)
+        tracemalloc.start()
+        try:
+            f = sm.shift(g, 1, 0, -6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.source is sm.model(-5) and f.target is sm.model(-6)
+        assert (f.source.n, f.target.n) == (351, 545)
+        assert peak < 200 << 20
+
+
 class TestMonomialImage:
     """The graded image of the induced first-functor map is the monomial ideal."""
 
@@ -230,24 +282,23 @@ class TestCone:
         # where the class restricts nonzero, the cone sequence is locally
         # split and Jordan types add; where it vanishes, the cone splits
         # as B + Omega^{-1}A instead
-        from cjt.kemod import injective_hull
-
         sm = stable_models(2, 2)
         c = sm.generator_cocycle(1)
         res = cone(c)
         A, B = c.source, c.target
+        I = injective_hull(A).free
         om_inv = injective_hull(A).cokernel
         for pt in projective_points(2, 2) + projective_points(2, 2, 2):
             tA = jordan_type_at(A, pt)
             tB = jordan_type_at(B, pt)
-            tI = jordan_type_at(res.hull.free, pt)
+            tI = jordan_type_at(I, pt)
             tC = jordan_type_at(res.module, pt)
             if pt.coords[0] != 0:  # y_1 restricts nonzero
                 assert (tA + tC).a == (tB + tI).a
             else:
                 assert tC.a == (tB + jordan_type_at(om_inv, pt)).a
         # dimension bookkeeping holds unconditionally
-        assert res.module.n == B.n + res.hull.free.n - A.n
+        assert res.module.n == B.n + I.n - A.n
 
     def test_descend_reproduces_block_maps(self):
         # koszul tail: descending the level-1 differential through the cone
@@ -350,6 +401,28 @@ class TestRealize:
         with pytest.raises(ResourceCapError):
             realize_bundle(line_bundle_spec(2, 4, -1), max_dim=15)  # kE has 16
         assert (2, 4) not in built
+
+    def test_level_sum_refused_before_it_is_built(self, monkeypatch):
+        sums = []
+        monkeypatch.setattr(realize, "direct_sum", lambda *args: sums.append(args))
+        spec = ResolutionSpec(2, 2, ((-3,) * 10,), ())  # ten copies of Omega^3 k, dim 7
+        message = "^level sum of dimension 70 above the cap 50$"
+        with pytest.raises(ResourceCapError, match=message):
+            realize_bundle(spec, max_dim=50)
+        assert not sums
+
+    def test_cone_refused_before_its_quotient_is_built(self, monkeypatch):
+        quotients = []
+        monkeypatch.setattr(
+            realize, "quotient_module", lambda *args, **kw: quotients.append(args)
+        )
+        # the first cone is 6 + 8 - 5 = 9: level 1, the hull of Omega^2 k, Omega^2 k
+        with pytest.raises(ResourceCapError, match="^cone of dimension 9 above the cap 8$"):
+            realize_bundle(koszul_tail_spec(2, 2), max_dim=8)
+        assert not quotients
+        monkeypatch.undo()
+        M, rep = realize_bundle(koszul_tail_spec(2, 2), max_dim=9)
+        assert rep.cone_dims == [9, 4] and M.n == 0
 
     def test_report_contents(self):
         M, rep = realize_bundle(euler_spec(2, 3), plan=SamplingPlan(extra=60))
