@@ -12,9 +12,11 @@ The package computes, in exact arithmetic over small finite fields:
   cocycle matrices derived from a twist resolution (`realize`);
 - the underlying dense linear algebra over GF(p^e) (`gfalg`);
 - module and resolution-spec files and module references (`formats`),
-  the `cjt verify` suites (`suites`) and the command line (`cli`).
+  the `cjt verify` suites (`suites`) and the command line (`cli`), whose
+  exit codes follow the two error kinds `InputError` and `Failure` (`errors`).
 """
 
+from .errors import Failure, InputError
 from .gfalg import FFMatrix, FieldCtx, build_field, kernel_basis
 from .kemod import (
     ConstancyVerdict,

@@ -14,9 +14,10 @@ import dataclasses
 from math import comb, factorial
 
 from . import polyd
+from .errors import Failure, InputError
 
 
-class NonIntegralChernError(ArithmeticError):
+class NonIntegralChernError(Failure, ArithmeticError):
     """The polynomial is not the chi-polynomial of an integer K-class on P^{r-1}."""
 
 
@@ -40,9 +41,9 @@ class ChowClass:
 
     def __post_init__(self):
         if len(self.coeffs) != self.r:
-            raise ValueError(f"need exactly {self.r} coefficients")
+            raise InputError(f"need exactly {self.r} coefficients")
         if self.coeffs[0] != 1:
-            raise ValueError("total Chern classes start with c_0 = 1")
+            raise InputError("total Chern classes start with c_0 = 1")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     def c(self, m: int) -> int:
@@ -97,7 +98,7 @@ def sum_of_line_bundles_class(r: int, twists) -> ChowClass:
 def whitney(c1: ChowClass, c2: ChowClass) -> ChowClass:
     """Truncated product; ranks add (the Whitney sum formula)."""
     if c1.r != c2.r:
-        raise ValueError("classes live on different projective spaces")
+        raise InputError("classes live on different projective spaces")
     r = c1.r
     out = [0] * r
     for m in range(r):

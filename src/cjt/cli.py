@@ -1,10 +1,8 @@
 """Command-line front end: the parser, one function per command, and main.
 
-Exit codes: 0 on success, 1 on mathematical failure (a falsified
-constancy check, a failed suite case, a realize chain-map solve with no
-solution) or a resource cap (a Hilbert certificate over the memory
-budget, a module above --max-dim), each on one ``failure:`` line, 2 on
-usage or input errors, each on one ``error:`` line.
+Exit codes: 0 on success; 1 on a falsified constancy check, a failed
+suite case or an ``errors.Failure`` (one ``failure:`` line); 2 on an
+``errors.InputError``, bad input or usage (one ``error:`` line).
 Each command takes only the flags it reads (see build_parser).  File
 formats and module references are in ``formats``, the verification
 suites in ``suites``.
@@ -18,21 +16,14 @@ import sys
 
 from . import polyd
 from .chowring import chern_from_hilbert
-from .formats import (
-    ParseError,
-    parse_point,
-    parse_spec,
-    print_module,
-    resolve_module,
-)
+from .errors import Failure, InputError
+from .formats import parse_point, parse_spec, print_module, resolve_module
 from .kemod import (
     DEFAULT_MAX_DIM,
     DEFAULT_SEED,
     EXTRA_CAP,
     EXTRA_DEGREES,
     ConstantSoFar,
-    ModuleError,
-    ResourceCapError,
     SamplingPlan,
     cap,
     check_constant,
@@ -44,7 +35,7 @@ from .kemod import (
     strip_free,
     tensor,
 )
-from .realize import NoSolutionError, SpecInvalidError, realize_bundle
+from .realize import realize_bundle
 from .suites import (
     DEFAULT_PAIRS,
     MODULE_SUITES,
@@ -54,13 +45,7 @@ from .suites import (
     sampling_plan,
     verify_pairs,
 )
-from .thetasheaf import (
-    MAX_DEGREE,
-    NotConstantError,
-    StabilizationFailedError,
-    fiber,
-    hilbert,
-)
+from .thetasheaf import MAX_DEGREE, fiber, hilbert
 
 
 def _module(ref, args):
@@ -72,7 +57,7 @@ def _functor_module(args):
     """The module for hilbert/chern, once --functor is known to be in 1..p."""
     M = _module(args.module, args)
     if not 1 <= args.functor <= M.p:
-        raise ModuleError(f"--functor must be in 1..{M.p}, got {args.functor}")
+        raise UsageError(f"--functor must be in 1..{M.p}, got {args.functor}")
     return M
 
 
@@ -81,7 +66,7 @@ def _env_seed() -> int:
     try:
         return int(env, 0) if env else DEFAULT_SEED
     except ValueError:
-        raise ModuleError(f"CJT_SEED must be an integer, got {env!r}") from None
+        raise UsageError(f"CJT_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_jordan_type(args, out):
@@ -188,7 +173,7 @@ def _cmd_verify(args, out):
     return run_verify(names, args, out)
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """A command line the parser refuses."""
 
 
@@ -326,15 +311,10 @@ def main(argv=None) -> int:
         return args.fn(args, sys.stdout)
     except SystemExit as exc:  # --help; the parser raises UsageError otherwise
         return exc.code
-    except (UsageError, ParseError, ModuleError, SpecInvalidError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        StabilizationFailedError,
-        NotConstantError,
-        ResourceCapError,
-        NoSolutionError,
-    ) as exc:
+    except Failure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

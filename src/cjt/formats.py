@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .gfalg import SUPPORTED_PRIMES, build_field
 from .kemod import KEModule, ModuleError, Point, builtin, cap, new_module, omega
 from .realize import ResolutionSpec
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A file that cannot be read or parsed; line is None for the whole file."""
 
     def __init__(self, path, line, message):

@@ -45,6 +45,8 @@ import itertools
 
 import numpy as np
 
+from .errors import InputError
+
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # largest p^e build_field accepts (GF(13^4), the largest field a default
@@ -315,13 +317,13 @@ class FieldCtx:
 def build_field(p: int, e: int = 1) -> FieldCtx:
     """Field context for GF(p^e) with the least monic irreducible modulus."""
     if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise InputError(f"p = {p} is not prime")
     if p not in SUPPORTED_PRIMES:
-        raise ValueError(f"p = {p} outside the supported range {SUPPORTED_PRIMES}")
+        raise InputError(f"p = {p} outside the supported range {SUPPORTED_PRIMES}")
     if e < 1:
-        raise ValueError(f"extension degree must be >= 1, got {e}")
+        raise InputError(f"extension degree must be >= 1, got {e}")
     if p**e > MAX_FIELD_ORDER:
-        raise ValueError(f"GF({p}^{e}) exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
+        raise InputError(f"GF({p}^{e}) exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
     return FieldCtx(p, e, _least_irreducible(p, e))
 
 
@@ -337,13 +339,13 @@ class FFMatrix:
     def __init__(self, ctx: FieldCtx, array):
         arr = np.array(array, dtype=np.int64)
         if arr.ndim != 2:
-            raise ValueError("FFMatrix needs a 2-d array")
+            raise InputError("FFMatrix needs a 2-d array")
         if arr.size and (arr.min() < 0 or arr.max() >= ctx.q):
             if ctx.e == 1:
                 arr %= ctx.p
             else:
                 # encoded extension elements do not wrap arithmetically
-                raise ValueError("entries must already be encoded in [0, q)")
+                raise InputError("entries must already be encoded in [0, q)")
         arr.setflags(write=False)
         self.ctx = ctx
         self.array = arr

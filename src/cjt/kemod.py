@@ -22,6 +22,7 @@ import random
 import numpy as np
 
 from . import gfalg
+from .errors import Failure, InputError
 from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
 
 DEFAULT_SEED = 0xC0FFEE
@@ -37,11 +38,11 @@ STACK_CELLS = 2**19
 DEFAULT_MAX_DIM = 5000
 
 
-class ModuleError(ValueError):
+class ModuleError(InputError):
     pass
 
 
-class ResourceCapError(RuntimeError):
+class ResourceCapError(Failure):
     pass
 
 
@@ -194,7 +195,7 @@ class Point:
 
     def __post_init__(self):
         if all(c == 0 for c in self.coords):
-            raise ValueError("point must be nonzero")
+            raise InputError("point must be nonzero")
 
     @property
     def r(self):

@@ -32,6 +32,7 @@ import operator
 import numpy as np
 
 from . import gfalg
+from .errors import Failure, InputError
 from .gfalg import matmul_p
 from .kemod import (
     DEFAULT_MAX_DIM,
@@ -55,15 +56,16 @@ from .kemod import (
     quotient_module,
     strip_free_with_inclusion,
 )
+from .thetasheaf import DEFAULT_MEMORY_BUDGET
 
 MAX_LENGTH = 6  # longest resolution realize_bundle accepts
 
 
-class SpecInvalidError(ValueError):
+class SpecInvalidError(InputError):
     pass
 
 
-class NoSolutionError(RuntimeError):
+class NoSolutionError(Failure):
     """A chain-map solve failed; inputs are not genuine cocycle data."""
 
 
@@ -110,18 +112,26 @@ class ResolutionSpec:
             for t, row in enumerate(mat):
                 for s, poly in enumerate(row):
                     deg = tgt[t] - src[s]
+                    where = f"map {i + 1} entry ({t + 1},{s + 1})"
                     for coeff, exps in poly:
                         if len(exps) != self.r:
                             raise SpecInvalidError(
-                                f"map {i + 1} entry ({t + 1},{s + 1}): "
-                                f"exponent tuple needs {self.r} entries"
+                                f"{where}: exponent tuple needs {self.r} entries"
                             )
                         if coeff % self.p == 0:
                             continue
+                        if any(e < 0 for e in exps):
+                            raise SpecInvalidError(
+                                f"{where}: exponents must be nonnegative"
+                            )
                         if sum(exps) != deg or deg < 0:
                             raise SpecInvalidError(
-                                f"map {i + 1} entry ({t + 1},{s + 1}) must be "
-                                f"homogeneous of degree {deg}"
+                                f"{where} must be homogeneous of degree {deg}"
+                            )
+                        if deg == 0:
+                            raise SpecInvalidError(
+                                f"{where} is a nonzero constant; realize "
+                                "needs positive degree"
                             )
         for i in range(self.length - 1):
             if not _poly_matrix_product_is_zero(
@@ -316,7 +326,7 @@ class StableModels:
         of the augmentation ideal) of the generator that maps to X_i.
         """
         if not 1 <= i <= self.r:
-            raise ValueError(f"generator index must be in 1..r, got {i}")
+            raise InputError(f"generator index must be in 1..r, got {i}")
         p, r = self.p, self.r
         kE = group_algebra(p, r)
         incl1 = self.pair(1).incl.matrix  # Omega k -> kE coordinates
@@ -351,9 +361,9 @@ class StableModels:
         """
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.r or any(e < 0 for e in exponents):
-            raise ValueError("exponents must be r nonnegative integers")
+            raise InputError("exponents must be r nonnegative integers")
         if sum(exponents) == 0:
-            raise ValueError("monomial must have positive degree")
+            raise InputError("monomial must have positive degree")
         return self._monomial_cocycle(exponents, shift_j)
 
     @functools.cache
@@ -388,6 +398,12 @@ def _extend_over_hull(phi: ModuleHom):
     s = hull.shape[0] // q
     gens = list(projective_cover(A).generators)  # a minimal generating set of A
     H = hull[:, gens].reshape(s, q, len(gens))
+    nbytes = 4 * len(gens) * n_t * s * n_t  # the int32 system, before allocating it
+    if nbytes > DEFAULT_MEMORY_BUDGET:
+        raise ResourceCapError(
+            f"hull extension system of {nbytes >> 20} MB above the memory "
+            f"budget of {DEFAULT_MEMORY_BUDGET >> 20} MB"
+        )
     acts = np.stack(monomial_actions(target))
     # unknowns u[(j, tau)] = coordinate tau of the image of generator j;
     # every entry is a sum of q products below p^2, so int32 holds it

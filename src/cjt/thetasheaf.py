@@ -49,11 +49,13 @@ from operator import le
 import numpy as np
 
 from . import gfalg, polyd
+from .errors import Failure, InputError
 from .gfalg import matmul_p
 from .kemod import (
     Falsified,
     KEModule,
     Point,
+    ResourceCapError,
     SamplingPlan,
     check_constant,
     x_alpha,
@@ -63,11 +65,11 @@ DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of elimination storage per st
 MAX_DEGREE = 10_000  # largest d_max hilbert accepts; samples grow linearly in it
 
 
-class StabilizationFailedError(RuntimeError):
+class StabilizationFailedError(ResourceCapError):
     """Certifying the image of theta^a would need more than the memory budget."""
 
 
-class NotConstantError(ValueError):
+class NotConstantError(Failure, ValueError):
     """hilbert() needs constant Jordan type and the checker falsified it."""
 
 
@@ -355,9 +357,9 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
 def graded_dim(M: KEModule, i: int, j: int, d: int):
     """Dimension of the degree-d piece of the (i, j) graded subquotient."""
     if not (0 <= j < i <= M.p):
-        raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
+        raise InputError(f"need 0 <= j < i <= p, got i={i} j={j}")
     if d < 0:
-        raise ValueError("degree must be nonnegative")
+        raise InputError("degree must be nonnegative")
     e = d - i + j
     return (
         _rank_theta(M, i - 1, e + 1)
@@ -374,7 +376,7 @@ def graded_dim_subspace(M: KEModule, i: int, j: int, d: int):
     intersections degreewise.  Exponential-free but dense; small inputs only.
     """
     if not (0 <= j < i <= M.p):
-        raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
+        raise InputError(f"need 0 <= j < i <= p, got i={i} j={j}")
     theta = ThetaOp(M)
     p = M.p
     n_d = M.n * s_dim(M.r, d)
@@ -470,11 +472,11 @@ def hilbert(
     reported sample.
     """
     if not 1 <= i <= M.p:
-        raise ValueError(f"functor index must be in 1..p, got {i}")
+        raise InputError(f"functor index must be in 1..p, got {i}")
     if d_max is None:
         d_max = M.n + M.p + 5
     elif not 0 <= d_max <= MAX_DEGREE:
-        raise ValueError(f"d_max must be in 0..{MAX_DEGREE}, got {d_max}")
+        raise InputError(f"d_max must be in 0..{MAX_DEGREE}, got {d_max}")
     if not skip_constancy_check:
         _require_constant(M)
     images = prefetch_image_dims(M, (i - 1, i, i + 1))
@@ -509,7 +511,7 @@ def twist_shift_check(M: KEModule, i: int, j: int, d_range=range(2)) -> bool:
     comes from the explicit kernels and images of graded_dim_subspace.
     """
     if not (0 <= j < i <= M.p):
-        raise ValueError(f"need 0 <= j < i <= p, got i={i} j={j}")
+        raise InputError(f"need 0 <= j < i <= p, got i={i} j={j}")
     return all(
         graded_dim_subspace(M, i, j, d) == graded_dim(M, i, 0, d + j)
         for d in d_range

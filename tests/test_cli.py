@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cjt
 from cjt import cli, kemod, realize, suites, thetasheaf
 from cjt.cli import main
-from cjt.formats import parse_module, parse_spec, print_module
+from cjt.formats import ParseError, parse_module, parse_spec, print_module
 from cjt.realize import realize_bundle
 from cjt.kemod import builtin, jordan_type_at, projective_points
 
@@ -117,7 +118,7 @@ class TestModuleFiles:
     def test_parse_error_has_line_number(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("2 2 1\n0\n")
-        from cjt.cli import ParseError
+        from cjt.formats import ParseError
 
         with pytest.raises(ParseError):
             parse_module(str(f))
@@ -136,7 +137,7 @@ class TestModuleFiles:
     def test_bad_header_is_a_parse_error(self, tmp_path, header, capsys):
         f = tmp_path / "m.txt"
         f.write_text(f"# module\n{header}\n0\n0\n")
-        with pytest.raises(cli.ParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_module(str(f))
         assert exc.value.line == 2
         code, out, err = run_cli(["jordan-type", str(f)], capsys)
@@ -183,7 +184,7 @@ class TestModuleFiles:
     @pytest.mark.parametrize("kind", ["directory", "binary"])
     def test_unreadable_path_is_a_parse_error(self, tmp_path, parse, kind):
         path = unreadable_path(tmp_path, kind)
-        with pytest.raises(cli.ParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse(path)
         assert exc.value.path == path and exc.value.line is None
 
@@ -227,7 +228,7 @@ class TestSpecFiles:
         f.write_text(f"# spec\n2 2 {L}\nlevel 0: 0\nlevel 1: -1\n")
         tracemalloc.start()
         try:
-            with pytest.raises(cli.ParseError) as exc:
+            with pytest.raises(ParseError) as exc:
                 parse_spec(str(f))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -247,7 +248,7 @@ class TestSpecFiles:
     def test_entry_outside_or_repeated_refused_on_its_line(self, tmp_path, entry):
         f = tmp_path / "s.txt"
         f.write_text(SPEC_EULER_P2R3 + entry + "\n")
-        with pytest.raises(cli.ParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_spec(str(f))
         assert exc.value.line == 8
 
@@ -258,6 +259,62 @@ class TestSpecFiles:
         )
         spec = parse_spec(str(f))
         assert spec.maps[0][0][0] == ((1, (2, 0)), (1, (0, 2)))
+
+    @pytest.mark.parametrize(
+        "level1,entry,message",
+        [
+            ("-1", "1 2 -1", "map 1 entry (1,1): exponents must be nonnegative"),
+            ("0", "1 0 0", "map 1 entry (1,1) is a nonzero constant"),
+        ],
+    )
+    def test_negative_exponent_and_constant_entry_refused(
+        self, tmp_path, level1, entry, message, capsys
+    ):
+        f = tmp_path / "s.txt"
+        f.write_text(f"2 2 1\nlevel 0: 0\nlevel 1: {level1}\nmap 1\n1 1 : {entry}\n")
+        with pytest.raises(realize.SpecInvalidError, match=rf"^{re.escape(message)}"):
+            parse_spec(str(f))
+        code, out, err = run_cli(["realize", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        p=st.sampled_from([2, 3]),
+        r=st.integers(1, 2),
+        L=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_realize_on_fuzzed_spec_files(self, tmp_path, p, r, L, data):
+        twists = st.lists(st.integers(-3, 2), min_size=1, max_size=2)
+        levels = [data.draw(twists) for _ in range(L + 1)]
+        exponents = st.lists(st.integers(-1, 3), min_size=r, max_size=r)
+        monomial = st.tuples(st.integers(0, 3), exponents)
+        lines = [f"{p} {r} {L}"]
+        lines += [f"level {i}: {' '.join(map(str, tw))}" for i, tw in enumerate(levels)]
+        for i in range(1, L + 1):
+            lines.append(f"map {i}")
+            for row in range(1, len(levels[i - 1]) + 1):
+                for col in range(1, len(levels[i]) + 1):
+                    poly = data.draw(st.lists(monomial, max_size=2))
+                    if poly:
+                        terms = (" ".join(map(str, (c, *exps))) for c, exps in poly)
+                        lines.append(f"{row} {col} : {' + '.join(terms)}")
+        f = tmp_path / "s.txt"
+        f.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["realize", str(f), "--samples", "5"])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCommands:

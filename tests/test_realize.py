@@ -1,6 +1,10 @@
 import inspect
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +427,37 @@ class TestRealize:
         monkeypatch.undo()
         M, rep = realize_bundle(koszul_tail_spec(2, 2), max_dim=9)
         assert rep.cone_dims == [9, 4] and M.n == 0
+
+    def test_hull_extension_system_refused_before_it_is_allocated(self):
+        # at (2, 4) the int32 system for the generator cocycle shifted n steps
+        # down is 329 MB at n = 5 and 2220 MB at n = 6; the child's address
+        # space stops at 2 GiB, so allocating the n = 6 system would end in a
+        # MemoryError instead of the refusal
+        code = textwrap.dedent(
+            """\
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from cjt.realize import ResourceCapError, StableModels
+            sm = StableModels(2, 4)
+            g5 = sm.shift(sm.generator_cocycle(1), 1, 0, -5)
+            g6 = sm.shift(g5, -4, -5, -1)
+            try:
+                sm.is_stably_nonzero(g6)
+            except ResourceCapError as exc:
+                print(exc)
+            print(sm.is_stably_nonzero(g5))
+            """
+        )
+        src = str(Path(realize.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "hull extension system of 2220 MB above the memory budget of 512 MB\n"
+            "True\n"
+        )
 
     def test_report_contents(self):
         M, rep = realize_bundle(euler_spec(2, 3), plan=SamplingPlan(extra=60))
