@@ -6,10 +6,14 @@ polynomial algebra k[X_1..X_r]/(X_i^p); it is local and self-injective,
 with one-dimensional socle spanned by z = prod X_i^(p-1).
 
 Heller shifts use minimal projective covers (kernels) and minimal
-injective hulls (cokernels).  Hulls, cover sections and free-summand
-retractions are built through the nondegenerate trace pairing
+injective hulls (cokernels).  A map out of kE^b is fixed by the images
+of its b generators (hom_from_free).  A map into kE^s is fixed by s
+linear functionals through the nondegenerate trace pairing
 <u, v> = coefficient of z in u*v, which identifies Hom(M, kE) with the
-linear dual of M; no linear-system solving is needed for them.
+linear dual of M (hom_to_free).  Choosing the functionals is one solve:
+a left inverse on the socle for a hull, and an n x n system for the
+free-summand retraction in strip_free_with_inclusion.  apply_monomials
+gives both maps, applying every monomial X^v to the n x b matrix at hand.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class GroupAlgebra:
                     A[self.index[tgt], col] = 1
             X.append(A)
         self.X = tuple(X)
-
-    def complement(self, m):
-        return tuple(z - a for z, a in zip(self.z, m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -678,23 +679,21 @@ def reference_jordan_type(M: KEModule) -> JordanType:
 # socle, radical, monomial actions
 
 
-def monomial_actions(M: KEModule):
-    """Matrices of all p^r monomials X^a acting on M, indexed like kE.monomials."""
-    key = "monomial_actions"
-    if key in M._cache:
-        return M._cache[key]
-    kE = group_algebra(M.p, M.r)
-    acts = [None] * kE.q
-    acts[kE.index[(0,) * M.r]] = np.eye(M.n, dtype=np.uint8)
-    for mon in kE.monomials:
-        col = kE.index[mon]
-        if acts[col] is not None:
-            continue
+def apply_monomials(X, G, p):
+    """X^v G for every monomial v of kE, indexed like kE.monomials: a (q, n, b) stack.
+
+    X is a tuple of r commuting actions and G an n x b matrix; each
+    X^v G = X_i X^(v - e_i) G, i the first nonzero exponent of v, is one
+    n x b product, and nothing is kept once the stack is returned.
+    """
+    kE = group_algebra(p, len(X))
+    out = np.empty((kE.q,) + G.shape, dtype=np.uint8)
+    out[0] = G  # the monomial 1 comes first
+    for col, mon in enumerate(kE.monomials[1:], 1):
         i = next(i for i, a in enumerate(mon) if a > 0)
         prev = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
-        acts[col] = matmul_p(M.X[i], acts[kE.index[prev]], M.p)
-    M._cache[key] = acts
-    return acts
+        out[col] = matmul_p(X[i], out[kE.index[prev]], p)
+    return out
 
 
 def socle_basis(M: KEModule):
@@ -737,20 +736,16 @@ def hom_to_free(M: KEModule, functionals):
     """The kE-map M -> kE^s attached to s linear functionals via the trace pairing.
 
     Row block j of the result, evaluated at m, is the element of kE whose
-    coefficient at the monomial v equals f_j(X^(z-v) m).
+    coefficient at the monomial v equals f_j(X^(z-v) m).  F X^w is taken
+    as the transpose of (X^T)^w F^T; z - v runs through the monomials in
+    reverse order as v runs forward.
     """
-    kE = group_algebra(M.p, M.r)
-    acts = monomial_actions(M)
     F = np.asarray(functionals, dtype=np.uint8)
     if F.ndim == 1:
         F = F[None, :]
-    s = F.shape[0]
-    out = np.zeros((s * kE.q, M.n), dtype=np.uint8)
-    for v, mon in enumerate(kE.monomials):
-        W = acts[kE.index[kE.complement(mon)]]
-        # coordinate (copy j, monomial v) sits at j*q + v
-        out[v :: kE.q] = matmul_p(F, W, M.p)
-    return out
+    stack = apply_monomials(tuple(A.T for A in M.X), F.T, M.p)  # (q, n, s)
+    # coordinate (copy j, monomial v) sits at j*q + v
+    return stack[::-1].transpose(2, 0, 1).reshape(F.shape[0] * len(stack), M.n)
 
 
 def hom_from_free(M: KEModule, G):
@@ -758,11 +753,8 @@ def hom_from_free(M: KEModule, G):
 
     Coordinate (t, v) of kE^b is X^v times generator t, so it goes to X^v G[:, t].
     """
-    q = group_algebra(M.p, M.r).q
-    out = np.zeros((M.n, G.shape[1], q), dtype=np.uint8)
-    for v, act in enumerate(monomial_actions(M)):
-        out[:, :, v] = matmul_p(act, G, M.p)
-    return out.reshape(M.n, G.shape[1] * q)
+    stack = apply_monomials(M.X, np.asarray(G, dtype=np.uint8), M.p)  # (q, n, b)
+    return stack.transpose(1, 2, 0).reshape(M.n, G.shape[1] * len(stack))
 
 
 def free_module(p, r, copies) -> KEModule:
@@ -812,14 +804,10 @@ def submodule(M: KEModule, columns) -> tuple[KEModule, ModuleHom]:
     return S, ModuleHom(S, M, K, validate=False)
 
 
-def quotient_module(
-    M: KEModule, columns, with_section=False
-) -> tuple[KEModule, ModuleHom] | tuple[KEModule, ModuleHom, np.ndarray]:
-    """The quotient of M by the column span, with its projection.
-
-    with_section also returns the coordinate section (a right inverse of
-    the projection matrix, not a module map).
-    """
+def quotient_module(M: KEModule, columns) -> tuple[KEModule, ModuleHom, np.ndarray]:
+    """The quotient of M by the column span, its projection, and the
+    coordinate section (a right inverse of the projection matrix, not a
+    module map)."""
     U = np.asarray(columns, dtype=np.uint8)
     p = M.p
     _, C, proj = _column_complement(U, M.n, p)
@@ -828,10 +816,7 @@ def quotient_module(
         sec[c, k] = 1
     Q_X = [matmul_p(proj, matmul_p(A, sec, p), p) for A in M.X]
     Q = KEModule(p, M.r, Q_X, validate=False)
-    proj_hom = ModuleHom(M, Q, proj, validate=False)
-    if with_section:
-        return Q, proj_hom, sec
-    return Q, proj_hom
+    return Q, ModuleHom(M, Q, proj, validate=False), sec
 
 
 def projective_cover(M: KEModule) -> CoverData:
@@ -865,7 +850,7 @@ def injective_hull(M: KEModule) -> HullData:
     assert F is not None
     hull_mat = hom_to_free(M, F.T)
     hull = ModuleHom(M, I, hull_mat, validate=False)
-    Q, proj = quotient_module(I, hull_mat)
+    Q, proj, _ = quotient_module(I, hull_mat)
     Q.constant_by_construction = M.constant_by_construction
     data = HullData(I, hull, Q, proj)
     M._cache[key] = data
@@ -905,7 +890,10 @@ def strip_free_with_inclusion(M: KEModule) -> tuple[KEModule, int, ModuleHom]:
     """strip_free plus the inclusion of the stripped summand back into M."""
     p, r = M.p, M.r
     kE = group_algebra(p, r)
-    Z = monomial_actions(M)[kE.index[kE.z]]
+    # the action of the socle generator z = X_1^(p-1) ... X_r^(p-1)
+    Z = functools.reduce(
+        lambda A, B: matmul_p(A, B, p), (matpow_p(A, p - 1, p) for A in M.X)
+    )
     if not np.any(Z):
         return M, 0, ModuleHom(M, M, np.eye(M.n, dtype=np.uint8), validate=False)
     _, pivcols = gfalg.echelon_p(Z, p)

@@ -42,6 +42,7 @@ from .kemod import (
     ModuleHom,
     ResourceCapError,
     SamplingPlan,
+    apply_monomials,
     builtin,
     cap,
     check_constant,
@@ -50,7 +51,6 @@ from .kemod import (
     hom_from_free,
     hom_to_free,
     injective_hull,
-    monomial_actions,
     omega,
     projective_cover,
     quotient_module,
@@ -404,12 +404,13 @@ def _extend_over_hull(phi: ModuleHom):
             f"hull extension system of {nbytes >> 20} MB above the memory "
             f"budget of {DEFAULT_MEMORY_BUDGET >> 20} MB"
         )
-    acts = np.stack(monomial_actions(target))
+    acts = apply_monomials(target.X, np.eye(n_t, dtype=np.uint8), p)
     # unknowns u[(j, tau)] = coordinate tau of the image of generator j;
     # every entry is a sum of q products below p^2, so int32 holds it
     sys = np.einsum("jwg,wab->gajb", H, acts, dtype=np.int32)
     sys %= p
-    sys = sys.reshape(len(gens) * n_t, s * n_t)
+    # one contiguous uint8 copy, so the int32 system is freed before solve_p
+    sys = sys.astype(np.uint8, order="C").reshape(len(gens) * n_t, s * n_t)
     rhs = phi.matrix[:, gens].T.reshape(-1, 1)  # (gens * n_t) x 1
     sol = gfalg.solve_p(sys, rhs, p)
     if sol is None:
@@ -438,7 +439,7 @@ def cone(f: ModuleHom) -> ConeResult:
     hull = injective_hull(A)
     D = direct_sum(B, hull.free)
     G = np.vstack([f.matrix, hull.hull.matrix])
-    C, _, sec = quotient_module(D, G, with_section=True)
+    C, _, sec = quotient_module(D, G)
     C.constant_by_construction = (
         A.constant_by_construction and B.constant_by_construction
     )

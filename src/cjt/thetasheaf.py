@@ -218,7 +218,10 @@ class _ImageTracker:
             shifted.append(mm[self.pivots // n] * n + self.pivots % n)
         self.t = t + 1
         self._echelonize(shifts.reshape(r * rows, n * sd1))
-        self._record_leading_terms(np.setdiff1d(self.pivots, np.concatenate(shifted)))
+        # the new pivots that are no shifted old pivot, in increasing order
+        fresh = np.ones(n * sd1, dtype=bool)
+        fresh[np.concatenate(shifted)] = False
+        self._record_leading_terms(self.pivots[fresh[self.pivots]])
 
     def step_bytes(self) -> int:
         """Bytes of the arrays the next step() holds at once, at its peak.

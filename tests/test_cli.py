@@ -657,6 +657,82 @@ class TestCommands:
         assert "fitted: d + 2" in out
 
 
+def flag_values(good):
+    """Text for a numeric flag: mostly in range, sometimes anything."""
+    anything = st.one_of(
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(["", "x", "1.5", "-", "0x10", "1e3"]),
+    )
+    return st.one_of(good.map(str), anything)
+
+
+def builtin_refs():
+    """builtin:<name><N> references, with N mostly small and sometimes not a number."""
+    index = st.one_of(st.integers(-4, 5).map(str), st.sampled_from(["", "x", "2.0", "-", "1e2"]))
+    indexed = st.sampled_from(["radq", "perm", "zigzag", "omega"])
+    return st.one_of(
+        st.sampled_from(["trivial", "regular", "nothing"]),
+        st.builds(lambda name, n: name + n, indexed, index),
+    ).map(lambda name: f"builtin:{name}")
+
+
+class TestFuzzedFlags:
+    """fiber, hilbert, chern and check-constant on fuzzed flags and references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        command=st.sampled_from(["fiber", "hilbert", "chern", "check-constant"]),
+        module=builtin_refs(),
+        p=st.sampled_from(["2", "2", "3", "3", "5", "4", None]),
+        r=st.sampled_from(["1", "2", "2", "2", "0", None]),
+        max_dim=st.sampled_from([None, None, "1", "10", "60"]),
+        data=st.data(),
+    )
+    def test_commands_on_fuzzed_flags(self, command, module, p, r, max_dim, data):
+        argv = [command, module]
+        for flag, value in (("--p", p), ("--r", r), ("--max-dim", max_dim)):
+            if value is not None:
+                argv += [flag, value]
+        coords = st.lists(st.integers(-30, 30), min_size=2, max_size=2) | st.lists(
+            st.integers(-30, 30), max_size=3
+        )
+        point = st.one_of(
+            coords.map(lambda c: ",".join(map(str, c))),
+            coords.map(lambda c: " ".join(map(str, c))),
+            st.sampled_from(["", "1,x", "1,,2"]),
+        )
+        functor = flag_values(st.integers(-1, 6))
+        # (flag, values, required)
+        flags = {
+            "fiber": [
+                ("--point", point, True),
+                ("--field-ext-point", flag_values(st.integers(-1, 5)), False),
+            ],
+            "hilbert": [
+                ("--functor", functor, True),
+                ("--degree-cap", flag_values(st.integers(-1, 40) | st.just(10_001)), False),
+            ],
+            "chern": [("--functor", functor, True)],
+            "check-constant": [("--samples", flag_values(st.integers(-1, 20)), False)],
+        }[command]
+        for flag, values, required in flags:
+            if required or data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(values)}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        elif command == "check-constant" and out.startswith("FALSIFIED"):
+            assert code == 1 and err == "" and out.count("\n") == 1
+        else:
+            assert err.count("\n") == 1, argv
+            assert err.startswith("error: " if code == 2 else "failure: ")
+
+
 MODULE_FLAGS = {"--p", "--r", "--max-dim"}
 SAMPLING_FLAGS = {"--seed", "--samples", "--field-ext"}
 COMMON_FLAGS = MODULE_FLAGS | SAMPLING_FLAGS | {"--degree-cap"}

@@ -12,6 +12,7 @@ from cjt.gfalg import (
     FieldCtx,
     blocked_over_prime,
     build_field,
+    matmul_p,
     matpow_p,
     rank_p,
 )
@@ -738,11 +739,8 @@ class TestStripFree:
         assert a == 1
         assert S.n == 3
         assert reference_jordan_type(S) == JordanType(2, (1, 1))
-        # z kills the stripped module
-        from cjt.kemod import group_algebra, monomial_actions
-
-        kE = group_algebra(2, 2)
-        assert not np.any(monomial_actions(S)[kE.index[kE.z]])
+        # z = X_1 X_2 kills the stripped module
+        assert not np.any(matmul_p(S.X[0], S.X[1], 2))
 
     def test_dim_bookkeeping(self):
         M = direct_sum(builtin("regular", 3, 2), builtin("zigzag", 3, 2, n=1))

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,28 @@ class TestHilbert:
         assert set(hd.samples) == set(range(hd.d_max + 1))
         for d in range(hd.stable_from, hd.d_max + 1):
             assert evaluate(hd.fitted, d) == hd.samples[d]
+
+    def test_hilbert_imports_no_numpy_module(self):
+        # a lazily imported numpy submodule (numpy.ma, say) is paid inside
+        # the first call of every process
+        code = textwrap.dedent(
+            """\
+            import sys
+            from cjt.kemod import builtin, omega
+            from cjt.thetasheaf import hilbert
+            M = omega(builtin("trivial", 2, 2), 2)
+            before = set(sys.modules)
+            hilbert(M, 1)
+            print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+            """
+        )
+        src = str(Path(thetasheaf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestHilbertNumerator:
