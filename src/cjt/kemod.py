@@ -6,9 +6,10 @@ polynomial algebra k[X_1..X_r]/(X_i^p); it is local and self-injective,
 with one-dimensional socle spanned by z = prod X_i^(p-1).
 
 Heller shifts use minimal projective covers (kernels) and minimal
-injective hulls (cokernels).  A map out of kE^b is fixed by the images
-of its b generators (hom_from_free).  A map into kE^s is fixed by s
-linear functionals through the nondegenerate trace pairing
+injective hulls (cokernels), each a HellerStep cached on the module it
+starts from, with no free module kept.  A map out of kE^b is fixed by
+the images of its b generators (hom_from_free).  A map into kE^s is
+fixed by s linear functionals through the nondegenerate trace pairing
 <u, v> = coefficient of z in u*v, which identifies Hom(M, kE) with the
 linear dual of M (hom_to_free).  Choosing the functionals is one solve:
 a left inverse on the socle for a hull, and an n x n system for the
@@ -770,24 +771,24 @@ def free_module(p, r, copies) -> KEModule:
 
 
 @dataclasses.dataclass(frozen=True)
-class CoverData:
-    """Minimal projective cover kE^b ->> M and its kernel."""
+class HellerStep:
+    """0 -> sub -> kE^b -> quotient -> 0: at once the projective cover of
+    quotient and the injective hull of sub, its maps as uint8 matrices.
+    The free middle is rebuilt on request, never kept."""
 
-    free: KEModule
-    cover: ModuleHom  # kE^b -> M, surjective
-    kernel: KEModule  # Omega M
-    inclusion: ModuleHom  # Omega M -> kE^b
-    generators: tuple  # coordinate indices of M whose classes generate M/JM
+    sub: KEModule
+    quotient: KEModule
+    incl: np.ndarray  # sub -> kE^b, injective
+    proj: np.ndarray  # kE^b -> quotient, surjective
 
+    def __post_init__(self):
+        self.incl.setflags(write=False)
+        self.proj.setflags(write=False)
 
-@dataclasses.dataclass(frozen=True)
-class HullData:
-    """Minimal injective hull M >-> kE^s and its cokernel."""
-
-    free: KEModule
-    hull: ModuleHom  # M -> kE^s, injective
-    cokernel: KEModule  # Omega^{-1} M
-    projection: ModuleHom  # kE^s -> Omega^{-1} M
+    @property
+    def free(self) -> KEModule:
+        p, r = self.sub.p, self.sub.r
+        return free_module(p, r, self.incl.shape[0] // p**r)
 
 
 def submodule(M: KEModule, columns) -> tuple[KEModule, ModuleHom]:
@@ -814,47 +815,50 @@ def quotient_module(M: KEModule, columns) -> tuple[KEModule, ModuleHom, np.ndarr
     sec = np.zeros((M.n, len(C)), dtype=np.uint8)
     for k, c in enumerate(C):
         sec[c, k] = 1
-    Q_X = [matmul_p(proj, matmul_p(A, sec, p), p) for A in M.X]
+    Q_X = [matmul_p(proj, A[:, C], p) for A in M.X]  # A sec = A[:, C]
     Q = KEModule(p, M.r, Q_X, validate=False)
     return Q, ModuleHom(M, Q, proj, validate=False), sec
 
 
-def projective_cover(M: KEModule) -> CoverData:
+def minimal_generators(M: KEModule) -> list:
+    """Coordinate indices of M whose classes form a basis of M/JM."""
+    _, gens, _ = _column_complement(radical_basis(M), M.n, M.p)
+    return gens
+
+
+def projective_cover(M: KEModule) -> HellerStep:
+    """0 -> Omega M -> kE^b -> M -> 0, b the number of minimal generators."""
     key = "cover"
     if key in M._cache:
         return M._cache[key]
     p = M.p
-    rad = radical_basis(M)
-    _, gens, _ = _column_complement(rad, M.n, p)
-    P = free_module(p, M.r, len(gens))
+    gens = minimal_generators(M)
     cover = hom_from_free(M, np.eye(M.n, dtype=np.uint8)[:, gens])
-    cov = ModuleHom(P, M, cover, validate=False)
     K = gfalg.kernel_p(cover, p)
-    OmegaM, incl = submodule(P, K)
+    OmegaM, incl = submodule(free_module(p, M.r, len(gens)), K)
     OmegaM.constant_by_construction = M.constant_by_construction
-    data = CoverData(P, cov, OmegaM, incl, tuple(gens))
-    M._cache[key] = data
-    return data
+    step = HellerStep(OmegaM, M, incl.matrix, cover)
+    M._cache[key] = step
+    return step
 
 
-def injective_hull(M: KEModule) -> HullData:
+def injective_hull(M: KEModule) -> HellerStep:
+    """0 -> M -> kE^s -> Omega^{-1} M -> 0, s the dimension of the socle."""
     key = "hull"
     if key in M._cache:
         return M._cache[key]
     p = M.p
     soc = socle_basis(M)
     s = soc.shape[1]
-    I = free_module(p, M.r, s)
     # functionals f_j with f_j(t_l) = delta_jl, via a deterministic left inverse
     F = gfalg.solve_p(soc.T, np.eye(s, dtype=np.uint8), p)
     assert F is not None
-    hull_mat = hom_to_free(M, F.T)
-    hull = ModuleHom(M, I, hull_mat, validate=False)
-    Q, proj, _ = quotient_module(I, hull_mat)
+    hull = hom_to_free(M, F.T)
+    Q, proj, _ = quotient_module(free_module(p, M.r, s), hull)
     Q.constant_by_construction = M.constant_by_construction
-    data = HullData(I, hull, Q, proj)
-    M._cache[key] = data
-    return data
+    step = HellerStep(M, Q, hull, proj.matrix)
+    M._cache[key] = step
+    return step
 
 
 def omega(M: KEModule, n: int, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
@@ -866,7 +870,7 @@ def omega(M: KEModule, n: int, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
     """
     cap(M.p**M.r, "group algebra", max_dim)
     for _ in range(abs(n)):
-        M = projective_cover(M).kernel if n > 0 else injective_hull(M).cokernel
+        M = projective_cover(M).sub if n > 0 else injective_hull(M).quotient
         cap(M.n, "Heller shift", max_dim)
     return M
 

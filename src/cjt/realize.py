@@ -6,10 +6,12 @@ Each variable Y_i corresponds to a distinguished cohomology class of E:
 a degree-one class for p = 2 and its degree-two Bockstein for odd p.
 A cocycle is a plain ModuleHom between the Heller-shift models of the
 trivial module that StableModels keeps: a monomial composes generator
-cocycles shifted along the chain.  A shift toward deeper models lifts
-the images of the free generators through the projective covers; a
-shift the other way extends socle rows along the hull inclusions, since
-a map into a free module is the trace-pairing map of its socle rows.
+cocycles shifted along the chain.  Neighbouring models are linked by the
+exact sequence omega cached between them (kemod.HellerStep), whose free
+middle is a projective cover and an injective hull at once.  A shift
+toward deeper models lifts the images of the free generators through
+proj; a shift the other way extends socle rows along incl, since a map
+into a free module is the trace-pairing map of its socle rows.
 Either way only those columns or rows are solved for.  The resolution
 matrices become maps between sums of shifts, and mapping cones
 (computed in the stable category as cokernels into injective hulls)
@@ -38,6 +40,7 @@ from .kemod import (
     DEFAULT_MAX_DIM,
     ConstantSoFar,
     Falsified,
+    HellerStep,
     KEModule,
     ModuleHom,
     ResourceCapError,
@@ -51,6 +54,7 @@ from .kemod import (
     hom_from_free,
     hom_to_free,
     injective_hull,
+    minimal_generators,
     omega,
     projective_cover,
     quotient_module,
@@ -210,30 +214,14 @@ def koszul_tail_spec(p: int, r: int) -> ResolutionSpec:
 # the canonical chain of Heller shifts of k, and cocycles between its models
 
 
-@dataclasses.dataclass(frozen=True)
-class ShiftPair:
-    """Exact sequence 0 -> model(j) -> free -> model(j-1) -> 0.
-
-    The middle is free, hence both a projective cover of model(j-1) and
-    an injective hull of model(j): one sequence serves lifting in both
-    directions.  Going up, a map into the free middle is fixed by the
-    images of the generator columns of proj; going down, a map out of it
-    into a free module is fixed by its socle rows (kemod.hom_to_free).
-    """
-
-    free: KEModule
-    incl: ModuleHom  # model(j) -> free
-    proj: ModuleHom  # free -> model(j-1)
-
-
 class StableModels:
     """Explicit models of the Heller shifts of k, doubly linked.
 
-    The chain itself is kemod.omega's: model(j) is Omega^j k, and the
-    linking sequences are the covers and hulls omega caches on the way.
-    Cocycles are ModuleHoms between these models; the caches on the
-    cocycle methods live as long as the instance, which stable_models
-    keeps for the whole process.
+    The chain itself is kemod.omega's: model(j) is Omega^j k, and pair(j),
+    the sequence 0 -> model(j) -> kE^b -> model(j-1) -> 0, is the very
+    cover or hull omega cached on the way.  Cocycles are ModuleHoms between
+    these models; the caches on the cocycle methods live as long as the
+    instance, which stable_models keeps for the whole process.
     """
 
     def __init__(self, p, r, max_dim=DEFAULT_MAX_DIM):
@@ -247,14 +235,12 @@ class StableModels:
     def model(self, j: int) -> KEModule:
         return omega(self.k, j, self.max_dim)
 
-    def pair(self, j: int) -> ShiftPair:
+    def pair(self, j: int) -> HellerStep:
         """The linking sequence between model(j) and model(j-1)."""
         self.model(j if j >= 1 else j - 1)  # builds and caps both ends
         if j >= 1:
-            data = projective_cover(self.model(j - 1))
-            return ShiftPair(data.free, data.inclusion, data.cover)
-        data = injective_hull(self.model(j))
-        return ShiftPair(data.free, data.hull, data.projection)
+            return projective_cover(self.model(j - 1))
+        return injective_hull(self.model(j))
 
     # -- chain maps
 
@@ -262,14 +248,14 @@ class StableModels:
         """model(src+1) -> model(tgt+1) lifting f: model(src) -> model(tgt)."""
         pair_s, pair_t = self.pair(src + 1), self.pair(tgt + 1)
         q = group_algebra(self.p, self.r).q
-        gen_cols = pair_s.proj.matrix[:, ::q]  # images of the free generators
+        gen_cols = pair_s.proj[:, ::q]  # images of the free generators
         rhs = matmul_p(f.matrix, gen_cols, self.p)
-        V = gfalg.solve_p(pair_t.proj.matrix, rhs, self.p)
+        V = gfalg.solve_p(pair_t.proj, rhs, self.p)
         if V is None:
             raise NoSolutionError("projective lift failed")
         F = hom_from_free(pair_t.free, V)
-        restricted = matmul_p(F, pair_s.incl.matrix, self.p)
-        Z = gfalg.solve_p(pair_t.incl.matrix, restricted, self.p)
+        restricted = matmul_p(F, pair_s.incl, self.p)
+        Z = gfalg.solve_p(pair_t.incl, restricted, self.p)
         if Z is None:
             raise NoSolutionError("lift does not preserve kernels")
         return ModuleHom(self.model(src + 1), self.model(tgt + 1), Z, validate=False)
@@ -284,14 +270,12 @@ class StableModels:
         """
         pair_s, pair_t = self.pair(src), self.pair(tgt)
         q = group_algebra(self.p, self.r).q
-        rhs = matmul_p(pair_t.incl.matrix, f.matrix, self.p)  # A_src -> F_tgt
-        L = gfalg.solve_p(pair_s.incl.matrix.T, rhs[q - 1 :: q].T, self.p)
+        rhs = matmul_p(pair_t.incl, f.matrix, self.p)  # A_src -> F_tgt
+        L = gfalg.solve_p(pair_s.incl.T, rhs[q - 1 :: q].T, self.p)
         G = hom_to_free(pair_s.free, L.T)  # G incl_s = incl_t f
         # induced map on cokernels: h proj_s = proj_t G
-        lhs = matmul_p(pair_t.proj.matrix, G, self.p)
-        H = gfalg.solve_p(
-            pair_s.proj.matrix.T.copy(), lhs.T.copy(), self.p
-        )
+        lhs = matmul_p(pair_t.proj, G, self.p)
+        H = gfalg.solve_p(pair_s.proj.T.copy(), lhs.T.copy(), self.p)
         if H is None:
             raise NoSolutionError("cokernel descent failed")
         return ModuleHom(
@@ -329,21 +313,20 @@ class StableModels:
             raise InputError(f"generator index must be in 1..r, got {i}")
         p, r = self.p, self.r
         kE = group_algebra(p, r)
-        incl1 = self.pair(1).incl.matrix  # Omega k -> kE coordinates
+        incl1 = self.pair(1).incl  # Omega k -> kE coordinates
         x_i = kE.index[tuple(int(t == i - 1) for t in range(r))]
         if p == 2:
             mat = incl1[[x_i]]
         else:
-            data1 = projective_cover(self.model(1))
             target = next(
-                (t for t, g in enumerate(data1.generators)
+                (t for t, g in enumerate(minimal_generators(self.model(1)))
                  if np.flatnonzero(incl1[:, g]).tolist() == [x_i]),
                 None,
             )
             if target is None:
                 raise AssertionError("cover generators do not include X_i")
             top = kE.index[tuple((p - 1) * int(t == i - 1) for t in range(r))]
-            mat = data1.inclusion.matrix[[target * kE.q + top]]
+            mat = self.pair(2).incl[[target * kE.q + top]]
         hom = ModuleHom(self.model(self.eps), self.model(0), mat, validate=True)
         if not self.is_stably_nonzero(hom):
             raise AssertionError("generator cocycle is stably trivial")
@@ -394,20 +377,24 @@ def _extend_over_hull(phi: ModuleHom):
     A, target = phi.source, phi.target
     p, n_t = A.p, target.n
     q = group_algebra(p, A.r).q
-    hull = injective_hull(A).hull.matrix
+    hull = injective_hull(A).incl
     s = hull.shape[0] // q
-    gens = list(projective_cover(A).generators)  # a minimal generating set of A
+    gens = minimal_generators(A)
     H = hull[:, gens].reshape(s, q, len(gens))
-    nbytes = 4 * len(gens) * n_t * s * n_t  # the int32 system, before allocating it
+    # bytes at the peak, counted before allocating: the (q, n_t, n_t) monomial
+    # stack beside the int32 system, then that system beside its uint8 copy
+    nbytes = q * n_t * n_t + 5 * len(gens) * n_t * s * n_t
     if nbytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceCapError(
-            f"hull extension system of {nbytes >> 20} MB above the memory "
-            f"budget of {DEFAULT_MEMORY_BUDGET >> 20} MB"
+            f"hull extension system of {nbytes >> 20} MB at its peak above the "
+            f"memory budget of {DEFAULT_MEMORY_BUDGET >> 20} MB"
         )
-    acts = apply_monomials(target.X, np.eye(n_t, dtype=np.uint8), p)
     # unknowns u[(j, tau)] = coordinate tau of the image of generator j;
-    # every entry is a sum of q products below p^2, so int32 holds it
+    # every entry is a sum of q products below p^2, so int32 holds it.  The
+    # monomial stack is freed as soon as the system is built
+    acts = apply_monomials(target.X, np.eye(n_t, dtype=np.uint8), p)
     sys = np.einsum("jwg,wab->gajb", H, acts, dtype=np.int32)
+    del acts
     sys %= p
     # one contiguous uint8 copy, so the int32 system is freed before solve_p
     sys = sys.astype(np.uint8, order="C").reshape(len(gens) * n_t, s * n_t)
@@ -438,7 +425,7 @@ def cone(f: ModuleHom) -> ConeResult:
     A, B = f.source, f.target
     hull = injective_hull(A)
     D = direct_sum(B, hull.free)
-    G = np.vstack([f.matrix, hull.hull.matrix])
+    G = np.vstack([f.matrix, hull.incl])
     C, _, sec = quotient_module(D, G)
     C.constant_by_construction = (
         A.constant_by_construction and B.constant_by_construction
@@ -590,7 +577,7 @@ def realize_bundle(
         for i in range(L - 1, -1, -1):
             A, B = f_cur.source, f_cur.target
             # (f, hull) is injective, so the cone has dimension B + I(A) - A
-            cap(B.n + injective_hull(A).free.n - A.n, "cone", max_dim)
+            cap(B.n + injective_hull(A).incl.shape[0] - A.n, "cone", max_dim)
             cres = cone(f_cur)
             report.cone_dims.append(cres.module.n)
             stripped, a, incl = strip_free_with_inclusion(cres.module)

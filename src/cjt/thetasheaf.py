@@ -328,27 +328,31 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
 
     Computed from dim(Ker X n Im X^i) = dim Ker X + dim Im X^i - rank[K | W_i]
     rather than from the Jordan-type rank formula, so the two routes check
-    each other.  K is a kernel basis of X = X_alpha, W_i the pivot columns
-    of X^i, all over GF(p) with each GF(p^e) entry of X_alpha replaced by
-    its e x e companion block.  Kernels, images and their intersections
-    under a GF(p^e)-linear map are GF(p^e)-subspaces, so each dimension
-    over GF(p) is exactly e times the one over GF(p^e).
+    each other.  X = X_alpha is B over GF(p), each GF(p^e) entry replaced by
+    its e x e companion block; K is a kernel basis and W_i, as in
+    jordan_type_at, the pivot columns of B W_{i-1}.  Only 0 < i < p is
+    eliminated: the meet is Ker X at i = 0 and 0 at i = p.  Kernels, images
+    and their intersections under a GF(p^e)-linear map are GF(p^e)-subspaces,
+    so each dimension over GF(p) is exactly e times the one over GF(p^e).
     """
     ctx = alpha.ctx
     p, e = M.p, ctx.e
     B = gfalg.blocked_over_prime(ctx, x_alpha(M, alpha).array)
     K = gfalg.kernel_p(B, p)
     kerdim = K.shape[1]
-    meets = []
-    Bi = np.eye(B.shape[0], dtype=np.uint8)
-    for i in range(p + 1):
-        if i:
-            Bi = matmul_p(B, Bi, p)
-        _, pivots = gfalg.echelon_p(Bi, p)
-        stacked = np.hstack([K, Bi[:, pivots]])
-        meet = kerdim + len(pivots) - gfalg.rank_p(stacked, p)
+    assert kerdim % e == 0
+    meets = [kerdim // e] + [0] * p
+    W = B
+    for i in range(1, p):
+        if i > 1:
+            W = matmul_p(B, W, p)
+        _, pivots = gfalg.echelon_p(W, p)
+        if not pivots:
+            break
+        W = W[:, pivots]
+        meet = kerdim + len(pivots) - gfalg.rank_p(np.hstack([K, W]), p)
         assert meet % e == 0
-        meets.append(meet // e)
+        meets[i] = meet // e
     dims = tuple(meets[i - 1] - meets[i] for i in range(1, p + 1))
     return FiberReport(alpha, dims)
 

@@ -733,6 +733,55 @@ class TestFuzzedFlags:
             assert err.startswith("error: " if code == 2 else "failure: ")
 
 
+class TestFuzzedVerify:
+    """verify on fuzzed suites, pairs and flags; --p and --r always come
+    together, so all never runs the four default pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        suite=st.sampled_from(("all",) + suites.SUITES),
+        pair=st.sampled_from(
+            [("2", "2"), ("2", "3"), ("3", "2"), ("5", "2"), ("2", "1"), ("3", "1")]
+            + [("4", "2"), ("2", "0"), ("0", "3"), ("-2", "2"), ("13", "5"), ("x", "2")]
+        ),
+        max_dim=st.sampled_from(["150", "60", "150", "10", "x", "-1"]),
+        data=st.data(),
+    )
+    def test_verify_on_fuzzed_flags(self, suite, pair, max_dim, data):
+        argv = ["verify", suite, "--p", pair[0], "--r", pair[1], f"--max-dim={max_dim}"]
+
+        def mostly(good):
+            bad = st.sampled_from(["", "x", "1.5", "0x10", str(2**70)])
+            return st.one_of(good.map(str), good.map(str), good.map(str), bad)
+
+        # --n stays small: a long Heller chain at r = 1 never reaches the cap
+        for flag, values in (
+            ("--module", builtin_refs()),
+            ("--n", mostly(st.integers(-3, 4))),
+            ("--samples", mostly(st.integers(-1, 20))),
+            ("--field-ext", mostly(st.integers(0, 5))),
+            ("--seed", mostly(st.integers(-5, 5))),
+        ):
+            if data.draw(st.integers(0, 3)) == 0:
+                argv.append(f"{flag}={data.draw(values)}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "", argv
+        elif code == 1 and not err:
+            passed, total = re.fullmatch(
+                r"(\d+)/(\d+) cases passed", out.splitlines()[-1]
+            ).groups()
+            assert int(passed) < int(total), argv
+        else:
+            assert err.count("\n") == 1, argv
+            assert err.startswith("error: " if code == 2 else "failure: "), argv
+
+
 MODULE_FLAGS = {"--p", "--r", "--max-dim"}
 SAMPLING_FLAGS = {"--seed", "--samples", "--field-ext"}
 COMMON_FLAGS = MODULE_FLAGS | SAMPLING_FLAGS | {"--degree-cap"}

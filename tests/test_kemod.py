@@ -22,7 +22,9 @@ from cjt.kemod import (
     QUADRATIC_CAP,
     ConstantSoFar,
     Falsified,
+    HellerStep,
     JordanType,
+    KEModule,
     ModuleError,
     ModuleHom,
     ResourceCapError,
@@ -38,6 +40,7 @@ from cjt.kemod import (
     dual,
     injective_hull,
     jordan_type_at,
+    minimal_generators,
     new_module,
     omega,
     projective_cover,
@@ -665,10 +668,20 @@ class TestOmega:
         Z.constant_by_construction = True
         cover, hull = projective_cover(Z), injective_hull(Z)
         assert cover.free.n == hull.free.n == 0
-        for end in (cover.kernel, hull.cokernel):
+        for end in (cover.sub, hull.quotient):
             assert end.n == 0 and end.constant_by_construction
-        for hom in (cover.cover, cover.inclusion, hull.hull, hull.projection):
-            assert hom.matrix.shape == (0, 0)
+        for mat in (cover.incl, cover.proj, hull.incl, hull.proj):
+            assert mat.shape == (0, 0)
+
+    def test_no_step_of_the_chain_keeps_a_free_module(self):
+        k = builtin("trivial", 2, 2)
+        chain = [omega(k, j) for j in range(-4, 5)]
+        for M in chain:
+            for step in M._cache.values():
+                if isinstance(step, HellerStep):
+                    kept = [v for v in vars(step).values() if isinstance(v, KEModule)]
+                    assert all(any(v is N for N in chain) for v in kept)
+                    assert step.free is not step.free  # rebuilt on each request
 
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
     def test_omega_negative_then_positive(self, p, r):
@@ -754,22 +767,23 @@ class TestCoverHull:
         data = projective_cover(M)
         from cjt.gfalg import rank_p
 
-        assert rank_p(data.cover.matrix, 3) == M.n
-        assert data.free.n == 9  # one generator
+        assert rank_p(data.proj, 3) == M.n
+        assert minimal_generators(M) == [0]  # the class of 1
+        assert data.free.n == 9
 
     def test_hull_is_injective_hom(self):
         M = builtin("zigzag", 2, 2, n=2)
         data = injective_hull(M)
         from cjt.gfalg import rank_p
 
-        assert rank_p(data.hull.matrix, 2) == M.n
+        assert rank_p(data.incl, 2) == M.n
         # socle of zigzag(2) is spanned by w_1, w_2
         assert data.free.n == 2 * 4
 
     def test_hull_commutes(self):
         M = builtin("rad_quotient", 3, 2, m=3)
         data = injective_hull(M)
-        ModuleHom(M, data.free, data.hull.matrix)  # validates
+        ModuleHom(M, data.free, data.incl)  # validates
 
 
 class TestModuleHom:
@@ -783,7 +797,7 @@ class TestModuleHom:
     def test_composition(self):
         M = builtin("rad_quotient", 2, 2, m=2)
         data = projective_cover(M)
-        comp = data.cover @ ModuleHom(
-            data.kernel, data.free, data.inclusion.matrix, validate=False
-        )
+        P = data.free
+        cover = ModuleHom(P, M, data.proj, validate=False)
+        comp = cover @ ModuleHom(data.sub, P, data.incl, validate=False)
         assert comp.is_zero()

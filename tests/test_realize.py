@@ -80,12 +80,10 @@ class TestResolutionOfK:
             assert sm.model(j) is omega(k, j)
             pair = sm.pair(j)
             if j >= 1:
-                data = projective_cover(sm.model(j - 1))
-                want = (data.free, data.inclusion, data.cover)
+                assert pair is projective_cover(sm.model(j - 1))
             else:
-                data = injective_hull(sm.model(j))
-                want = (data.free, data.hull, data.projection)
-            assert all(a is b for a, b in zip((pair.free, pair.incl, pair.proj), want))
+                assert pair is injective_hull(sm.model(j))
+            assert pair.sub is sm.model(j) and pair.quotient is sm.model(j - 1)
 
     def test_pair_refuses_either_end_above_max_dim(self):
         sm = StableModels(2, 2, max_dim=4)
@@ -100,8 +98,7 @@ class TestResolutionOfK:
         for j in (-1, 0, 1, 2):
             pair = sm.pair(j)
             assert sm.model(j).n + sm.model(j - 1).n == pair.free.n
-            comp = pair.proj @ pair.incl
-            assert comp.is_zero()
+            assert not np.any(matmul_p(pair.proj, pair.incl, 2))
 
 
 class TestGeneratorCocycles:
@@ -198,12 +195,12 @@ class TestLiftDown:
                 pair_s, pair_t = sm.pair(src), sm.pair(tgt)
                 assert hom_commutes(pair_s.free, pair_t.free, G)
                 assert np.array_equal(
-                    matmul_p(G, pair_s.incl.matrix, p),
-                    matmul_p(pair_t.incl.matrix, f.matrix, p),
+                    matmul_p(G, pair_s.incl, p),
+                    matmul_p(pair_t.incl, f.matrix, p),
                 )
                 assert np.array_equal(
-                    matmul_p(h.matrix, pair_s.proj.matrix, p),
-                    matmul_p(pair_t.proj.matrix, G, p),
+                    matmul_p(h.matrix, pair_s.proj, p),
+                    matmul_p(pair_t.proj, G, p),
                 )
                 assert h.source is sm.model(src - 1) and h.target is sm.model(tgt - 1)
                 assert hom_commutes(h.source, h.target, h.matrix)
@@ -274,7 +271,7 @@ class TestCone:
         A = builtin("trivial", 3, 2)
         B = builtin("rad_quotient", 3, 2, m=2)
         res = cone(ModuleHom(A, B, np.zeros((3, 1)), validate=False))
-        om = injective_hull(A).cokernel
+        om = injective_hull(A).quotient
         assert res.module.n == B.n + om.n
         for pt in projective_points(3, 2):
             assert (
@@ -291,7 +288,7 @@ class TestCone:
         res = cone(c)
         A, B = c.source, c.target
         I = injective_hull(A).free
-        om_inv = injective_hull(A).cokernel
+        om_inv = injective_hull(A).quotient
         for pt in projective_points(2, 2) + projective_points(2, 2, 2):
             tA = jordan_type_at(A, pt)
             tB = jordan_type_at(B, pt)
@@ -429,10 +426,10 @@ class TestRealize:
         assert rep.cone_dims == [9, 4] and M.n == 0
 
     def test_hull_extension_system_refused_before_it_is_allocated(self):
-        # at (2, 4) the int32 system for the generator cocycle shifted n steps
-        # down is 329 MB at n = 5 and 2220 MB at n = 6; the child's address
-        # space stops at 2 GiB, so allocating the n = 6 system would end in a
-        # MemoryError instead of the refusal
+        # at (2, 4) the extension system for the generator cocycle shifted n
+        # steps down peaks at 413 MB at n = 5 and 2780 MB at n = 6; the
+        # child's address space stops at 2 GiB, so allocating the n = 6
+        # system would end in a MemoryError instead of the refusal
         code = textwrap.dedent(
             """\
             import resource
@@ -455,9 +452,29 @@ class TestRealize:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "hull extension system of 2220 MB above the memory budget of 512 MB\n"
+            "hull extension system of 2780 MB at its peak above the memory "
+            "budget of 512 MB\n"
             "True\n"
         )
+
+    def test_hull_extension_budget_bounds_its_peak(self, monkeypatch):
+        # three steps down at (2, 4) the extension system peaks at 2.5 MB;
+        # the bytes the budget counts are at least that peak, and not twice it
+        sm = StableModels(2, 4)
+        f = sm.shift(sm.generator_cocycle(1), 1, 0, -3)
+        injective_hull(f.source)
+        tracemalloc.start()
+        try:
+            assert realize._extend_over_hull(f) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 2 << 20
+        monkeypatch.setattr(realize, "DEFAULT_MEMORY_BUDGET", 2 * peak)
+        assert realize._extend_over_hull(f) is None
+        monkeypatch.setattr(realize, "DEFAULT_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ResourceCapError, match="at its peak"):
+            realize._extend_over_hull(f)
 
     def test_report_contents(self):
         M, rep = realize_bundle(euler_spec(2, 3), plan=SamplingPlan(extra=60))

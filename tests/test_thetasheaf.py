@@ -11,7 +11,15 @@ import pytest
 from math import comb
 from operator import le
 
-from cjt.gfalg import SUPPORTED_PRIMES, build_field, echelon_p
+from cjt.gfalg import (
+    SUPPORTED_PRIMES,
+    blocked_over_prime,
+    build_field,
+    echelon_p,
+    kernel_p,
+    matmul_p,
+    rank_p,
+)
 from cjt.kemod import (
     DEFAULT_MAX_DIM,
     Point,
@@ -22,6 +30,7 @@ from cjt.kemod import (
     new_module,
     omega,
     projective_points,
+    x_alpha,
 )
 from cjt.polyd import binomial_poly, evaluate, fit_integer_samples
 from cjt import thetasheaf
@@ -41,10 +50,12 @@ from cjt.thetasheaf import (
     hilbert,
     monomials,
     mult_map,
+    prefetch_image_dims,
     s_dim,
     twist_shift_check,
 )
-from test_random_modules import zoo
+from cjt.suites import _battery
+from test_random_modules import conjugate, zoo
 
 
 def battery():
@@ -58,6 +69,19 @@ def battery():
         ("perm1(3,2)", builtin("perm", 3, 2, i=1)),
         ("Omega k(2,2)", omega(builtin("trivial", 2, 2), 1)),
     ]
+
+
+def past_certificate_battery():
+    """verify's battery at (2, 2), (3, 2) and (2, 3), and Omega^2 k at (3, 2)
+    in a random basis."""
+    mods = [
+        (f"{name}({p},{r})", M)
+        for p, r in ((2, 2), (3, 2), (2, 3))
+        for name, M in _battery(p, r)
+    ]
+    omega2 = omega(builtin("trivial", 3, 2), 2)
+    mods.append(("conjugated omega2(3,2)", conjugate(omega2, np.random.default_rng(2))))
+    return mods
 
 
 def counted(leading, r, d):
@@ -176,6 +200,39 @@ class TestFiber:
                 pts.append(Point(ctx, coords))
         for pt in pts:
             assert fiber(M, pt).dims == jordan_type_at(M, pt).a, name
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (5, 2)])
+    def test_fiber_matches_full_powers(self, p, r):
+        # the meets from every power B^i formed in full, 0 <= i <= p, with
+        # fiber's intersection formula
+        def full_power_dims(M, alpha):
+            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha).array)
+            K = kernel_p(B, p)
+            Bi = np.eye(B.shape[0], dtype=np.uint8)
+            meets = []
+            for i in range(p + 1):
+                if i:
+                    Bi = matmul_p(B, Bi, p)
+                meet = K.shape[1] + rank_p(Bi, p) - rank_p(np.hstack([K, Bi]), p)
+                assert meet % alpha.ctx.e == 0
+                meets.append(meet // alpha.ctx.e)
+            return tuple(meets[i - 1] - meets[i] for i in range(1, p + 1))
+
+        rng = random.Random(p * 10 + r)
+        nprng = np.random.default_rng(p * 10 + r)
+        points = projective_points(p, r)
+        for e in (2, 3, 4):
+            ctx = build_field(p, e)
+            points += [
+                Point(ctx, tuple(rng.randrange(1, ctx.q) for _ in range(r)))
+                for _ in range(2)
+            ]
+        battery = dict(_battery(p, r))
+        for name in ("radq2", "omega-2"):
+            battery[f"conjugated {name}"] = conjugate(battery[name], nprng)
+        for name, M in battery.items():
+            for pt in points:
+                assert fiber(M, pt).dims == full_power_dims(M, pt), (name, str(pt))
 
     def test_fiber_dims_bounded_by_dim(self):
         M = builtin("zigzag", 3, 2, n=3)
@@ -422,6 +479,15 @@ class TestChecks:
     @pytest.mark.parametrize("name,M", battery())
     def test_filtration(self, name, M):
         assert filtration_check(M, range(0, 6)), name
+
+    @pytest.mark.parametrize("name,M", past_certificate_battery())
+    def test_twist_shift_past_the_certificate(self, name, M):
+        # the closed form against the explicit kernels and images in the two
+        # degrees from T on, T the largest degree any image of theta^a certifies
+        T = max(T for T, _ in prefetch_image_dims(M, range(M.p + 1)))
+        for i in range(1, M.p + 1):
+            for j in range(i):
+                assert twist_shift_check(M, i, j, range(T, T + 2)), (name, T, i, j)
 
     def test_twist_shift_catches_a_corrupted_rank(self, monkeypatch):
         # graded_dim(M, i, j, d) depends on j only through d - i + j, so a
