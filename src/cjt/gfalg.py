@@ -26,16 +26,23 @@ GF(p^e) has one representation.
 
 Many matrices of one shape go through ``stacked_pivots``, one loop over
 the GF(p^e) columns for the whole stack, which returns each matrix's
-GF(p^e) pivot columns; the constancy sampler uses it.  Its entries are
-digit vectors, and a row operation applies e x e matrices over GF(p)
-from the per-field table ``FieldCtx.matrix_table`` to them.  So its loop
-runs once per GF(p^e) column, not e times as on the blocked matrix, and
-each entry it updates is e digits, not e^2 blocked cells.  At e = 1 it
-is plain elimination over GF(p).
+GF(p^e) pivot columns; the constancy sampler uses it, and builds its
+stacks in digit form too, never blocked.  Its entries are digit vectors,
+and a row operation applies e x e matrices over GF(p) from the per-field
+table ``FieldCtx.matrix_table`` to them.  So its loop runs once per
+GF(p^e) column, not e times as on the blocked matrix, and each entry it
+updates is e digits, not e^2 blocked cells.  At e = 1 it is plain
+elimination over GF(p).
+
+Products of residues run as float BLAS products, exact while every sum
+is an integer below 2^24 in float32 (2^53 in float64).  ``matmul_p``
+reduces its float64 products through int64; ``reduce_p`` reduces a float
+array in place with elementwise float operations, exact below 2^22 in
+float32, several times faster than an integer remainder.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
-construction; every function here is pure.
+construction; every function here but ``reduce_p`` is pure.
 """
 
 from __future__ import annotations
@@ -565,6 +572,23 @@ def matmul_p(A, B, p):
     else:
         C = A.astype(np.int64) @ B.astype(np.int64)
     return (C % p).astype(np.uint8)
+
+
+def reduce_p(x, p):
+    """x mod p in place, x a float32 array of integers in [0, 2^22) or a
+    float64 one of integers in [0, 2^51); returns x.
+
+    floor(x / p) is taken as floor((x + 1/2) * (1/p)): (x + 1/2) / p lies at
+    least 1/(2p) from every integer, and the two roundings move it by less
+    than that below those bounds.  Elementwise float operations, several
+    times faster than integer remainder.
+    """
+    q = x + 0.5
+    q *= 1 / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
 def matpow_p(A, k, p):

@@ -37,8 +37,9 @@ QUADRATIC_CAP = 10_000
 EXTRA_CAP = 10_000
 # extension degrees of the seeded-random points, before max_ext_degree caps them
 EXTRA_DEGREES = (2, 3, 4)
-# most uint8 cells in one stack of blocked X_alpha that check_constant eliminates
-STACK_CELLS = 2**19
+# most float cells (1 MB in float32) one stack of check_constant's sampler
+# holds at once: e n max(2 n, 4 rank X_alpha) per point over GF(p^e)
+STACK_CELLS = 2**18
 # largest module dimension omega and realize_bundle build by default
 DEFAULT_MAX_DIM = 5000
 
@@ -172,7 +173,7 @@ class KEModule:
         return f"<KEModule p={self.p} r={self.r} dim={self.n}>"
 
 
-def _check_algebra(p, r):
+def check_algebra(p, r):
     """Refuse (p, r) unless p is a supported prime and r >= 1."""
     if p not in gfalg.SUPPORTED_PRIMES:
         raise ModuleError(
@@ -184,7 +185,7 @@ def _check_algebra(p, r):
 
 def new_module(p, r, X) -> KEModule:
     """Validated module from explicit action matrices."""
-    _check_algebra(p, r)
+    check_algebra(p, r)
     return KEModule(p, r, X)
 
 
@@ -302,7 +303,7 @@ def hom_commutes(source, target, M) -> bool:
 
 def builtin(kind: str, p: int, r: int, **params) -> KEModule:
     """Named module: trivial, regular, rad_quotient(m), perm(i), zigzag(n)."""
-    _check_algebra(p, r)
+    check_algebra(p, r)
     if kind == "trivial":
         return KEModule(
             p, r, [np.zeros((1, 1))] * r, validate=False, constant_by_construction=True
@@ -556,43 +557,84 @@ def _orbit_representatives(points):
             yield pt
 
 
+def _digit_stack(X, points):
+    """X_alpha of each point, all over one field, as a (b, n, n, e) uint8
+    stack of digit vectors: [t, i, j] holds the digits of X_alpha[i, j] at
+    points[t].  X is the module's (r, n, n) actions as floats.
+
+    The X_s have entries in GF(p), so digit k of X_alpha is
+    sum_s digit_k(lambda_s) X_s mod p: one product of the (n^2, r) actions
+    with the points' (b, r, e) coordinate digits, e n^2 cells per point.
+    """
+    ctx = points[0].ctx
+    r, n, _ = X.shape
+    digits = ctx.digit_array([pt.coords for pt in points]).astype(X.dtype)
+    stack = gfalg.reduce_p(X.reshape(r, n * n).T @ digits, ctx.p)
+    return stack.astype(np.uint8).reshape(len(points), n, n, ctx.e)
+
+
+def _next_image(X, C, keep, cols, lam, p):
+    """Digits of X_alpha V at the points keep of a (b, n, n', e) digit
+    stack C, V holding the GF(p^e) columns cols[t] of C[keep[t]].
+
+    X_alpha V = sum_s X_s (lambda_s V).  lam[t, s] is the e x e matrix
+    taking digits(v) to digits(lambda_s v) at the point of C[t]
+    (FieldCtx.matrix_table), so lambda_s V is a product on the digits, and
+    X_s (lambda_s V) one BLAS product per action for the whole stack.
+    Returns a (len(keep), n, cols.shape[1], e) uint8 stack.
+    """
+    b, (n, e) = len(keep), C.shape[1::2]
+    V = C[keep[:, None], :, cols].transpose(0, 2, 1, 3)  # (b, n, cols, e)
+    V = V.astype(X.dtype, order="C").reshape(b, -1, e)
+    image = 0
+    for A, L in zip(X, lam[keep].transpose(1, 0, 2, 3)):
+        scaled = gfalg.reduce_p(V @ L, p).reshape(b, n, -1)
+        image += A @ scaled
+    return gfalg.reduce_p(image, p).astype(np.uint8).reshape(b, n, -1, e)
+
+
 def _rank_mismatches(M: KEModule, points, ranks):
     """Indices of the points, all over one field, whose Jordan type differs
     from the one with ranks[j] = rank X_alpha^j over GF(p^e).
 
-    The points' blocked X_alpha are built in stacks of at most STACK_CELLS
-    cells and ranked by their GF(p^e) columns with gfalg.stacked_pivots,
-    each power on the image of the one before, as in jordan_type_at.
-    Column 0 of block (i, j) holds the digits of X_alpha[i, j], so C_1, the
-    digit stack eliminated first, is a view of every block's column 0.  The
-    next image C_j = B C_{j-1}[:, P] is one matmul_p per point, with B the
-    blocked X_alpha and P the GF(p^e) pivot columns of C_{j-1}: it holds the
-    digits of X_alpha applied to a basis of Im X_alpha^(j-1), with
-    r_{j-1} columns rather than the blocked e * r_{j-1}.  A point drops out
-    at its first rank off the reference, so the points left share their
-    pivot counts, and the loop stops at the first power of reference rank
-    0: equal ranks up to there give equal types.
+    The points' X_alpha are built in digit form (_digit_stack), with no
+    companion blocks, in stacks whose widest transient fits STACK_CELLS,
+    and ranked by their GF(p^e) columns with gfalg.stacked_pivots, each
+    power on the image of the one before, as in jordan_type_at.  The next
+    image C_j = X_alpha C_{j-1}[:, P], P the GF(p^e) pivot columns of
+    C_{j-1}, holds the digits of X_alpha applied to a basis of
+    Im X_alpha^(j-1), r_{j-1} columns; _next_image forms it for every point
+    left in the stack at once.  A point drops out at its first rank off the
+    reference, so the points left share their pivot counts, and the loop
+    stops at the first power of reference rank 0: equal ranks up to there
+    give equal types.
+
+    The products run in float32 and gfalg.reduce_p reduces their sums, at
+    most r n (p-1)^2 (e (p-1)^2 on the digits), exactly below 2^22; a
+    module above that bound takes float64.
     """
     ctx = points[0].ctx
-    p, e, n = M.p, ctx.e, M.n
-    size = n * e
-    per_stack = max(1, STACK_CELLS // max(1, size * size))
+    p, e, n, r = M.p, ctx.e, M.n, M.r
+    dtype = np.float32 if r * n * (p - 1) ** 2 < 2**22 else np.float64
+    X = np.array(M.X, dtype=dtype)
+    # float cells alive at once per point: the first stack and its quotient,
+    # or four arrays of e n ranks[1] cells while the next image is formed
+    per_point = e * n * max(2 * n, 4 * ranks[1])
+    per_stack = max(1, STACK_CELLS // max(1, per_point))
     out = []
     for start in range(0, len(points), per_stack):
-        B = _blocked_x_alpha(M, points[start : start + per_stack])
-        live = np.arange(len(B))  # C[s] spans Im X_alpha^j at point start + live[s]
-        C = B[:, :, ::e]
+        stack = points[start : start + per_stack]
+        coords = np.array([pt.coords for pt in stack], dtype=np.int64)
+        lam = ctx.matrix_table[coords].astype(dtype)  # (b, r, e, e)
+        C = _digit_stack(X, stack)
+        live = np.arange(len(stack))  # C[t] spans Im X_alpha^j at point start + live[t]
         for j in range(1, p):
             if j > 1:
-                image = np.empty((keep.size, size, ranks[j - 1]), dtype=np.uint8)
-                for s, t in enumerate(keep):
-                    image[s] = matmul_p(B[live[t]], C[t][:, pivots[t]], p)
-                live, C = live[keep], image
-            # column t of C[s] holds the digits of a GF(p^e) column, entry
-            # i's at rows i*e .. i*e + e - 1
-            digits = C.reshape(len(C), n, e, C.shape[2]).transpose(0, 1, 3, 2)
-            pivots = gfalg.stacked_pivots(digits, ctx)
-            ok = np.array([len(cols) == ranks[j] for cols in pivots], dtype=bool)
+                cols = np.array([pivots[t] for t in keep])
+                C = _next_image(X, C, keep, cols, lam[live], p)
+                live = live[keep]
+            pivots = gfalg.stacked_pivots(C, ctx)
+            ok = np.array([len(found) == ranks[j] for found in pivots], dtype=bool)
             out += (start + live[~ok]).tolist()
             keep = ok.nonzero()[0]
             if ranks[j] == 0 or keep.size == 0:
@@ -610,8 +652,10 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     each orbit is evaluated; points_checked counts every point covered.
     The first points of the orbits are taken in chunks of 1, 2, 4, ...
     points; each chunk's points of one field are checked against the
-    reference ranks as stacks (_rank_mismatches), and the first failing
-    point in visit order is the witness, its type from jordan_type_at.
+    reference ranks as digit stacks (_rank_mismatches), and the first
+    failing point in visit order is the witness.  The reference and the
+    witness take their types from jordan_type_at, which ranks the
+    companion-blocked X_alpha: a route independent of the stacks.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))
@@ -866,9 +910,12 @@ def omega(M: KEModule, n: int, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
 
     Each step's cover or hull is cached on the module it starts from, so
     Omega^n M walks a chain built once.  kE, then every step, must stay
-    within max_dim.
+    within max_dim, and so must |n| before the first step: the dimensions
+    of a periodic module's shifts stay bounded and never reach the cap.
     """
     cap(M.p**M.r, "group algebra", max_dim)
+    if abs(n) > max_dim:
+        raise ResourceCapError(f"Heller shift of {abs(n)} steps above the cap {max_dim}")
     for _ in range(abs(n)):
         M = projective_cover(M).sub if n > 0 else injective_hull(M).quotient
         cap(M.n, "Heller shift", max_dim)

@@ -37,6 +37,7 @@ from .kemod import (
     SamplingPlan,
     builtin,
     cap,
+    check_algebra,
     check_constant,
     dual,
     omega,
@@ -458,6 +459,8 @@ def verify_pairs(p, r):
 
 def run_verify(names, args, out=sys.stdout):
     pairs = verify_pairs(args.p, args.r)
+    for p, r in pairs:
+        check_algebra(p, r)
     for p, r in pairs:
         cap(p**r, "group algebra", args.max_dim)
     cases = [case for name in names for case in SUITE_RUNNERS[name](pairs, args)]

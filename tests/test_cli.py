@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -477,6 +478,9 @@ class TestCommands:
             # file:<text> stands for a file holding that text)
             ["verify", "fij-shift", "--p", "4", "--r", "2"],
             ["verify", "fij-shift", "--p", "2", "--r", "0"],
+            # refused before the p^r cap and before any suite runs
+            ["verify", "main-theorem", "--p", "0", "--r", "3", "--max-dim", "150"],
+            ["verify", "omega2", "--p", "4", "--r", "2", "--max-dim", "10"],
             # refused as unsupported before --max-dim sees 4^7 > 5000
             ["jordan-type", "builtin:regular", "--p", "4", "--r", "7"],
             ["realize", "file:0 2 1\nlevel 0: 0\nlevel 1: -1\nmap 1\n1 1 : 1 1 0\n"],
@@ -557,10 +561,17 @@ class TestCommands:
             ["omega", "2", "builtin:trivial", "--p", "2", "--r", "2", "--max-dim", "4"],
             ["tensor", "builtin:radq2", "builtin:radq2", "--p", "2", "--r", "2",
              "--max-dim", "8"],
+            # Heller chains longer than the cap; perm1's shifts and every
+            # module's at r = 1 stay small, so no dimension cap would stop them
+            ["omega", "100000000", "builtin:perm1", "--p", "2", "--r", "2"],
+            ["verify", "omegank", "--p", "2", "--r", "1", "--n", "100000000",
+             "--max-dim", "150"],
         ],
     )
     def test_max_dim_refused_exit_1(self, argv, capsys):
+        start = time.perf_counter()
         code, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1
         assert code == 1
         assert err.startswith("failure: ") and err.count("\n") == 1
         assert "Traceback" not in err

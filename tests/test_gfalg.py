@@ -513,6 +513,18 @@ class TestEchelonKernel:
                 assert np.array_equal(got, want)
                 assert np.array_equal(_blocked_x_alpha(M, [pt])[0], want)
 
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_reduce_p_exact_below_its_bounds(self, p):
+        # every float32 integer below 2^22; in float64 the values near 0 and
+        # just below 2^51, and random ones
+        rng = np.random.default_rng(p)
+        top = 2**51
+        wide = [np.arange(2000), top - 1 - np.arange(2000), rng.integers(0, top, 4000)]
+        for dtype, x in ((np.float32, np.arange(2**22)), (np.float64, np.concatenate(wide))):
+            got = gfalg.reduce_p(x.astype(dtype), p)
+            assert got.dtype == dtype
+            assert np.array_equal(got, x % p)
+
 
 class TestKernel:
     def test_identity_has_empty_kernel(self):

@@ -17,6 +17,7 @@ from cjt.kemod import (
     KEModule,
     SamplingPlan,
     builtin,
+    check_constant,
     free_module,
     group_algebra,
     hom_from_free,
@@ -33,6 +34,8 @@ from cjt.realize import (
     stable_models,
 )
 from cjt.suites import DEFAULT_PAIRS, _battery
+
+from test_kemod import DIFFERENTIAL_MODULES
 
 # the realize workload's specs
 REALIZE_SPECS = {
@@ -92,6 +95,25 @@ def stripped_tensor(name):
     return digest(*S.X, header=(S.p, S.r, S.n, a))
 
 
+# the default plan and one with another seed and extension degrees <= 3
+VERDICT_PLANS = (SamplingPlan(), SamplingPlan(extra=25, max_ext_degree=3, seed=7))
+
+
+def constancy_verdicts():
+    """check_constant's verdicts, witnesses included, on verify's battery
+    and the sampler's differential modules, under both plans."""
+    modules = [
+        (f"{name}-{p}-{r}", M) for p, r in DEFAULT_PAIRS for name, M in _battery(p, r)
+    ]
+    modules += [(name, make()) for name, (make, _) in DIFFERENTIAL_MODULES.items()]
+    lines = [
+        f"{name} {plan}: {check_constant(M, plan)!r}"
+        for name, M in modules
+        for plan in VERDICT_PLANS
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def all_digests():
     out = {f"realize {name}": realized(name) for name in REALIZE_SPECS}
     out.update({f"cocycles {p} {r}": shifted_cocycles(p, r) for p, r in COCYCLE_PAIRS})
@@ -99,6 +121,7 @@ def all_digests():
         {f"omega {p} {r} {n}": omega_k(p, r, n) for p, r in DEFAULT_PAIRS for n in (3, -3)}
     )
     out.update({f"strip {name}": stripped_tensor(name) for name in STRIPPED_TENSORS})
+    out["constancy verdicts"] = constancy_verdicts()
     return out
 
 
@@ -129,6 +152,7 @@ GOLDEN = {
     'omega 3 3 -3': '32f971ef3e5f5d1e',
     'strip radq2-2-3*omega1': 'e023b37a24fc1690',
     'strip zigzag3-3-2*omega1': '18d610538b8366a2',
+    'constancy verdicts': '545f622a86bbc5bd',
 }
 
 
@@ -151,6 +175,10 @@ def test_omega_k(p, r, n):
 @pytest.mark.parametrize("name", sorted(STRIPPED_TENSORS))
 def test_stripped_tensors(name):
     assert stripped_tensor(name) == GOLDEN[f"strip {name}"]
+
+
+def test_constancy_verdicts():
+    assert constancy_verdicts() == GOLDEN["constancy verdicts"]
 
 
 # ---------------------------------------------------------------------------

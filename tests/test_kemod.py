@@ -33,7 +33,10 @@ from cjt.kemod import (
     Point,
     SamplingPlan,
     _blocked_x_alpha,
+    _digit_stack,
+    _next_image,
     _orbit_keys,
+    _rank_mismatches,
     builtin,
     check_constant,
     direct_sum,
@@ -50,9 +53,10 @@ from cjt.kemod import (
     tensor,
     x_alpha,
 )
+from cjt.suites import DEFAULT_PAIRS, _battery
 
 from test_gfalg import oracle_mul
-from test_random_modules import zoo
+from test_random_modules import conjugate, zoo
 from test_thetasheaf import battery
 
 
@@ -392,6 +396,17 @@ def conic_module(p, r, d):
     return new_module(p, r, X)
 
 
+def squares_module():
+    """X_1 = J_3 on a, b, c and X_2: a -> d -> c at p = 3, so X_alpha^2 a =
+    (l_1^2 + l_2^2) c: rank X_alpha is 2 everywhere, and the type is [3][1]
+    but at the GF(9)-points (1, +-i), where X_alpha^2 = 0 and it is [2][2]."""
+    X1 = np.zeros((4, 4), dtype=np.uint8)
+    X2 = np.zeros((4, 4), dtype=np.uint8)
+    X1[1, 0] = X1[2, 1] = 1
+    X2[3, 0] = X2[2, 3] = 1
+    return new_module(3, 2, [X1, X2])
+
+
 @functools.cache
 def realized(spec):
     return realize.realize_bundle(spec, plan=SamplingPlan(extra=0))[0]
@@ -421,6 +436,8 @@ DIFFERENTIAL_MODULES = {
     "conic3 p=3 r=2": (lambda: conic_module(3, 2, 3), (3, None)),
     "conic3 p=5 r=2": (lambda: conic_module(5, 2, 3), (3, None)),
     "conic4 p=2 r=2": (lambda: conic_module(2, 2, 4), (4, None)),
+    # off the reference at the second power only
+    "squares p=3 r=2": (squares_module, (2, 2)),
     "euler p=2 r=3": (lambda: realized(realize.euler_spec(2, 3)), (None, None)),
     "O(-1) p=3 r=2": (lambda: realized(realize.line_bundle_spec(3, 2, -1)), (None, None)),
     "O(-1) p=5 r=2": (lambda: realized(realize.line_bundle_spec(5, 2, -1)), (None, None)),
@@ -458,14 +475,16 @@ class TestOrbitMemo:
 
     @pytest.mark.parametrize("name,k", FALSIFIED)
     def test_at_most_twice_the_orbits_of_one_at_a_time(self, name, k, monkeypatch):
-        # orbits evaluated = blocked X_alpha built, the reference point's included
+        # orbits evaluated = points whose X_alpha is built: the sampler's digit
+        # stacks, and the blocked X_alpha of the reference and the witness
         built = []
-        original = kemod._blocked_x_alpha
-        monkeypatch.setattr(
-            kemod,
-            "_blocked_x_alpha",
-            lambda M, pts: built.extend(pts) or original(M, pts),
-        )
+        for builder in ("_blocked_x_alpha", "_digit_stack"):
+            original = getattr(kemod, builder)
+            monkeypatch.setattr(
+                kemod,
+                builder,
+                lambda X, pts, f=original: built.extend(pts) or f(X, pts),
+            )
         M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
         M._cache.pop(("constancy", plan), None)
         want = one_orbit_at_a_time(M, plan)
@@ -580,6 +599,105 @@ class TestOrbitMemo:
         assert isinstance(constant, ConstantSoFar) and constant.points_checked > 200
         assert isinstance(check_constant(conic_module(3, 2, 2), plan), Falsified)
         assert calls == []
+
+
+@functools.cache
+def sampler_modules():
+    """verify's battery at the default pairs and dense copies of it, the
+    test battery, zoo(3), zoo(11), zoo(29) and DIFFERENTIAL_MODULES, as
+    (name, module) pairs."""
+    rng = np.random.default_rng(23)
+    mods = [
+        (f"{name} p={p} r={r}", M) for p, r in DEFAULT_PAIRS for name, M in _battery(p, r)
+    ]
+    mods += [(f"dense {name}", conjugate(M, rng)) for name, M in mods]
+    mods += battery()
+    mods += [(f"zoo({s}) {i}", M) for s in (3, 11, 29) for i, M in enumerate(zoo(s))]
+    mods += [(name, make()) for name, (make, _) in DIFFERENTIAL_MODULES.items()]
+    return mods
+
+
+def ranks_of(t: JordanType):
+    """rank X^j, j = 0 .. p-1, on a module of Jordan type t."""
+    return [sum((i - j) * m for i, m in enumerate(t.a, 1) if i > j) for j in range(t.p)]
+
+
+class TestDigitSampler:
+    """The sampler's digit stacks against jordan_type_at, which ranks the
+    companion-blocked X_alpha point by point."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4])
+    def test_mismatches_are_the_points_off_the_reference(self, e, monkeypatch):
+        rng = random.Random(e)
+        off = 0
+        for name, M in sampler_modules():
+            if M.p**e > MAX_FIELD_ORDER:
+                continue
+            ctx = build_field(M.p, e)
+            points = [axis_point(M.p, M.r, i, e) for i in range(M.r)]
+            while len(points) < M.r + 4:
+                coords = tuple(rng.randrange(ctx.q) for _ in range(M.r))
+                if any(coords):
+                    points.append(Point(ctx, coords))
+            reference = reference_jordan_type(M)
+            want = [i for i, pt in enumerate(points) if jordan_type_at(M, pt) != reference]
+            off += len(want)
+            # the default stacks, and one point per stack
+            for cells in (kemod.STACK_CELLS, 1):
+                monkeypatch.setattr(kemod, "STACK_CELLS", cells)
+                got = _rank_mismatches(M, points, ranks_of(reference))
+                assert sorted(got) == want, name
+        assert off > 0
+
+    def test_second_power_behind_a_drop_out(self, monkeypatch):
+        # perm1 drops out at (0, 1) at the first power; the points after it
+        # must still be ranked with their own coordinates at the second
+        M = direct_sum(squares_module(), builtin("perm", 3, 2, i=1))
+        ctx = build_field(3, 2)
+        points = [Point(ctx, (0, 1))] + [Point(ctx, (1, c)) for c in range(ctx.q)]
+        reference = reference_jordan_type(M)
+        types = [jordan_type_at(M, pt) for pt in points]
+        want = [i for i, t in enumerate(types) if t != reference]
+        assert len(want) == 3 and {ranks_of(types[i])[1] for i in want[1:]} == {4}
+        for cells in (kemod.STACK_CELLS, 1):
+            monkeypatch.setattr(kemod, "STACK_CELLS", cells)
+            assert sorted(_rank_mismatches(M, points, ranks_of(reference))) == want
+
+    @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
+    def test_one_point_per_stack_keeps_every_verdict(self, k, monkeypatch):
+        plan = DIFFERENTIAL_PLANS[k]
+        modules = sampler_modules()
+        for _, M in modules:
+            M._cache.pop(("constancy", plan), None)
+        want = [check_constant(M, plan) for _, M in modules]
+        assert any(isinstance(v, Falsified) for v in want)
+        monkeypatch.setattr(kemod, "STACK_CELLS", 1)
+        for (name, M), verdict in zip(modules, want):
+            M._cache.pop(("constancy", plan), None)
+            assert check_constant(M, plan) == verdict, name
+
+    @pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2), (13, 2)])
+    def test_stacks_in_float32_and_float64(self, p, e):
+        # float64 serves modules where a float32 sum could reach 2^22; the
+        # image of V is summed over GF(p^e) digitwise, entry by entry
+        M = direct_sum(builtin("rad_quotient", p, 2, m=3), builtin("perm", p, 2, i=1))
+        ctx = build_field(p, e)
+        rng = random.Random(p)
+        points = [
+            Point(ctx, (rng.randrange(ctx.q), rng.randrange(1, ctx.q))) for _ in range(5)
+        ]
+        A = [x_alpha(M, pt).array for pt in points]
+        lam = ctx.matrix_table[np.array([pt.coords for pt in points])]
+        keep, cols = np.array([0, 2, 3]), np.array([[0, 2], [1, 3], [4, 5]])
+        for dtype in (np.float32, np.float64):
+            X = np.array(M.X, dtype=dtype)
+            C = _digit_stack(X, points)
+            assert C.dtype == np.uint8
+            assert np.array_equal(C, ctx.digit_array(np.array(A)))
+            image = _next_image(X, C, keep, cols, lam.astype(dtype), p)
+            for got, t, c in zip(image, keep, cols):
+                terms = ctx.mul_array(A[t][:, :, None], A[t][None, :, c])  # (n, n, cols)
+                assert np.array_equal(got, ctx.digit_array(terms).sum(axis=1) % p)
 
 
 class TestSumTensorDual:
@@ -714,6 +832,16 @@ class TestOmega:
 
     def test_steps_within_max_dim_pass(self):
         assert omega(builtin("trivial", 2, 2), 1, max_dim=4).n == 3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_chain_longer_than_max_dim_refused(self, sign):
+        # perm1's shifts keep their dimension, so only the step count is capped
+        M = builtin("perm", 2, 2, i=1)
+        assert {omega(M, sign * n, max_dim=8).n for n in range(9)} == {2}
+        with pytest.raises(ResourceCapError, match="Heller shift of 9 steps"):
+            omega(M, sign * 9, max_dim=8)
+        with pytest.raises(ResourceCapError, match="100000000 steps"):
+            omega(M, sign * 10**8)
 
     def test_default_cap_refuses_before_any_cover(self):
         k = builtin("trivial", 2, 13)  # kE has dimension 8192 > DEFAULT_MAX_DIM
