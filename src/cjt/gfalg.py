@@ -32,7 +32,8 @@ and a row operation applies e x e matrices over GF(p) from the per-field
 table ``FieldCtx.matrix_table`` to them.  So its loop runs once per
 GF(p^e) column, not e times as on the blocked matrix, and each entry it
 updates is e digits, not e^2 blocked cells.  At e = 1 it is plain
-elimination over GF(p).
+elimination over GF(p).  Its rows and the table are float32, so each row
+update is a batch of BLAS products whose sums ``reduce_p`` reduces.
 
 Products of residues run as float BLAS products, exact while every sum
 is an integer below 2^24 in float32 (2^53 in float64).  ``matmul_p``
@@ -303,11 +304,12 @@ class FieldCtx:
         """The transposed e x e matrices of all q elements, indexed by
         encoding: digits(b) @ matrix_table[a] = digits(a * b) mod p.
 
-        uint16, so products with uint8 digits need no cast; q e^2 * 2
-        bytes, 914 KB at GF(13^4).  Read by stacked_pivots.
+        float32, the dtype of stacked_pivots' rows, so its BLAS products
+        need no cast; 4 q e^2 bytes, 1.8 MB at GF(13^4), 40 KB at GF(5^4).
+        Read by stacked_pivots and the constancy sampler.
         """
         out = self.element_matrix(np.arange(self.q)).transpose(0, 2, 1)
-        out = out.astype(np.uint16)
+        out = out.astype(np.float32)
         out.setflags(write=False)
         return out
 
@@ -442,9 +444,10 @@ def stacked_pivots(D, ctx):
     paid once for b matrices.  Entries stay digit vectors and every
     product applies an element's e x e matrix (ctx.matrix_table) to
     digits, so all arithmetic is over GF(p); at e = 1 this is plain
-    elimination over GF(p).  The blocked matrix over GF(p) has the pivots
-    {j*e + k : k < e} for each pivot j here, since block column j spans the
-    GF(p^e)-span of column j.
+    elimination over GF(p).  The rows are float32 copies of D's digits,
+    so a row update is float32 BLAS products, reduced by reduce_p.  The
+    blocked matrix over GF(p) has the pivots {j*e + k : k < e} for each
+    pivot j here, since block column j spans the GF(p^e)-span of column j.
 
     Rows are never swapped.  A free row (not yet chosen as a pivot row) is
     zero in every earlier column, so column c is a pivot column exactly
@@ -458,13 +461,14 @@ def stacked_pivots(D, ctx):
     and a != 0 keeps the row space.
     """
     b, rows, cols, e = D.shape
-    R = np.array(D, dtype=np.uint8, copy=True).reshape(b * rows, cols, e)
+    R = np.array(D, dtype=np.float32).reshape(b * rows, cols, e)
     p = ctx.p
     mats = ctx.matrix_table
+    weights = ctx.weights.astype(np.float32)
     free = np.ones(b * rows, dtype=bool)
     found = []  # (column, matrices with a pivot there)
     for c in range(cols):
-        lead = R[:, c] @ ctx.weights  # encoded entries of column c
+        lead = R[:, c] @ weights  # encoded entries of column c, below 2^24
         nonzero = (lead * free).nonzero()[0]
         if nonzero.size == 0:
             continue
@@ -480,11 +484,11 @@ def stacked_pivots(D, ctx):
             # each row's pivot row is the last one above it: they are sorted
             owner = pivot[np.searchsorted(pivot, clear) - 1]
             # a * row + (-f) * pivot row, the matrix of -f with entries in
-            # 1..p: at most 2 * 4 * 12 * 13 before reduction, exact in uint16
-            upd = R[clear, c:] @ mats[lead[owner]]
-            upd += R[owner, c:] @ (p - mats[lead[clear]])
-            upd %= p
-            R[clear, c:] = upd
+            # 1..p: sums of at most 2 e (p-1) p <= 1248, so the float32
+            # products are exact and reduce_p is exact on them (< 2^22)
+            upd = R[clear, c:] @ mats[lead[owner].astype(np.intp)]
+            upd += R[owner, c:] @ (p - mats[lead[clear].astype(np.intp)])
+            R[clear, c:] = reduce_p(upd, p)
     pivots = [[] for _ in range(b)]
     for c, m in found:
         for i in m.tolist():

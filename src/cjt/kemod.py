@@ -625,7 +625,7 @@ def _rank_mismatches(M: KEModule, points, ranks):
     for start in range(0, len(points), per_stack):
         stack = points[start : start + per_stack]
         coords = np.array([pt.coords for pt in stack], dtype=np.int64)
-        lam = ctx.matrix_table[coords].astype(dtype)  # (b, r, e, e)
+        lam = ctx.matrix_table[coords].astype(dtype, copy=False)  # (b, r, e, e)
         C = _digit_stack(X, stack)
         live = np.arange(len(stack))  # C[t] spans Im X_alpha^j at point start + live[t]
         for j in range(1, p):

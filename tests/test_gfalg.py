@@ -214,11 +214,11 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 3), (13, 4)])
     def test_matrix_table(self, p, e):
         # matrix_table[a] is the transpose of a's e x e matrix, read-only
-        # uint16, so digits(b) @ matrix_table[a] = digits(a * b); GF(13^4)
+        # float32, so digits(b) @ matrix_table[a] = digits(a * b); GF(13^4)
         # is the largest field
         F = build_field(p, e)
         mats = F.matrix_table
-        assert mats.shape == (F.q, e, e) and mats.dtype == np.uint16
+        assert mats.shape == (F.q, e, e) and mats.dtype == np.float32
         assert not mats.flags.writeable
         assert np.array_equal(mats, F.element_matrix(np.arange(F.q)).transpose(0, 2, 1))
         rng = np.random.default_rng(p)
@@ -500,6 +500,32 @@ class TestEchelonKernel:
                 if i == 0:
                     ranks = {len(cols) for cols in got}
                     assert len(ranks) >= 5 and 0 in ranks
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_stacked_pivots_at_the_float32_bound(self, p):
+        # every digit p - 1, so every lead a and every f is the all-(p-1)
+        # element and the row update's sums are as large as they get; also
+        # duplicate rows, and zero matrices beside all-(p-1) ones.  Every
+        # field up to the largest, GF(13^4)
+        rng = np.random.default_rng(p)
+        e = 1
+        while p**e <= gfalg.MAX_FIELD_ORDER:
+            ctx = build_field(p, e)
+            top = np.full((3, 5, 4, e), p - 1, dtype=np.uint8)
+            rows = rng.integers(0, p, size=(3, 2, 4, e), dtype=np.uint8)
+            rows[0, 1] = p - 1
+            zero = np.zeros((5, 4, e), dtype=np.uint8)
+            stacks = [top, rows[:, [0, 1, 0, 1, 1, 0]], np.stack([zero, top[0], zero])]
+            for D in stacks:
+                before = D.copy()
+                got = gfalg.stacked_pivots(D, ctx)
+                want = [
+                    gfalg.echelon_p(blocked_over_prime(ctx, A @ ctx.weights), p)[1]
+                    for A in D
+                ]
+                assert [[j * e + k for j in cols for k in range(e)] for cols in got] == want
+                assert D.dtype == np.uint8 and np.array_equal(D, before)
+            e += 1
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_stack_builder_matches_x_alpha(self, p):

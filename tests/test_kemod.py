@@ -649,6 +649,34 @@ class TestDigitSampler:
                 assert sorted(got) == want, name
         assert off > 0
 
+    def test_oracle_shares_no_kernel_with_the_sampler(self, monkeypatch):
+        # jordan_type_at and reference_jordan_type are the sampler's oracle:
+        # with stacked_pivots broken they still give the battery's types, at
+        # the reference point and at a GF(p^2) point off every coordinate plane
+        want = {
+            "k(2,2)": (1, 0),
+            "radq2(2,2)": (1, 1),
+            "regular(2,2)": (0, 2),
+            "zigzag2(3,2)": (1, 2, 0),
+            "radq2(3,2)": (1, 1, 0),
+            "radq2(2,3)": (2, 1),
+            "perm1(3,2)": (0, 0, 1),
+            "Omega k(2,2)": (1, 1),
+        }
+
+        def broken(D, ctx):
+            raise AssertionError("the oracle called stacked_pivots")
+
+        monkeypatch.setattr(kemod.gfalg, "stacked_pivots", broken)
+        for name, M in battery():
+            t = JordanType(M.p, want[name])
+            ctx = build_field(M.p, 2)
+            pt = Point(ctx, tuple(range(ctx.q - M.r, ctx.q)))
+            assert reference_jordan_type(M) == t, name
+            assert jordan_type_at(M, pt) == t, name
+        with pytest.raises(AssertionError, match="stacked_pivots"):
+            check_constant(builtin("zigzag", 3, 2, n=4))
+
     def test_second_power_behind_a_drop_out(self, monkeypatch):
         # perm1 drops out at (0, 1) at the first power; the points after it
         # must still be ranked with their own coordinates at the second
