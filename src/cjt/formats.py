@@ -194,9 +194,13 @@ def parse_spec(path) -> ResolutionSpec:
 
 
 def parse_point(M: KEModule, text: str, ext: int) -> Point:
+    """Coordinates read mod p over GF(p); over GF(p^e), e > 1, encoded
+    elements in [0, p^e), which do not wrap."""
     try:
         ctx = build_field(M.p, ext)
-        coords = tuple(int(x) % ctx.q for x in text.replace(",", " ").split())
+        coords = tuple(int(x) for x in text.replace(",", " ").split())
+        if ctx.e == 1:
+            coords = tuple(c % ctx.p for c in coords)
         point = Point(ctx, coords)
     except ValueError as exc:
         raise ModuleError(f"bad point {text!r} over GF({M.p}^{ext}): {exc}") from None

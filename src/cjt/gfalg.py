@@ -35,11 +35,16 @@ updates is e digits, not e^2 blocked cells.  At e = 1 it is plain
 elimination over GF(p).  Its rows and the table are float32, so each row
 update is a batch of BLAS products whose sums ``reduce_p`` reduces.
 
-Products of residues run as float BLAS products, exact while every sum
-is an integer below 2^24 in float32 (2^53 in float64).  ``matmul_p``
-reduces its float64 products through int64; ``reduce_p`` reduces a float
-array in place with elementwise float operations, exact below 2^22 in
-float32, several times faster than an integer remainder.
+Every exact matrix product of residues is a float BLAS product reduced
+by ``reduce_p``: ``matmul_p`` in float64; ``FieldCtx.element_matrix``,
+the one place e x e element matrices are made (``mul_array``,
+``matrix_table`` and ``blocked_over_prime`` read it), and
+``stacked_pivots``' row updates in float32.  (``mul_array`` and
+Frobenius apply an e x e matrix to single digit vectors, in int64.)  A
+product is exact while every sum is an integer below 2^24 in float32
+(2^53 in float64); ``reduce_p`` reduces a float array in place with
+elementwise float operations, exact below 2^22 in float32 (2^51 in
+float64), several times faster than an integer remainder.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -272,12 +277,14 @@ class FieldCtx:
 
     @functools.cached_property
     def companion_powers(self):
-        """C^0 .. C^(e-1) over GF(p), stacked as an e x e x e array."""
-        e, p = self.e, self.p
-        out = np.zeros((e, e, e), dtype=np.int64)
-        out[0] = np.eye(e, dtype=np.int64)
+        """C^0 .. C^(e-1) over GF(p), as an (e, e * e) float32 array whose
+        row k is C^k flattened: element_matrix's right factor."""
+        e = self.e
+        out = np.zeros((e, e, e), dtype=np.float32)
+        out[0] = np.eye(e)
         for k in range(1, e):
-            out[k] = (out[k - 1] @ self.companion) % p
+            out[k] = reduce_p(out[k - 1] @ self.companion, self.p)
+        out = out.reshape(e, e * e)
         out.setflags(write=False)
         return out
 
@@ -293,10 +300,16 @@ class FieldCtx:
         return out
 
     def element_matrix(self, a):
-        """The e x e matrices of multiplication by encoded elements (int64),
-        as two new last axes of the array a."""
+        """The e x e matrices of multiplication by encoded elements (uint8),
+        as two new last axes of the array a.
+
+        Every element matrix is made here: sum_k digit_k(a) C^k is one
+        float32 product of the digits with companion_powers, whose sums are
+        at most e (p-1)^2 <= 576, so exact.
+        """
         e = self.e
-        mats = self.digit_array(a) @ self.companion_powers.reshape(e, e * e) % self.p
+        digits = self.digit_array(a).astype(np.float32)
+        mats = reduce_p(digits @ self.companion_powers, self.p).astype(np.uint8)
         return mats.reshape(np.shape(a) + (e, e))
 
     @functools.cached_property
@@ -308,8 +321,7 @@ class FieldCtx:
         need no cast; 4 q e^2 bytes, 1.8 MB at GF(13^4), 40 KB at GF(5^4).
         Read by stacked_pivots and the constancy sampler.
         """
-        out = self.element_matrix(np.arange(self.q)).transpose(0, 2, 1)
-        out = out.astype(np.float32)
+        out = self.element_matrix(np.arange(self.q)).transpose(0, 2, 1).astype(np.float32)
         out.setflags(write=False)
         return out
 
@@ -562,20 +574,13 @@ def kernel_basis(m: FFMatrix) -> FFMatrix:
 
 
 def matmul_p(A, B, p):
-    """Exact A @ B mod p.  Uses float64 BLAS for larger sizes.
+    """Exact A @ B mod p (uint8), a float64 BLAS product reduced by reduce_p.
 
-    Inner products are exact in float64: entries < 13, so the dot of two
-    rows of length up to ~5e10 stays below 2^53.
+    Entries are residues below 13, so a sum of k products is below 144 k,
+    exact for any inner dimension k < 10^13.
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-    if max(A.shape[0], A.shape[1], B.shape[1]) >= 48:
-        C = np.rint(A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-    else:
-        C = A.astype(np.int64) @ B.astype(np.int64)
-    return (C % p).astype(np.uint8)
+    C = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+    return reduce_p(C, p).astype(np.uint8)
 
 
 def reduce_p(x, p):
@@ -609,14 +614,12 @@ def blocked_over_prime(ctx: FieldCtx, M):
     rank over GF(p^e) equals rank of the blocked matrix over GF(p),
     divided by e.  At e = 1 this is M itself, as uint8.
     """
-    e, p = ctx.e, ctx.p
+    e = ctx.e
     if e == 1:
         return np.asarray(M, dtype=np.uint8)
-    M = np.asarray(M, dtype=np.int64)
-    rows, cols = M.shape
-    digits = (M[..., None] // p ** np.arange(e)) % p
-    blocks = np.einsum("ijk,kab->iajb", digits, ctx.companion_powers) % p
-    return blocks.reshape(rows * e, cols * e).astype(np.uint8)
+    rows, cols = np.shape(M)
+    blocks = ctx.element_matrix(M).transpose(0, 2, 1, 3)
+    return blocks.reshape(rows * e, cols * e)
 
 
 def _unblock(ctx: FieldCtx, B):

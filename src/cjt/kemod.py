@@ -191,14 +191,16 @@ def new_module(p, r, X) -> KEModule:
 
 @dataclasses.dataclass(frozen=True)
 class Point:
-    """Nonzero point of A^r over GF(p^e), coordinates encoded."""
+    """Nonzero point of A^r over GF(p^e), coordinates encoded in [0, q)."""
 
     ctx: FieldCtx
     coords: tuple
 
     def __post_init__(self):
-        if all(c == 0 for c in self.coords):
+        if not any(self.coords):
             raise InputError("point must be nonzero")
+        if min(self.coords) < 0 or max(self.coords) >= self.ctx.q:
+            raise InputError(f"coordinates must be encoded in [0, {self.ctx.q})")
 
     @property
     def r(self):
@@ -438,45 +440,26 @@ def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
     return FFMatrix(ctx, np.tensordot(ctx.p ** np.arange(ctx.e), planes, axes=1))
 
 
-def _blocked_x_alpha(M: KEModule, points):
-    """X_alpha of each point, all over one field, as a (b, n*e, n*e) uint8
-    stack over GF(p), via companion blocks.
-
-    Block (i, j) is sum_s X_s[i, j] E_s, where E_s = sum_k digit_k(lambda_s) C^k
-    is the e x e matrix of lambda_s.  The E_s of every point are built at
-    once; each point's blocks are then one float32 product of its (e^2, r)
-    element entries with the (r, n^2) actions, exact since every sum is at
-    most r * 144, and are reduced and written straight into the stack.
-    """
-    ctx = points[0].ctx
-    e, p, n, r = ctx.e, ctx.p, M.n, M.r
-    elems = ctx.element_matrix([pt.coords for pt in points])
-    elems = elems.reshape(len(points), r, e * e)
-    elems = elems.transpose(0, 2, 1).astype(np.float32)  # (b, e^2, r)
-    actions = np.array(M.X, dtype=np.float32).reshape(r, n * n)
-    out = np.empty((len(points), n * e, n * e), dtype=np.uint8)
-    for B, E in zip(out, elems):
-        blocks = ((E @ actions).astype(np.int32) % p).reshape(e, e, n, n)
-        B.reshape(n, e, n, e)[...] = blocks.transpose(2, 0, 3, 1)
-    return out
-
-
 def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     """Jordan type of X_alpha acting on M (x) K.
 
     Only the ranks of X_alpha^1 .. X_alpha^(p-1) are computed, and none past
     the first power of rank 0: X_alpha^p = sum lambda_i^p X_i^p is zero for
-    commuting p-nilpotent X_i.  Each power is ranked on the image of the
-    one before: with B the blocked X_alpha, C_1 = B and C_j = B C_{j-1}[:, P],
-    P the pivot columns of C_{j-1}.  Those columns are a basis of
-    Im B^(j-1), so C_j spans Im B^j and has its rank, with r_{j-1} columns
-    instead of n*e.
+    commuting p-nilpotent X_i.  X_alpha is built in digit form by
+    _digit_stack, as a stack of one point, and blocked over GF(p) (B).
+    Each power is ranked on the image of the one before: C_1 = B and
+    C_j = B C_{j-1}[:, P], P the pivot columns of C_{j-1}.  Those columns
+    are a basis of Im B^(j-1), so C_j spans Im B^j and has its rank, with
+    r_{j-1} columns instead of n*e.  The ranks come from gfalg.echelon_p and
+    the images from matmul_p, so this shares neither step with the sampler.
     """
     if alpha.r != M.r:
         raise ModuleError("point rank does not match the module")
     p = M.p
-    e = alpha.ctx.e
-    B = _blocked_x_alpha(M, [alpha])[0]
+    ctx = alpha.ctx
+    e = ctx.e
+    digits = _digit_stack(np.array(M.X, dtype=np.float32), [alpha])[0]
+    B = gfalg.blocked_over_prime(ctx, digits @ ctx.weights)
     ranks = [M.n]  # rank of X^0 in GF(p^e) units
     C = B
     for j in range(1, p):
@@ -654,8 +637,10 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     points; each chunk's points of one field are checked against the
     reference ranks as digit stacks (_rank_mismatches), and the first
     failing point in visit order is the witness.  The reference and the
-    witness take their types from jordan_type_at, which ranks the
-    companion-blocked X_alpha: a route independent of the stacks.
+    witness take their types from jordan_type_at.  It builds X_alpha
+    through _digit_stack too, but ranks the companion-blocked matrix with
+    gfalg.echelon_p and forms its images with matmul_p, so it shares no
+    elimination and no image step with the stacks.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))

@@ -31,10 +31,11 @@ sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
-companion-blocked X_alpha.  fiber blocks the encoded matrix (x_alpha,
-then gfalg.blocked_over_prime); jordan_type_at builds it in
-kemod._blocked_x_alpha, one float32 product of the coordinates' element
-matrices with the actions.  Sharing neither that construction nor the
+companion-blocked X_alpha.  fiber builds the encoded matrix entrywise
+(x_alpha); jordan_type_at builds its digits in kemod._digit_stack, one
+float32 product of the actions with the coordinates' digits, as the
+constancy sampler does.  Both are then blocked by
+gfalg.blocked_over_prime.  Sharing neither that construction nor the
 dimension formula, each route checks the other.
 """
 

@@ -343,6 +343,13 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "[1]^3"
 
+    def test_point_read_mod_p_over_the_prime_field(self, capsys):
+        # -3,1 and 3,4 are (0, 1) over GF(3), perm1's point of type [1]^3
+        for point in ("-3,1", "3,4", "0,1"):
+            argv = ["jordan-type", "builtin:perm1", "--p", "3", "--r", "2"]
+            code, out, _ = run_cli(argv + [f"--point={point}"], capsys)
+            assert (code, out.strip()) == (0, "[1]^3")
+
     def test_check_constant_falsified_exit_1(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
         f.write_text(FALSIFIABLE)
@@ -518,6 +525,12 @@ class TestCommands:
              "--field-ext", "2"],
             ["hilbert", "builtin:trivial", "--p", "2", "--r", "2", "--functor", "1",
              "--degree", "3"],
+            # coordinates outside [0, q) over GF(p^e), e > 1: encoded
+            # elements do not wrap
+            ["jordan-type", "builtin:radq2", "--p", "3", "--r", "2", "--point", "10,1",
+             "--field-ext-point", "2"],
+            ["jordan-type", "builtin:radq2", "--p", "3", "--r", "2", "--point=-1,1",
+             "--field-ext-point", "2"],
             # a point field without a point
             ["jordan-type", "builtin:trivial", "--p", "2", "--r", "2",
              "--field-ext-point", "3"],

@@ -14,7 +14,7 @@ from cjt.gfalg import (
     rank_ext,
     solve_p,
 )
-from cjt.kemod import Point, _blocked_x_alpha, builtin, direct_sum, x_alpha
+from cjt.kemod import Point, _digit_stack, builtin, direct_sum, x_alpha
 
 
 def rank(m):
@@ -238,6 +238,83 @@ class TestFieldArithmetic:
                 )
 
 
+ALL_FIELDS = [
+    (p, e) for p in gfalg.SUPPORTED_PRIMES for e in range(1, 5) if p**e <= gfalg.MAX_FIELD_ORDER
+]
+
+
+def seeded_encoded(F, rng):
+    """Encoded matrices over F: empty and zero shapes, all zero, all q - 1
+    (every digit p - 1, the largest sums) and seeded random ones."""
+    out = [np.zeros(s, dtype=np.int64) for s in [(0, 0), (0, 5), (4, 0), (3, 3)]]
+    out.append(np.full((2, 3), F.q - 1))
+    out += [rng.integers(0, F.q, size=s) for s in [(1, 1), (6, 7), (20, 30)]]
+    return out
+
+
+def einsum_blocked(F, M):
+    """blocked_over_prime's einsum formula, with the powers of the companion
+    matrix formed here in int64."""
+    e, p = F.e, F.p
+    M = np.asarray(M, dtype=np.int64)
+    rows, cols = M.shape
+    powers = np.zeros((e, e, e), dtype=np.int64)
+    powers[0] = np.eye(e, dtype=np.int64)
+    for k in range(1, e):
+        powers[k] = powers[k - 1] @ F.companion % p
+    digits = (M[..., None] // p ** np.arange(e)) % p
+    blocks = np.einsum("ijk,kab->iajb", digits, powers) % p
+    return blocks.reshape(rows * e, cols * e).astype(np.uint8)
+
+
+class TestExactProducts:
+    """element_matrix, blocked_over_prime and matmul_p, all float BLAS
+    products reduced by reduce_p, against formulas that share no code with
+    them, on every field."""
+
+    @pytest.mark.parametrize("p,e", ALL_FIELDS)
+    def test_element_matrix_against_polynomial_oracle(self, p, e):
+        # column k of a's matrix holds the digits of a * t^k
+        F = build_field(p, e)
+        rng = np.random.default_rng((p, e))
+        for a in seeded_encoded(F, rng) + [rng.integers(0, F.q, size=(2, 3, 4))]:
+            got = F.element_matrix(a)
+            assert got.dtype == np.uint8 and got.shape == a.shape + (e, e)
+            for x, mat in zip(a.ravel().tolist(), got.reshape(-1, e, e)):
+                cols = [F.digits(oracle_mul(F, x, p**k)) for k in range(e)]
+                assert mat.T.tolist() == [list(c) for c in cols]
+        assert F.element_matrix(F.q - 1).shape == (e, e)
+
+    @pytest.mark.parametrize("p,e", ALL_FIELDS)
+    def test_blocked_over_prime_equals_einsum_formula(self, p, e):
+        F = build_field(p, e)
+        for M in seeded_encoded(F, np.random.default_rng((p, e, 1))):
+            got = blocked_over_prime(F, M)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, einsum_blocked(F, M))
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_matmul_p_equals_integer_product(self, p):
+        # sizes below and above 48, empty shapes, all-(p-1) factors, and the
+        # blocked matrices of every field of characteristic p
+        rng = np.random.default_rng(p)
+        pairs = [
+            (rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n)))
+            for m, k, n in [(0, 0, 0), (0, 3, 4), (3, 0, 4), (3, 4, 0), (5, 6, 7),
+                            (47, 47, 47), (48, 2, 3), (2, 60, 3), (100, 120, 90)]
+        ]
+        pairs.append((np.full((30, 500), p - 1), np.full((500, 20), p - 1)))
+        for p_, e in ALL_FIELDS:
+            if p_ == p:
+                F = build_field(p, e)
+                A, B = (blocked_over_prime(F, M) for M in seeded_encoded(F, rng)[-2:])
+                pairs.append((A, B[: A.shape[1]]))
+        for A, B in pairs:
+            got = gfalg.matmul_p(A.astype(np.uint8), B.astype(np.uint8), p)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, A.astype(np.int64) @ B.astype(np.int64) % p)
+
+
 def jordan_block(n):
     J = np.zeros((n, n), dtype=np.int64)
     for i in range(n - 1):
@@ -421,13 +498,13 @@ def kernel_inputs(p):
     for e in (1, 2, 3, 4):
         ctx = build_field(p, e)
         coords = (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q)))
-        B = _blocked_x_alpha(M, [Point(ctx, coords)])[0]
+        B = blocked_over_prime(ctx, x_alpha(M, Point(ctx, coords)).array)
         out += [B, gfalg.matmul_p(B, B, p)]
     return out
 
 
 def blocked_stacks(p):
-    """(module, points, _blocked_x_alpha stack) at e = 1..4: per field a mixed
+    """(module, points, blocked X_alpha stack) at e = 1..4: per field a mixed
     stack of axis points, a point with a leading zero, a GF(p)-rational point
     and seeded random points."""
     rng = np.random.default_rng(900 + p)
@@ -440,7 +517,8 @@ def blocked_stacks(p):
             Point(ctx, (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q))))
             for _ in range(6)
         ]
-        out.append((M, points, _blocked_x_alpha(M, points)))
+        blocked = [blocked_over_prime(ctx, x_alpha(M, pt).array) for pt in points]
+        out.append((M, points, np.array(blocked)))
     return out
 
 
@@ -529,15 +607,20 @@ class TestEchelonKernel:
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_stack_builder_matches_x_alpha(self, p):
-        # each matrix of the stack is that point's X_alpha, built entrywise
-        # over GF(p^e) and then blocked; a stack of one gives the same matrix
+        # each matrix of the digit stack is that point's X_alpha, built
+        # entrywise over GF(p^e); a stack of one (jordan_type_at's) gives the
+        # same digits, and blocked they are the blocked X_alpha
         for M, points, B in blocked_stacks(p):
-            size = M.n * points[0].ctx.e
+            ctx = points[0].ctx
+            size = M.n * ctx.e
             assert B.dtype == np.uint8 and B.shape == (len(points), size, size)
-            for pt, got in zip(points, B):
-                want = blocked_over_prime(pt.ctx, x_alpha(M, pt).array)
-                assert np.array_equal(got, want)
-                assert np.array_equal(_blocked_x_alpha(M, [pt])[0], want)
+            X = np.array(M.X, dtype=np.float32)
+            D = _digit_stack(X, points)
+            assert D.dtype == np.uint8 and D.shape == (len(points), M.n, M.n, ctx.e)
+            for pt, got, want in zip(points, D, B):
+                assert np.array_equal(got @ ctx.weights, x_alpha(M, pt).array)
+                assert np.array_equal(_digit_stack(X, [pt])[0], got)
+                assert np.array_equal(blocked_over_prime(ctx, got @ ctx.weights), want)
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_reduce_p_exact_below_its_bounds(self, p):

@@ -8,13 +8,15 @@ the current digests with ``python tests/test_golden.py``.
 
 import functools
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from cjt.gfalg import matmul_p, matpow_p, solve_p
+from cjt.gfalg import build_field, matmul_p, matpow_p, solve_p
 from cjt.kemod import (
     KEModule,
+    Point,
     SamplingPlan,
     builtin,
     check_constant,
@@ -22,6 +24,7 @@ from cjt.kemod import (
     group_algebra,
     hom_from_free,
     hom_to_free,
+    jordan_type_at,
     omega,
     strip_free,
     tensor,
@@ -34,8 +37,10 @@ from cjt.realize import (
     stable_models,
 )
 from cjt.suites import DEFAULT_PAIRS, _battery
+from cjt.thetasheaf import fiber
 
 from test_kemod import DIFFERENTIAL_MODULES
+from test_thetasheaf import battery
 
 # the realize workload's specs
 REALIZE_SPECS = {
@@ -114,6 +119,24 @@ def constancy_verdicts():
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def pointwise_types():
+    """jordan_type_at and fiber on the test battery, at the first axis point
+    and three seeded points of every field GF(p^e), e = 1..4."""
+    lines = []
+    for name, M in battery():
+        rng = random.Random(name)
+        for e in range(1, 5):
+            ctx = build_field(M.p, e)
+            points = [Point(ctx, (1,) + (0,) * (M.r - 1))]
+            while len(points) < 4:
+                coords = tuple(rng.randrange(ctx.q) for _ in range(M.r))
+                if any(coords):
+                    points.append(Point(ctx, coords))
+            for pt in points:
+                lines.append(f"{name} {pt}: {jordan_type_at(M, pt)} {fiber(M, pt).dims}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def all_digests():
     out = {f"realize {name}": realized(name) for name in REALIZE_SPECS}
     out.update({f"cocycles {p} {r}": shifted_cocycles(p, r) for p, r in COCYCLE_PAIRS})
@@ -122,6 +145,7 @@ def all_digests():
     )
     out.update({f"strip {name}": stripped_tensor(name) for name in STRIPPED_TENSORS})
     out["constancy verdicts"] = constancy_verdicts()
+    out["pointwise types"] = pointwise_types()
     return out
 
 
@@ -153,6 +177,7 @@ GOLDEN = {
     'strip radq2-2-3*omega1': 'e023b37a24fc1690',
     'strip zigzag3-3-2*omega1': '18d610538b8366a2',
     'constancy verdicts': '545f622a86bbc5bd',
+    'pointwise types': '77d940ece9362a56',
 }
 
 
@@ -179,6 +204,10 @@ def test_stripped_tensors(name):
 
 def test_constancy_verdicts():
     assert constancy_verdicts() == GOLDEN["constancy verdicts"]
+
+
+def test_pointwise_types():
+    assert pointwise_types() == GOLDEN["pointwise types"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cjt import kemod, realize
+from cjt.errors import InputError
 from cjt.gfalg import (
     MAX_FIELD_ORDER,
     SUPPORTED_PRIMES,
@@ -32,7 +33,6 @@ from cjt.kemod import (
     NotPNilpotentError,
     Point,
     SamplingPlan,
-    _blocked_x_alpha,
     _digit_stack,
     _next_image,
     _orbit_keys,
@@ -160,23 +160,39 @@ class TestXAlpha:
         A = x_alpha(M, pt).array
         assert np.array_equal(A, M.X[0].astype(np.int64))
 
-    @pytest.mark.parametrize("p,r,e", [(2, 3, 4), (3, 2, 3), (5, 2, 2), (13, 2, 2)])
+    @pytest.mark.parametrize(
+        "p,r,e",
+        [(p, 3 if p == 2 else 2, e) for p in SUPPORTED_PRIMES for e in range(1, 5)
+         if p**e <= MAX_FIELD_ORDER],
+    )
     def test_matches_polynomial_oracle(self, p, r, e):
-        # sum lambda_i X_i entry by entry in digit-polynomial arithmetic
+        # sum lambda_i X_i entry by entry in digit-polynomial arithmetic, for
+        # both builders: x_alpha and the digit stack (one stack of all points)
         M = dual(builtin("rad_quotient", p, r, m=3))  # entries 0, 1 and p - 1
         F = build_field(p, e)
         rng = np.random.default_rng(p * e)
-        for _ in range(5):
-            pt = Point(F, tuple(int(c) for c in rng.integers(1, F.q, size=r)))
+        points = [Point(F, (F.q - 1,) * r)]
+        points += [Point(F, tuple(int(c) for c in rng.integers(1, F.q, size=r)))
+                   for _ in range(5)]
+        stack = _digit_stack(np.array(M.X, dtype=np.float32), points)
+        for pt, digits in zip(points, stack):
             want = np.zeros((M.n, M.n), dtype=np.int64)
             for lam, A in zip(pt.coords, M.X):
                 for (a, b), x in np.ndenumerate(A):
                     want[a, b] = F.add(int(want[a, b]), oracle_mul(F, lam, int(x)))
             assert np.array_equal(x_alpha(M, pt).array, want)
+            assert np.array_equal(digits @ F.weights, want)
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
             Point(build_field(2), (0, 0))
+
+    @pytest.mark.parametrize(
+        "e,coords", [(1, (2, 1)), (1, (1, -1)), (2, (1, 4)), (2, (-1, 1)), (3, (0, 9))]
+    )
+    def test_coordinates_outside_the_field_rejected(self, e, coords):
+        with pytest.raises(InputError, match=r"encoded in \[0, "):
+            Point(build_field(2, e), coords)
 
     @pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 1)])
     def test_point_of_another_rank_rejected(self, coords):
@@ -307,7 +323,8 @@ class TestImageChain:
                         pts.append(Point(ctx, coords))
                 for pt in pts:
                     blocked = blocked_over_prime(ctx, x_alpha(M, pt).array)
-                    got = _blocked_x_alpha(M, [pt])[0]
+                    digits = _digit_stack(np.array(M.X, dtype=np.float32), [pt])[0]
+                    got = blocked_over_prime(ctx, digits @ ctx.weights)
                     assert got.dtype == blocked.dtype == np.uint8
                     assert np.array_equal(got, blocked)
                     assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
@@ -475,16 +492,14 @@ class TestOrbitMemo:
 
     @pytest.mark.parametrize("name,k", FALSIFIED)
     def test_at_most_twice_the_orbits_of_one_at_a_time(self, name, k, monkeypatch):
-        # orbits evaluated = points whose X_alpha is built: the sampler's digit
-        # stacks, and the blocked X_alpha of the reference and the witness
+        # orbits evaluated = points whose X_alpha is built, all through
+        # _digit_stack: the sampler's stacks, and the stacks of one point
+        # jordan_type_at builds for the reference and the witness
         built = []
-        for builder in ("_blocked_x_alpha", "_digit_stack"):
-            original = getattr(kemod, builder)
-            monkeypatch.setattr(
-                kemod,
-                builder,
-                lambda X, pts, f=original: built.extend(pts) or f(X, pts),
-            )
+        original = kemod._digit_stack
+        monkeypatch.setattr(
+            kemod, "_digit_stack", lambda X, pts: built.extend(pts) or original(X, pts)
+        )
         M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
         M._cache.pop(("constancy", plan), None)
         want = one_orbit_at_a_time(M, plan)
@@ -624,7 +639,8 @@ def ranks_of(t: JordanType):
 
 class TestDigitSampler:
     """The sampler's digit stacks against jordan_type_at, which ranks the
-    companion-blocked X_alpha point by point."""
+    companion-blocked X_alpha point by point.  Both build X_alpha through
+    _digit_stack, but they share no elimination and no image step."""
 
     @pytest.mark.parametrize("e", [1, 2, 3, 4])
     def test_mismatches_are_the_points_off_the_reference(self, e, monkeypatch):
@@ -651,8 +667,9 @@ class TestDigitSampler:
 
     def test_oracle_shares_no_kernel_with_the_sampler(self, monkeypatch):
         # jordan_type_at and reference_jordan_type are the sampler's oracle:
-        # with stacked_pivots broken they still give the battery's types, at
-        # the reference point and at a GF(p^2) point off every coordinate plane
+        # with stacked_pivots and _next_image broken they still give the
+        # battery's types, at the reference point and at a GF(p^2) point off
+        # every coordinate plane
         want = {
             "k(2,2)": (1, 0),
             "radq2(2,2)": (1, 1),
@@ -664,10 +681,11 @@ class TestDigitSampler:
             "Omega k(2,2)": (1, 1),
         }
 
-        def broken(D, ctx):
-            raise AssertionError("the oracle called stacked_pivots")
+        def broken(*args):
+            raise AssertionError("the oracle called stacked_pivots or _next_image")
 
         monkeypatch.setattr(kemod.gfalg, "stacked_pivots", broken)
+        monkeypatch.setattr(kemod, "_next_image", broken)
         for name, M in battery():
             t = JordanType(M.p, want[name])
             ctx = build_field(M.p, 2)
@@ -676,6 +694,35 @@ class TestDigitSampler:
             assert jordan_type_at(M, pt) == t, name
         with pytest.raises(AssertionError, match="stacked_pivots"):
             check_constant(builtin("zigzag", 3, 2, n=4))
+
+    def test_sampler_shares_no_kernel_with_the_oracle(self, monkeypatch):
+        # _rank_mismatches ranks with stacked_pivots and forms images with
+        # _next_image: with echelon_p and matmul_p, jordan_type_at's two
+        # steps, broken it still finds the points off the reference type
+        cases = []
+        rng = random.Random(5)
+        for name, M in sampler_modules():
+            for e in (1, 2):
+                ctx = build_field(M.p, e)
+                points = [axis_point(M.p, M.r, i, e) for i in range(M.r)]
+                points += [
+                    Point(ctx, tuple(rng.randrange(1, ctx.q) for _ in range(M.r)))
+                    for _ in range(3)
+                ]
+                reference = reference_jordan_type(M)
+                want = [i for i, pt in enumerate(points) if jordan_type_at(M, pt) != reference]
+                cases.append((name, M, points, ranks_of(reference), want))
+        assert any(want for *_, want in cases)
+
+        def broken(*args):
+            raise AssertionError("the sampler called echelon_p or matmul_p")
+
+        monkeypatch.setattr(kemod.gfalg, "echelon_p", broken)
+        monkeypatch.setattr(kemod, "matmul_p", broken)
+        for name, M, points, ranks, want in cases:
+            assert sorted(_rank_mismatches(M, points, ranks)) == want, name
+        with pytest.raises(AssertionError, match="echelon_p"):
+            jordan_type_at(M, points[0])
 
     def test_second_power_behind_a_drop_out(self, monkeypatch):
         # perm1 drops out at (0, 1) at the first power; the points after it

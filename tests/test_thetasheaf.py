@@ -33,7 +33,7 @@ from cjt.kemod import (
     x_alpha,
 )
 from cjt.polyd import binomial_poly, evaluate, fit_integer_samples
-from cjt import thetasheaf
+from cjt import kemod, thetasheaf
 from cjt.thetasheaf import (
     MAX_DEGREE,
     NotConstantError,
@@ -233,6 +233,27 @@ class TestFiber:
         for name, M in battery.items():
             for pt in points:
                 assert fiber(M, pt).dims == full_power_dims(M, pt), (name, str(pt))
+
+    def test_fiber_never_builds_the_digit_stack(self, monkeypatch):
+        # fiber builds X_alpha through x_alpha, jordan_type_at through
+        # kemod._digit_stack: with the digit stack broken, fiber still gives
+        # the Jordan types, over every field of the battery, e = 1..4
+        rng = random.Random(4)
+        cases = []
+        for name, M in battery():
+            for e in range(1, 5):
+                ctx = build_field(M.p, e)
+                pt = Point(ctx, tuple(rng.randrange(1, ctx.q) for _ in range(M.r)))
+                cases.append((name, M, pt, jordan_type_at(M, pt).a))
+
+        def broken(X, points):
+            raise AssertionError("fiber called _digit_stack")
+
+        monkeypatch.setattr(kemod, "_digit_stack", broken)
+        for name, M, pt, want in cases:
+            assert fiber(M, pt).dims == want, name
+        with pytest.raises(AssertionError, match="_digit_stack"):
+            jordan_type_at(M, pt)
 
     def test_fiber_dims_bounded_by_dim(self):
         M = builtin("zigzag", 3, 2, n=3)
