@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .gfalg import SUPPORTED_PRIMES, build_field
-from .kemod import KEModule, ModuleError, Point, builtin, cap, new_module, omega
+from .kemod import KEModule, ModuleError, Point, builtin, new_module, omega
 from .realize import ResolutionSpec
 
 
@@ -220,12 +220,10 @@ def resolve_module(ref: str, p, r, max_dim) -> KEModule:
     if name == "trivial":
         return k
     if name == "regular":
-        cap(p**r, "group algebra", max_dim)
-        return builtin("regular", p, r)
+        return builtin("regular", p, r, max_dim=max_dim)
     if name.startswith("radq"):
         m = _builtin_index(name, "radq")
-        cap(p**r, "group algebra", max_dim)
-        return builtin("rad_quotient", p, r, m=m)
+        return builtin("rad_quotient", p, r, max_dim=max_dim, m=m)
     if name.startswith("perm"):
         return builtin("perm", p, r, i=_builtin_index(name, "perm"))
     if name.startswith("zigzag"):

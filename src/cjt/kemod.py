@@ -303,9 +303,13 @@ def hom_commutes(source, target, M) -> bool:
 # constructors
 
 
-def builtin(kind: str, p: int, r: int, **params) -> KEModule:
-    """Named module: trivial, regular, rad_quotient(m), perm(i), zigzag(n)."""
+def builtin(kind: str, p: int, r: int, *, max_dim=DEFAULT_MAX_DIM, **params) -> KEModule:
+    """Named module: trivial, regular, rad_quotient(m), perm(i), zigzag(n).
+
+    regular and rad_quotient refuse kE above max_dim before building it."""
     check_algebra(p, r)
+    if kind in ("regular", "rad_quotient"):
+        cap(p**r, "group algebra", max_dim)
     if kind == "trivial":
         return KEModule(
             p, r, [np.zeros((1, 1))] * r, validate=False, constant_by_construction=True
@@ -706,7 +710,7 @@ def reference_jordan_type(M: KEModule) -> JordanType:
 
 
 # ---------------------------------------------------------------------------
-# socle, radical, monomial actions
+# socle, monomial actions
 
 
 def apply_monomials(X, G, p):
@@ -732,13 +736,6 @@ def socle_basis(M: KEModule):
         return np.zeros((0, 0), dtype=np.uint8)
     stacked = np.vstack(M.X) if M.r else np.zeros((0, M.n), dtype=np.uint8)
     return gfalg.kernel_p(stacked, M.p)
-
-
-def radical_basis(M: KEModule):
-    """Columns spanning J*M = sum of the images of the X_i."""
-    cat = np.hstack(M.X)
-    R, pivots = gfalg.rref_p(cat.T, M.p)
-    return R[: len(pivots)].T.copy()
 
 
 def _column_complement(U, n, p):
@@ -821,15 +818,13 @@ class HellerStep:
 
 
 def submodule(M: KEModule, columns) -> tuple[KEModule, ModuleHom]:
-    """The submodule spanned by the given column basis, with its inclusion."""
+    """The submodule spanned by the column basis K, with its inclusion: one
+    solve gives the coefficients of [X_1 K | ... | X_r K] in K."""
     K = np.asarray(columns, dtype=np.uint8)
     p = M.p
-    sub_X = []
-    for A in M.X:
-        img = matmul_p(A, K, p)
-        coeff = gfalg.solve_p(K, img, p)
-        assert coeff is not None, "columns do not span a submodule"
-        sub_X.append(coeff)
+    coeff = gfalg.solve_p(K, np.hstack([matmul_p(A, K, p) for A in M.X]), p)
+    assert coeff is not None, "columns do not span a submodule"
+    sub_X = np.hsplit(coeff, M.r)
     S = KEModule(p, M.r, sub_X, validate=False)
     return S, ModuleHom(S, M, K, validate=False)
 
@@ -850,9 +845,10 @@ def quotient_module(M: KEModule, columns) -> tuple[KEModule, ModuleHom, np.ndarr
 
 
 def minimal_generators(M: KEModule) -> list:
-    """Coordinate indices of M whose classes form a basis of M/JM."""
-    _, gens, _ = _column_complement(radical_basis(M), M.n, M.p)
-    return gens
+    """Coordinate indices of M whose classes form a basis of M/JM: the
+    non-pivot columns of an echelon form of [X_1 | ... | X_r]^T (row space JM)."""
+    _, pivots = gfalg.echelon_p(np.hstack(M.X).T, M.p)
+    return sorted(set(range(M.n)) - set(pivots))
 
 
 def projective_cover(M: KEModule) -> HellerStep:

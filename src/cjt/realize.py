@@ -419,8 +419,11 @@ def cone(f: ModuleHom) -> ConeResult:
     """Complete f: A -> B to a triangle: the cokernel of (f, hull) in B + I(A).
 
     The associated short exact sequence 0 -> A -> B + I(A) -> C -> 0 is
-    locally split whenever A and B have constant Jordan type, so Jordan
-    types add and the bundle functors are exact on it.
+    locally split, and the bundle functors exact on it, exactly when the
+    Jordan types of A and C add up to that of B + I(A) at every point.
+    Constant Jordan type of A and B does not ensure it: the cone of zeta:
+    Omega^5 k -> k at (2,2), zeta = y_1^5 + y_1^2 y_2^3 + y_2^5, is off
+    type at 5 points of P^1(GF(32)).
     """
     A, B = f.source, f.target
     hull = injective_hull(A)

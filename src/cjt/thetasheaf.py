@@ -31,7 +31,8 @@ sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 
 Fibers at points are computed independently of jordan_type_at, from
 explicit kernel and image bases of powers of X_alpha, over GF(p) on the
-companion-blocked X_alpha.  fiber builds the encoded matrix entrywise
+companion-blocked X_alpha; one reduced echelon form of it gives both the
+kernel and Im X_alpha.  fiber builds the encoded matrix entrywise
 (x_alpha); jordan_type_at builds its digits in kemod._digit_stack, one
 float32 product of the actions with the coordinates' digits, as the
 constancy sampler does.  Both are then blocked by
@@ -330,16 +331,18 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
     Computed from dim(Ker X n Im X^i) = dim Ker X + dim Im X^i - rank[K | W_i]
     rather than from the Jordan-type rank formula, so the two routes check
     each other.  X = X_alpha is B over GF(p), each GF(p^e) entry replaced by
-    its e x e companion block; K is a kernel basis and W_i, as in
-    jordan_type_at, the pivot columns of B W_{i-1}.  Only 0 < i < p is
-    eliminated: the meet is Ker X at i = 0 and 0 at i = p.  Kernels, images
-    and their intersections under a GF(p^e)-linear map are GF(p^e)-subspaces,
-    so each dimension over GF(p) is exactly e times the one over GF(p^e).
+    its e x e companion block; one RREF of B gives the kernel basis K and
+    W_1, and W_i is, as in jordan_type_at, the pivot columns of B W_{i-1}.
+    Only 0 < i < p is eliminated: the meet is Ker X at i = 0 and 0 at i = p.
+    Kernels, images and their intersections under a GF(p^e)-linear map are
+    GF(p^e)-subspaces, so each dimension over GF(p) is exactly e times the
+    one over GF(p^e).
     """
     ctx = alpha.ctx
     p, e = M.p, ctx.e
     B = gfalg.blocked_over_prime(ctx, x_alpha(M, alpha).array)
-    K = gfalg.kernel_p(B, p)
+    R, pivots = gfalg.rref_p(B, p)
+    K = gfalg.kernel_from_rref(R, pivots, B.shape[1], p)
     kerdim = K.shape[1]
     assert kerdim % e == 0
     meets = [kerdim // e] + [0] * p
@@ -347,7 +350,7 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
     for i in range(1, p):
         if i > 1:
             W = matmul_p(B, W, p)
-        _, pivots = gfalg.echelon_p(W, p)
+            _, pivots = gfalg.echelon_p(W, p)
         if not pivots:
             break
         W = W[:, pivots]

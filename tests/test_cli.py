@@ -568,6 +568,9 @@ class TestCommands:
             ["hilbert", "builtin:radq2", "--p", "2", "--r", "3", "--functor", "1",
              "--max-dim", "7"],
             ["jordan-type", "builtin:omega1", "--p", "2", "--r", "3", "--max-dim", "7"],
+            # 2^40 under the default cap
+            ["jordan-type", "builtin:regular", "--p", "2", "--r", "40"],
+            ["hilbert", "builtin:radq3", "--p", "2", "--r", "40", "--functor", "1"],
             ["strip-free", "builtin:trivial", "--p", "2", "--r", "3", "--max-dim", "7"],
             ["verify", "fij-shift", "--p", "2", "--r", "3", "--max-dim", "7"],
             # Omega^2 k has dimension 5 at p = r = 2, radq2 (x) radq2 has 9

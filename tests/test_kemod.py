@@ -13,9 +13,12 @@ from cjt.gfalg import (
     FieldCtx,
     blocked_over_prime,
     build_field,
+    kernel_p,
     matmul_p,
     matpow_p,
     rank_p,
+    rref_p,
+    solve_p,
 )
 from cjt.kemod import (
     EXTRA_CAP,
@@ -33,6 +36,7 @@ from cjt.kemod import (
     NotPNilpotentError,
     Point,
     SamplingPlan,
+    _column_complement,
     _digit_stack,
     _next_image,
     _orbit_keys,
@@ -50,13 +54,14 @@ from cjt.kemod import (
     projective_points,
     reference_jordan_type,
     strip_free,
+    submodule,
     tensor,
     x_alpha,
 )
 from cjt.suites import DEFAULT_PAIRS, _battery
 
 from test_gfalg import oracle_mul
-from test_random_modules import conjugate, zoo
+from test_random_modules import conjugate, random_closed_span, random_invertible, zoo
 from test_thetasheaf import battery
 
 
@@ -139,6 +144,26 @@ class TestBuiltins:
         assert M.n == 9
         t = reference_jordan_type(M)
         assert t == JordanType(3, (0, 0, 3))
+
+    @pytest.mark.parametrize("kind,params", [("regular", {}), ("rad_quotient", {"m": 2})])
+    def test_group_algebra_above_max_dim_refused(self, kind, params):
+        # kE at (2, 40) has 2^40 monomials: refused under the default cap
+        # before any of them is listed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="dimension 8 above the cap 7"):
+                builtin(kind, 2, 3, max_dim=7, **params)
+            with pytest.raises(ResourceCapError, match=f"dimension {2**40} above the cap"):
+                builtin(kind, 2, 40, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert builtin(kind, 2, 3, max_dim=8, **params).n == (8 if kind == "regular" else 4)
+
+    def test_unsupported_algebra_refused_before_the_cap(self):
+        with pytest.raises(ModuleError, match="unsupported characteristic"):
+            builtin("regular", 4, 2, max_dim=1)
 
 
 class TestXAlpha:
@@ -987,6 +1012,92 @@ class TestCoverHull:
         M = builtin("rad_quotient", 3, 2, m=3)
         data = injective_hull(M)
         ModuleHom(M, data.free, data.incl)  # validates
+
+
+def per_action_coefficients(M, K):
+    """The submodule's actions from one solve per action, K X_i' = X_i K."""
+    out = []
+    for A in M.X:
+        coeff = solve_p(K, matmul_p(A, K, M.p), M.p)
+        assert coeff is not None, "columns do not span a submodule"
+        out.append(coeff)
+    return out
+
+
+def radical_complement(M):
+    """Minimal generators as the coordinate complement of an explicit basis
+    of JM, the transposed RREF rows of [X_1 | ... | X_r]^T."""
+    R, pivots = rref_p(np.hstack(M.X).T, M.p)
+    _, gens, _ = _column_complement(R[: len(pivots)].T.copy(), M.n, M.p)
+    return gens
+
+
+def subspace_modules():
+    """The test battery, zoo(7) and zoo(2024), and Omega^{+-2} k at (2,2), (3,2)."""
+    mods = [M for _, M in battery()] + zoo(7) + zoo(2024)
+    for p in (2, 3):
+        mods += [omega(builtin("trivial", p, 2), n) for n in (-2, 2)]
+    return mods
+
+
+class TestSubmodule:
+    """submodule solves for every action at once; one solve per action is
+    the oracle, bit for bit, on every kind of basis its callers pass."""
+
+    def assert_matches(self, M, K):
+        S, incl = submodule(M, K)
+        want = per_action_coefficients(M, K)
+        assert all(np.array_equal(A, B) for A, B in zip(S.X, want))
+        assert np.array_equal(incl.matrix, K)
+
+    def test_kernel_bases(self):
+        # Omega M = Ker(kE^b -> M), as projective_cover builds it
+        for M in subspace_modules():
+            step = projective_cover(M)
+            self.assert_matches(step.free, kernel_p(step.proj, M.p))
+
+    def test_closed_spans(self):
+        rng = np.random.default_rng(31)
+        for M in subspace_modules():
+            for count in (1, 2, 3):
+                self.assert_matches(M, random_closed_span(M, rng, count))
+
+    def test_non_echelon_bases(self):
+        # K G with G invertible spans the same submodule, with no identity rows
+        rng = np.random.default_rng(32)
+        for M in subspace_modules():
+            step = projective_cover(M)
+            K = kernel_p(step.proj, M.p)
+            if K.shape[1] == 0:
+                continue
+            G = random_invertible(rng, K.shape[1], M.p)
+            self.assert_matches(step.free, matmul_p(K, G, M.p))
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
+    def test_span_not_closed_refused(self, p, r):
+        # the span of 1 in kE, and of 1 plus a random column, are not submodules
+        M = builtin("regular", p, r)
+        rng = np.random.default_rng(p * 10 + r)
+        for K in (np.eye(M.n, dtype=np.uint8)[:, :1],
+                  np.hstack([np.eye(M.n, dtype=np.uint8)[:, :1],
+                             rng.integers(0, p, size=(M.n, 1)).astype(np.uint8)])):
+            with pytest.raises(AssertionError, match="do not span a submodule"):
+                submodule(M, K)
+            with pytest.raises(AssertionError, match="do not span a submodule"):
+                per_action_coefficients(M, K)
+
+
+class TestMinimalGenerators:
+    def test_matches_radical_complement(self):
+        mods = subspace_modules()
+        rng = np.random.default_rng(33)
+        mods += [conjugate(M, rng) for M in mods if M.n]
+        for M in mods:
+            assert minimal_generators(M) == radical_complement(M)
+
+    def test_zero_module(self):
+        Z = new_module(2, 2, [np.zeros((0, 0))] * 2)
+        assert minimal_generators(Z) == radical_complement(Z) == []
 
 
 class TestModuleHom:

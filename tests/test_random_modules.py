@@ -57,6 +57,16 @@ def conjugate(M, rng):
 
 def random_submodule(M, rng, count=2):
     """The module generated by a few random vectors (closure under the X_i)."""
+    span = random_closed_span(M, rng, count)
+    if span.shape[1] == 0:
+        return None
+    S, _ = submodule(M, span)
+    return S
+
+
+def random_closed_span(M, rng, count=2):
+    """A column basis of the closure of a few random vectors under the X_i:
+    the vectors themselves if closed, else transposed RREF rows."""
     vecs = rng.integers(0, M.p, size=(M.n, count)).astype(np.uint8)
     span = vecs
     while True:
@@ -68,10 +78,7 @@ def random_submodule(M, rng, count=2):
         if basis.shape[1] == span.shape[1] and rank_p(span, M.p) == len(pivots):
             break
         span = basis
-    if span.shape[1] == 0:
-        return None
-    S, _ = submodule(M, span)
-    return S
+    return span
 
 
 def zoo(seed):

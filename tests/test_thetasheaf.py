@@ -234,6 +234,37 @@ class TestFiber:
             for pt in points:
                 assert fiber(M, pt).dims == full_power_dims(M, pt), (name, str(pt))
 
+    def test_fiber_matches_two_eliminations(self):
+        # fiber reads K and W_1 off one RREF of B; the oracle takes K from
+        # kernel_p and W_1 from a separate echelon_p, as fiber once did
+        def two_elimination_dims(M, alpha):
+            p, e = M.p, alpha.ctx.e
+            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha).array)
+            K = kernel_p(B, p)
+            meets = [K.shape[1] // e] + [0] * p
+            W = B
+            for i in range(1, p):
+                if i > 1:
+                    W = matmul_p(B, W, p)
+                _, pivots = echelon_p(W, p)
+                if not pivots:
+                    break
+                W = W[:, pivots]
+                meet = K.shape[1] + len(pivots) - rank_p(np.hstack([K, W]), p)
+                assert meet % e == 0
+                meets[i] = meet // e
+            return tuple(meets[i - 1] - meets[i] for i in range(1, p + 1))
+
+        rng = random.Random(26)
+        mods = battery() + [(f"zoo(7)[{k}]", M) for k, M in enumerate(zoo(7))]
+        for name, M in mods:
+            for e in range(1, 5):
+                ctx = build_field(M.p, e)
+                coords = [tuple(rng.randrange(ctx.q) for _ in range(M.r)) for _ in range(2)]
+                coords.append((1,) + (0,) * (M.r - 1))
+                for pt in (Point(ctx, c) for c in coords if any(c)):
+                    assert fiber(M, pt).dims == two_elimination_dims(M, pt), name
+
     def test_fiber_never_builds_the_digit_stack(self, monkeypatch):
         # fiber builds X_alpha through x_alpha, jordan_type_at through
         # kemod._digit_stack: with the digit stack broken, fiber still gives
