@@ -24,16 +24,20 @@ arithmetic: ``FieldCtx`` multiplies by applying an element's e x e
 matrix to digits, and Frobenius is one e x e matrix on digits, so
 GF(p^e) has one representation.
 
-Many matrices of one shape go through ``stacked_pivots``, one loop over
-the GF(p^e) columns for the whole stack, which returns each matrix's
-GF(p^e) pivot columns; the constancy sampler uses it, and builds its
-stacks in digit form too, never blocked.  Its entries are digit vectors,
-and a row operation applies e x e matrices over GF(p) from the per-field
-table ``FieldCtx.matrix_table`` to them.  So its loop runs once per
-GF(p^e) column, not e times as on the blocked matrix, and each entry it
-updates is e digits, not e^2 blocked cells.  At e = 1 it is plain
-elimination over GF(p).  Its rows and the table are float32, so each row
-update is a batch of BLAS products whose sums ``reduce_p`` reduces.
+Many matrices of one shape go through ``stacked_pivots``, which returns
+each matrix's GF(p^e) pivot columns; the constancy sampler uses it, and
+builds its stacks in digit form too, never blocked.  Its entries are
+digit vectors, and a row operation applies e x e matrices over GF(p)
+from the per-field table ``FieldCtx.matrix_table`` to them, so each
+entry it updates is e digits, not e^2 blocked cells.  Its loop runs over
+rounds, not columns: each round groups the nonzero rows of the whole
+stack by (matrix, leading column), keeps the first row of each group and
+clears the leading entry of every other one against it, all in one
+batch.  When every group has one row, the leading columns are the pivot
+columns, which do not depend on the elimination order.  At e = 1 it is
+plain elimination over GF(p).  Its rows and the table are float32, so
+each round's row update is a batch of BLAS products whose sums
+``reduce_p`` reduces.
 
 Every exact matrix product of residues is a float BLAS product reduced
 by ``reduce_p``: ``matmul_p`` in float64; ``FieldCtx.element_matrix``,
@@ -43,8 +47,9 @@ the one place e x e element matrices are made (``mul_array``,
 Frobenius apply an e x e matrix to single digit vectors, in int64.)  A
 product is exact while every sum is an integer below 2^24 in float32
 (2^53 in float64); ``reduce_p`` reduces a float array in place with
-elementwise float operations, exact below 2^22 in float32 (2^51 in
-float64), several times faster than an integer remainder.
+elementwise float operations, exact below 2^22 in absolute value in
+float32 (2^51 in float64), several times faster than an integer
+remainder.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -451,61 +456,85 @@ def stacked_pivots(D, ctx):
     uint8 stack of digit vectors, e = ctx.e.
 
     D is not modified.  Returns one list per matrix: its GF(p^e) pivot
-    columns, those of its unique reduced echelon form.  One loop over the
-    columns serves the whole stack, so the per-column numpy overhead is
-    paid once for b matrices.  Entries stay digit vectors and every
-    product applies an element's e x e matrix (ctx.matrix_table) to
-    digits, so all arithmetic is over GF(p); at e = 1 this is plain
-    elimination over GF(p).  The rows are float32 copies of D's digits,
-    so a row update is float32 BLAS products, reduced by reduce_p.  The
-    blocked matrix over GF(p) has the pivots {j*e + k : k < e} for each
-    pivot j here, since block column j spans the GF(p^e)-span of column j.
+    columns, those of its unique reduced echelon form.  Entries stay digit
+    vectors and every product applies an element's e x e matrix
+    (ctx.matrix_table) to digits, so all arithmetic is over GF(p); at
+    e = 1 this is plain elimination over GF(p).  The blocked matrix over
+    GF(p) has the pivots {j*e + k : k < e} for each pivot j here, since
+    block column j spans the GF(p^e)-span of column j.
 
-    Rows are never swapped.  A free row (not yet chosen as a pivot row) is
-    zero in every earlier column, so column c is a pivot column exactly
-    when some free row of the matrix is nonzero there: the pivot columns
-    are the column rank profile, the same for any elimination order.  The
-    rows of all matrices are numbered through, so each gather takes one
-    index array.  Each step takes every matrix's first free nonzero row,
-    with entry a in column c, as its pivot row, and clears only the free
-    rows that hold a nonzero f there, from column c on, in one
-    fraction-free update: a * row - f * pivot row.  That needs no inverses,
-    and a != 0 keeps the row space.
+    The loop runs over rounds, not columns, and each round resolves every
+    clash of the stack at once.  The rows of all matrices are numbered
+    through; a live row is a nonzero one, and its key is (matrix, leading
+    column).  Each round takes the lowest-numbered row of every key as its
+    head (one np.minimum.at into a b x cols table) and replaces every other
+    row of the key, with leading entry f, by a * row - f * head, a the
+    head's leading entry: one fraction-free update of all of them at once,
+    from the least of their leading columns on.  The rows are float32
+    copies of D, so the update is two batched float32 BLAS products whose
+    sums lie in [-e (p-1)^2, e (p-1)^2], exact, and reduce_p reduces them.
+
+    Invariant: a != 0 and the head is kept, so every round keeps each
+    matrix's row space.  Termination: row and head agree up to and in the
+    leading column, so a reduced row leads strictly further right or is
+    zero and drops out; leads are bounded by cols, so the rounds stop, at
+    the first round with every key distinct.  The live rows of a matrix
+    then have distinct leading columns, so they are an echelon basis of
+    its row space, and those columns are the pivot columns of its reduced
+    echelon form: the column rank profile, the same for any elimination
+    order.
     """
     b, rows, cols, e = D.shape
+    if cols == 0:
+        return [[] for _ in range(b)]
     R = np.array(D, dtype=np.float32).reshape(b * rows, cols, e)
     p = ctx.p
     mats = ctx.matrix_table
     weights = ctx.weights.astype(np.float32)
-    free = np.ones(b * rows, dtype=bool)
-    found = []  # (column, matrices with a pivot there)
-    for c in range(cols):
-        lead = R[:, c] @ weights  # encoded entries of column c, below 2^24
-        nonzero = (lead * free).nonzero()[0]
-        if nonzero.size == 0:
-            continue
-        matrix = nonzero // rows
-        first = np.empty(nonzero.size, dtype=bool)  # first of its matrix
-        first[0] = True
-        np.not_equal(matrix[1:], matrix[:-1], out=first[1:])
-        pivot = nonzero[first]
-        found.append((c, matrix[first]))
-        free[pivot] = False
-        if pivot.size < nonzero.size:
-            clear = nonzero[~first]
-            # each row's pivot row is the last one above it: they are sorted
-            owner = pivot[np.searchsorted(pivot, clear) - 1]
-            # a * row + (-f) * pivot row, the matrix of -f with entries in
-            # 1..p: sums of at most 2 e (p-1) p <= 1248, so the float32
-            # products are exact and reduce_p is exact on them (< 2^22)
-            upd = R[clear, c:] @ mats[lead[owner].astype(np.intp)]
-            upd += R[owner, c:] @ (p - mats[lead[clear].astype(np.intp)])
-            R[clear, c:] = reduce_p(upd, p)
+    lead, entry = _leads(D.reshape(b * rows, cols, e), weights)
+    live = entry.nonzero()[0]
+    lead, entry = lead[live], entry[live].astype(np.intp)
+    base = live // rows * cols  # key = base + lead
+    head_of = np.empty(b * cols, dtype=np.intp)
+    ordinal = np.arange(live.size)
+    while True:
+        key = base + lead
+        at = ordinal[: live.size]  # live is sorted, so positions order rows
+        head_of[key] = live.size
+        np.minimum.at(head_of, key, at)
+        head = head_of[key]
+        clash = (head != at).nonzero()[0]
+        if clash.size == 0:
+            break
+        head = head[clash]
+        row = live[clash]
+        c = lead[clash].min()
+        upd = R[row, c:] @ mats[entry[head]]
+        upd -= R[live[head], c:] @ mats[entry[clash]]
+        R[row, c:] = reduce_p(upd, p)
+        step, found = _leads(upd, weights)
+        lead[clash] = c + step
+        entry[clash] = found
+        if not found.all():  # drop the rows that vanished
+            keep = entry != 0
+            live, lead, entry, base = live[keep], lead[keep], entry[keep], base[keep]
     pivots = [[] for _ in range(b)]
-    for c, m in found:
-        for i in m.tolist():
-            pivots[i].append(c)
+    for k in np.sort(base + lead).tolist():
+        pivots[k // cols].append(k % cols)
     return pivots
+
+
+def _leads(rows, weights):
+    """Leading column and encoded leading entry of each row of a (k, cols,
+    e) array of digit vectors; a zero row gets column 0 and entry 0.
+
+    A row's first nonzero digit lies in its first nonzero entry, so one
+    comparison over the flattened rows finds the columns, and only the
+    entries there are encoded (their sums stay below 2^24, so exact).
+    """
+    k, cols, e = rows.shape
+    lead = (rows.reshape(k, cols * e) != 0).argmax(axis=1) // e
+    return lead, rows[np.arange(k), lead] @ weights
 
 
 def rref_p(A, p):
@@ -584,8 +613,8 @@ def matmul_p(A, B, p):
 
 
 def reduce_p(x, p):
-    """x mod p in place, x a float32 array of integers in [0, 2^22) or a
-    float64 one of integers in [0, 2^51); returns x.
+    """x mod p in place, x a float32 array of integers in (-2^22, 2^22) or
+    a float64 one of integers in (-2^51, 2^51); returns x.
 
     floor(x / p) is taken as floor((x + 1/2) * (1/p)): (x + 1/2) / p lies at
     least 1/(2p) from every integer, and the two roundings move it by less

@@ -605,7 +605,9 @@ def _rank_mismatches(M: KEModule, points, ranks):
     dtype = np.float32 if r * n * (p - 1) ** 2 < 2**22 else np.float64
     X = np.array(M.X, dtype=dtype)
     # float cells alive at once per point: the first stack and its quotient,
-    # or four arrays of e n ranks[1] cells while the next image is formed
+    # or four arrays of e n ranks[1] cells while the next image is formed.
+    # stacked_pivots adds its float32 copy of the stack, e n^2, and a round's
+    # row update up to three times the rows it clears
     per_point = e * n * max(2 * n, 4 * ranks[1])
     per_stack = max(1, STACK_CELLS // max(1, per_point))
     out = []
@@ -629,16 +631,62 @@ def _rank_mismatches(M: KEModule, points, ranks):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _sampling_schedule(p, r, plan: SamplingPlan):
+    """The points check_constant visits at (p, r) under plan, as
+    (points_checked, fields_used, chunks).
+
+    The points are every GF(p)-point of P^{r-1}, every GF(p^2)-point when
+    there are at most QUADRATIC_CAP of them, and plan.extra seeded-random
+    points over GF(p^e) with e <= plan.max_ext_degree.  The earliest point
+    of each Galois orbit stands for the orbit, and these representatives
+    are taken in chunks of 1, 2, 4, ... points.  Each chunk is a tuple of
+    groups, one per field in first-visit order, and a group is a tuple of
+    (index in the chunk, point) pairs in visit order.  The schedule
+    depends on no module, so it is built once per (p, r, plan).
+    """
+    fields_used = [f"GF({p})"]
+    points = projective_points(p, r, 1)
+    count_quadratic = (p ** (2 * r) - 1) // (p**2 - 1)
+    if count_quadratic <= QUADRATIC_CAP:
+        points += projective_points(p, r, 2)
+        fields_used.append(f"GF({p}^2)")
+
+    rng = random.Random(plan.seed)
+    ext_degrees = sorted({min(e, plan.max_ext_degree) for e in EXTRA_DEGREES})
+    extra_fields = set()
+    for k in range(plan.extra):
+        e = ext_degrees[k % len(ext_degrees)]
+        ctx = build_field(p, e)
+        coords = tuple(rng.randrange(ctx.q) for _ in range(r))
+        if all(c == 0 for c in coords):
+            coords = (1,) + coords[1:]
+        points.append(Point(ctx, coords))
+        extra_fields.add(f"GF({p}^{e})" if e > 1 else f"GF({p})")
+    fields_used += sorted(extra_fields - set(fields_used))
+
+    # the earliest point of each Galois orbit stands for the orbit: a later
+    # one was preceded by a point of the same type, the reference type, or
+    # the check would have stopped there, so the first failing point is kept
+    representatives = _orbit_representatives(points)
+    chunks = []
+    size = 1
+    while chunk := list(itertools.islice(representatives, size)):
+        by_field = {}
+        for i, pt in enumerate(chunk):
+            by_field.setdefault(pt.ctx, []).append((i, pt))
+        chunks.append(tuple(tuple(group) for group in by_field.values()))
+        size *= 2
+    return len(points), tuple(fields_used), tuple(chunks)
+
+
 def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVerdict:
     """Sampling-based constancy check; a falsifier, never a certificate.
 
-    Evaluates the Jordan type at every GF(p)-point of P^{r-1}, every
-    GF(p^2)-point when there are at most QUADRATIC_CAP of them, and
-    plan.extra seeded-random points over GF(p^e) with e <= plan.max_ext_degree.
-    Points of one Galois orbit share a Jordan type, so only the first of
-    each orbit is evaluated; points_checked counts every point covered.
-    The first points of the orbits are taken in chunks of 1, 2, 4, ...
-    points; each chunk's points of one field are checked against the
+    Evaluates the Jordan type at the points of _sampling_schedule(p, r,
+    plan): only the first point of each Galois orbit, since the points of
+    one orbit share a Jordan type; points_checked counts every point
+    covered.  Each chunk's points of one field are checked against the
     reference ranks as digit stacks (_rank_mismatches), and the first
     failing point in visit order is the witness.  The reference and the
     witness take their types from jordan_type_at.  It builds X_alpha
@@ -650,56 +698,24 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     cached = M._cache.get(("constancy", plan))
     if cached is not None:
         return cached
-    p, r = M.p, M.r
-
-    fields_used = [f"GF({p})"]
-    points = projective_points(p, r, 1)
+    points_checked, fields_used, chunks = _sampling_schedule(M.p, M.r, plan)
     reference = reference_jordan_type(M)
-
-    count_quadratic = (p ** (2 * r) - 1) // (p**2 - 1)
-    if count_quadratic <= QUADRATIC_CAP:
-        points += projective_points(p, r, 2)
-        fields_used.append(f"GF({p}^2)")
-
-    rng = random.Random(plan.seed)
-    ext_degrees = sorted({min(e, plan.max_ext_degree) for e in EXTRA_DEGREES})
-    extra_fields = set()
-    extras = []
-    for k in range(plan.extra):
-        e = ext_degrees[k % len(ext_degrees)]
-        ctx = build_field(p, e)
-        coords = tuple(rng.randrange(ctx.q) for _ in range(r))
-        if all(c == 0 for c in coords):
-            coords = (1,) + coords[1:]
-        extras.append(Point(ctx, coords))
-        extra_fields.add(f"GF({p}^{e})" if e > 1 else f"GF({p})")
-    fields_used += sorted(extra_fields - set(fields_used))
-
-    # the earliest point of each Galois orbit stands for the orbit: a later
-    # one was preceded by a point of the same type, the reference type, or
-    # the check would have stopped there, so the first failing point is kept
     # rank of X_alpha^j on the reference type: each block of length i > j gives i - j
     ranks = [
-        sum((i - j) * m for i, m in enumerate(reference.a, 1) if i > j) for j in range(p)
+        sum((i - j) * m for i, m in enumerate(reference.a, 1) if i > j) for j in range(M.p)
     ]
-    representatives = _orbit_representatives(points + extras)
-    size = 1
-    while chunk := list(itertools.islice(representatives, size)):
-        by_field = {}
-        for i, pt in enumerate(chunk):
-            by_field.setdefault(pt.ctx, []).append(i)
+    for groups in chunks:
         failing = [
-            where[k]
-            for where in by_field.values()
-            for k in _rank_mismatches(M, [chunk[i] for i in where], ranks)
+            group[k]
+            for group in groups
+            for k in _rank_mismatches(M, [pt for _, pt in group], ranks)
         ]
         if failing:
-            witness = chunk[min(failing)]
+            witness = min(failing)[1]  # the indices differ, so no points are compared
             verdict = Falsified(witness, jordan_type_at(M, witness), reference)
             M._cache[("constancy", plan)] = verdict
             return verdict
-        size *= 2
-    verdict = ConstantSoFar(reference, len(points) + len(extras), tuple(fields_used))
+    verdict = ConstantSoFar(reference, points_checked, fields_used)
     M._cache[("constancy", plan)] = verdict
     return verdict
 

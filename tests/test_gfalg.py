@@ -550,6 +550,55 @@ def stacked_inputs(p, e):
     return out
 
 
+def assert_stacked_pivots_match(D, ctx):
+    """stacked_pivots on the digit stack D gives, for each matrix, the
+    GF(p^e) columns of the blocked echelon_p pivots, and leaves D alone."""
+    e = ctx.e
+    before = D.copy()
+    got = gfalg.stacked_pivots(D, ctx)
+    want = [gfalg.echelon_p(blocked_over_prime(ctx, A @ ctx.weights), ctx.p)[1] for A in D]
+    assert [[j * e + k for j in cols for k in range(e)] for cols in got] == want
+    assert np.array_equal(D, before)
+    return got
+
+
+def clash_stack(ctx, rng):
+    """Encoded (5, 12, 9) GF(p^e) matrices whose rows clash over many rounds.
+
+    Rows 0..5 are heads H_i leading at column i.  Rows 6..11 are chains
+    sum_i lambda_i H_i with every lambda_i nonzero: cleared at column j,
+    each lands on the key of head j + 1 and clashes again, round after
+    round.  Rows 6 and 7 vanish in round 6.  Rows 8 and 9 get the same
+    kind of tail at column 7, so they survive round 6, clash with each
+    other and one vanishes in round 7; row 10's tail at column 8 survives.
+    Row 11 starts at column 2 and vanishes in round 4 while the others
+    go on.  Matrix 1 is matrix 0 with its rows shuffled, so chains also
+    head keys; matrix 2 has rank one (every row but its head vanishes in
+    round 1); matrix 3 is zero; matrix 4 repeats matrix 0, so the same
+    columns lead in several matrices.
+    """
+    q, p = ctx.q, ctx.p
+    heads = np.triu(rng.integers(1, q, size=(6, 9)))
+    lam = rng.integers(1, q, size=(6, 6))
+    lam[5, :2] = 0
+    # lambda @ heads over GF(p^e), through the blocked embedding
+    blocked = [blocked_over_prime(ctx, A) for A in (lam, heads)]
+    chains = ctx.digit_array(_unblock(ctx, gfalg.matmul_p(*blocked, p)))
+    chains[2:4, 7] += ctx.digit_array(rng.integers(1, q))
+    chains[4, 8] += ctx.digit_array(rng.integers(1, q))
+    M = np.vstack([heads, chains % p @ ctx.weights])
+    rank_one = _unblock(
+        ctx,
+        gfalg.matmul_p(
+            blocked_over_prime(ctx, rng.integers(1, q, size=(12, 1))),
+            blocked_over_prime(ctx, rng.integers(1, q, size=(1, 9))),
+            p,
+        ),
+    )
+    zero = np.zeros((12, 9), dtype=np.int64)
+    return np.array([M, M[rng.permutation(12)], rank_one, zero, M])
+
+
 class TestEchelonKernel:
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_bit_identical_to_reference_loop(self, p):
@@ -606,6 +655,53 @@ class TestEchelonKernel:
             e += 1
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_stacked_pivots_through_clash_chains(self, p):
+        # every field up to GF(13^4): chains of clashes over several rounds,
+        # rows vanishing while others of their round survive, a matrix whose
+        # rows all vanish but one, a zero matrix, repeated keys across
+        # matrices
+        rng = np.random.default_rng(40 + p)
+        e = 1
+        while p**e <= gfalg.MAX_FIELD_ORDER:
+            ctx = build_field(p, e)
+            S = clash_stack(ctx, rng)
+            got = assert_stacked_pivots_match(ctx.digit_array(S).astype(np.uint8), ctx)
+            assert got[0] == got[1] == got[4] == [0, 1, 2, 3, 4, 5, 7, 8]
+            assert got[2] == [0] and got[3] == []
+            e += 1
+
+    @pytest.mark.parametrize(
+        "name", ["realized O(-1) p=3 r=3", "conjugated Omega^2 k p=5 r=2"]
+    )
+    def test_stacked_pivots_on_the_samplers_stacks(self, name, monkeypatch):
+        # every stack the constancy sampler eliminates (X_alpha and its
+        # images over GF(p^e), e = 1..4) for a realized module with sparse
+        # actions and for a dense conjugated Heller shift
+        from cjt import kemod
+        from cjt.realize import line_bundle_spec, realize_bundle
+        from test_random_modules import conjugate
+
+        if name.startswith("realized"):
+            M = realize_bundle(line_bundle_spec(3, 3, -1))[0]
+        else:
+            M = conjugate(kemod.omega(builtin("trivial", 5, 2), 2), np.random.default_rng(7))
+        stacks = []
+
+        def recording(D, ctx):
+            stacks.append((D.copy(), ctx))
+            return kernel(D, ctx)
+
+        kernel = gfalg.stacked_pivots
+        monkeypatch.setattr(gfalg, "stacked_pivots", recording)
+        plan = kemod.SamplingPlan(extra=24)
+        M._cache.pop(("constancy", plan), None)
+        assert isinstance(kemod.check_constant(M, plan), kemod.ConstantSoFar)
+        monkeypatch.undo()
+        assert {ctx.e for _, ctx in stacks} == {1, 2, 3, 4}
+        for D, ctx in stacks:
+            assert_stacked_pivots_match(D, ctx)
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_stack_builder_matches_x_alpha(self, p):
         # each matrix of the digit stack is that point's X_alpha, built
         # entrywise over GF(p^e); a stack of one (jordan_type_at's) gives the
@@ -624,12 +720,14 @@ class TestEchelonKernel:
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
     def test_reduce_p_exact_below_its_bounds(self, p):
-        # every float32 integer below 2^22; in float64 the values near 0 and
-        # just below 2^51, and random ones
+        # every float32 integer of absolute value below 2^22; in float64 the
+        # values near 0 and near +-2^51, and random ones
         rng = np.random.default_rng(p)
         top = 2**51
-        wide = [np.arange(2000), top - 1 - np.arange(2000), rng.integers(0, top, 4000)]
-        for dtype, x in ((np.float32, np.arange(2**22)), (np.float64, np.concatenate(wide))):
+        near = top - 1 - np.arange(2000)
+        wide = [np.arange(-2000, 2000), near, -near, rng.integers(-top + 1, top, 4000)]
+        short = np.arange(-(2**22) + 1, 2**22)
+        for dtype, x in ((np.float32, short), (np.float64, np.concatenate(wide))):
             got = gfalg.reduce_p(x.astype(dtype), p)
             assert got.dtype == dtype
             assert np.array_equal(got, x % p)

@@ -41,6 +41,7 @@ from cjt.kemod import (
     _next_image,
     _orbit_keys,
     _rank_mismatches,
+    _sampling_schedule,
     builtin,
     check_constant,
     direct_sum,
@@ -548,6 +549,32 @@ class TestOrbitMemo:
         start = 2 ** ((w + 1).bit_length() - 1) - 1
         assert start > 0
         assert any(pt.ctx is not witness.ctx for pt in reps[start:w])
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (2, 3)])
+    @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
+    def test_schedule_is_the_visit_order_built_once(self, p, r, k):
+        # the cached schedule holds the orbit representatives of the visit
+        # order in chunks of 1, 2, 4, ..., each grouped by field with its
+        # indices in the chunk; modules of one (p, r) share it
+        plan = DIFFERENTIAL_PLANS[k]
+        points, fields = visit_order(builtin("trivial", p, r), plan)
+        count, fields_used, chunks = _sampling_schedule(p, r, plan)
+        assert (count, fields_used) == (len(points), tuple(fields))
+        flat = []
+        for j, groups in enumerate(chunks):
+            chunk = sorted(pair for group in groups for pair in group)
+            assert [i for i, _ in chunk] == list(range(len(chunk)))
+            assert len(chunk) == 2**j or j == len(chunks) - 1
+            for group in groups:
+                assert len({pt.ctx for _, pt in group}) == 1
+            assert len({group[0][1].ctx for group in groups}) == len(groups)
+            flat += [pt for _, pt in chunk]
+        assert flat == orbit_representatives(points)
+        hits = _sampling_schedule.cache_info().hits
+        for M in (builtin("trivial", p, r), builtin("rad_quotient", p, r, m=2)):
+            M._cache.pop(("constancy", plan), None)
+            check_constant(M, plan)
+        assert _sampling_schedule.cache_info().hits == hits + 2
 
     @pytest.mark.parametrize("name", ["omega1 p=5 r=2", "conic3 p=2 r=2", "euler p=2 r=3"])
     @pytest.mark.parametrize("e", [2, 3, 4])
