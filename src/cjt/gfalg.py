@@ -9,17 +9,25 @@ Extension moduli are never looked up in a table: ``build_field`` scans
 monic polynomials in increasing encoding order and keeps the first
 irreducible one, so the same (p, e) always yields the same field.
 
-Every elimination runs over GF(p).  One matrix goes through one loop:
-``echelon_p`` clears below each pivot, or above it too when ``reduced``
-is set, and touches only the columns from the pivot on (the pivot row is
-zero left of it).  ``rref_p`` is its reduced form and ``rank_p`` its
-pivot count; callers that only need pivot columns take the cheaper
-unreduced form, since pivot columns do not depend on the echelon form
-chosen.  A GF(p^e) matrix is blocked by replacing each entry with its
-e x e companion matrix; ranks are blocked ranks divided by e.  Blocking
-is a ring embedding that maps the reduced echelon form of A to that of
-blocked(A) (both are unique), so kernels over GF(p^e) are read back
-from the GF(p) ones by ``_unblock``.  The same embedding is the scalar
+Every elimination does its arithmetic over GF(p).  One matrix goes
+through one loop: ``echelon_p`` clears below each pivot, or above it too
+when ``reduced`` is set, and touches only the columns from the pivot on
+(the pivot row is zero left of it).  ``rref_p`` is its reduced form and
+``rank_p`` its pivot count; callers that only need pivot columns take
+the cheaper unreduced form, since pivot columns do not depend on the
+echelon form chosen.  Given a field context, the same loop eliminates a
+GF(p^e) matrix held as digit vectors, one step per GF(p^e) column: the
+step expands the pivot row into the digits of t^k * row, k < e, and
+clears the other rows fraction-free with BLAS products, so no step
+inverts an element.  ``jordan_type_at`` and ``fiber`` rank X_alpha and
+its powers this way at points over GF(p^e).  The other route blocks a
+GF(p^e) matrix, replacing each entry with its e x e companion matrix;
+ranks are blocked ranks divided by e, at e column steps per GF(p^e)
+pivot.  Blocking is a ring embedding that maps the reduced echelon form
+of A to that of blocked(A) (both are unique), so kernels over GF(p^e)
+are read back from the GF(p) ones by ``_unblock``; ``kernel_basis`` and
+``rank_ext`` take this route, and the tests check the digit form
+against it.  The same embedding is the scalar
 arithmetic: ``FieldCtx`` multiplies by applying an element's e x e
 matrix to digits, and Frobenius is one e x e matrix on digits, so
 GF(p^e) has one representation.
@@ -42,8 +50,9 @@ each round's row update is a batch of BLAS products whose sums
 Every exact matrix product of residues is a float BLAS product reduced
 by ``reduce_p``: ``matmul_p`` in float64; ``FieldCtx.element_matrix``,
 the one place e x e element matrices are made (``mul_array``,
-``matrix_table`` and ``blocked_over_prime`` read it), and
-``stacked_pivots``' row updates in float32.  (``mul_array`` and
+``matrix_table`` and ``blocked_over_prime`` read it), and the row
+updates of ``stacked_pivots`` and of ``echelon_p`` on digit vectors in
+float32.  (``mul_array`` and
 Frobenius apply an e x e matrix to single digit vectors, in int64.)  A
 product is exact while every sum is an integer below 2^24 in float32
 (2^53 in float64); ``reduce_p`` reduces a float array in place with
@@ -400,8 +409,9 @@ class FFMatrix:
 # prime-field elimination core (uint8 arrays, p <= 13)
 
 
-def echelon_p(A, p, reduced=False):
-    """Row echelon form over GF(p).  Returns (R, pivot column list).
+def echelon_p(A, p, reduced=False, ctx=None):
+    """Row echelon form over GF(p), or over GF(p^e) on digit vectors.
+    Returns (R, pivot column list).
 
     A is a 2-d uint8 array; not modified.  Deterministic: pivots are the
     first nonzero entry in scan order, scaled to 1, and only the rows below
@@ -412,43 +422,91 @@ def echelon_p(A, p, reduced=False):
     pivot row is zero left of c, since earlier pivot columns were cleared
     below their pivots and skipped columns had no nonzero from row rank
     down, so the cells left of c would not change.
+
+    With ctx, the field GF(p^e), A is a (rows, cols, e) uint8 array of
+    digit vectors and so is R; the pivots are GF(p^e) columns, one step
+    each.  At e = 1 this is the uint8 loop above on A[..., 0].  At e > 1
+    the rows are float32 and a step is fraction-free: every other row,
+    with leading entry f, becomes a * row - f * pivot row, a the pivot's
+    leading entry.  The step expands the pivot row once into the digits of
+    t^k * pivot row, k < e (the transposed C^k of companion_powers); then
+    f * pivot row is one BLAS product of the rows' leading digits with
+    that expansion, and a * row one product with its column c, the
+    (transposed) matrix of a.  The unreduced sums lie below
+    e^2 (p-1)^2 (2p-1) <= 57600, so reduce_p makes them exact residues.
+    The unreduced form keeps the leading entries it found.  The reduced
+    form rescales the rows above a pivot by a over their whole length
+    (their own leading entries move too), and ends by scaling each pivot
+    row by the inverse of its leading entry, all in one batch.
     """
-    R = np.array(A, dtype=np.uint8, copy=True)
-    rows, cols = R.shape
+    e = 1 if ctx is None else ctx.e
+    if e == 1:
+        R = np.array(A if ctx is None else A[..., 0], dtype=np.uint8, copy=True)
+    else:
+        R = np.array(A, dtype=np.float32).reshape(A.shape[0], A.shape[1] * e)
+        # a row of digit vectors times expand[k] = (C^k)^T: those of t^k * row
+        expand = np.ascontiguousarray(ctx.companion_powers.reshape(e, e, e).transpose(0, 2, 1))
+        ones = np.ones(e, dtype=np.float32)
+    rows, cols = R.shape[0], R.shape[1] // e
     inv = _inverses(p)
     products = _products(p)
+    # a step touches the cells from the pivot column on, or whole rows when
+    # it rescales the rows above the pivot (reduced, e > 1)
+    whole = reduced and e > 1
     pivots = []
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        nz = R[rank:, c].nonzero()[0]
+        if e == 1:
+            nz = R[rank:, c].nonzero()[0]
+        else:
+            nz = (R[rank:, c * e : c * e + e] @ ones).nonzero()[0]
         if nz.size == 0:
             continue
+        lo = 0 if whole else c * e
         pr = rank + int(nz[0])
         if pr != rank:
-            tmp = R[rank, c:].copy()
-            R[rank, c:] = R[pr, c:]
-            R[pr, c:] = tmp
-        row = R[rank, c:]
-        pv = int(row[0])
-        if pv != 1:
-            row[:] = products[inv[pv]][row]
+            tmp = R[rank, lo:].copy()
+            R[rank, lo:] = R[pr, lo:]
+            R[pr, lo:] = tmp
+        row = R[rank, lo:]
         # the rows below with a nonzero in column c are nz[1:]: the row
         # swapped down to pr held 0 there, since pr was the first nonzero
         other = rank + nz[1:]
         if reduced:
-            other = np.concatenate((R[:rank, c].nonzero()[0], other))
-        if other.size:
-            sub = R[other, c:]
-            # (p - entry) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
-            upd = (p - sub[:, :1]) * row
-            upd += sub
-            upd %= p
-            R[other, c:] = upd
+            above = R[:rank, c] if e == 1 else R[:rank, c * e : c * e + e] @ ones
+            other = np.concatenate((above.nonzero()[0], other))
+        if e == 1:
+            pv = int(row[0])
+            if pv != 1:
+                row[:] = products[inv[pv]][row]
+            if other.size:
+                sub = R[other, c:]
+                # (p - entry) * pivot row <= 12*12, plus the entry <= 156: exact in uint8
+                upd = (p - sub[:, :1]) * row
+                upd += sub
+                upd %= p
+                R[other, c:] = upd
+        elif other.size:
+            sub = R[other, lo:]
+            at = c * e - lo  # the digits of column c within sub and row
+            t_row = np.matmul(row.reshape(-1, e), expand)
+            # a * row, then + (p - f) * pivot row
+            upd = (sub.reshape(-1, e) @ t_row[:, at // e]).reshape(sub.shape)
+            upd += (p - sub[:, at : at + e]) @ t_row.reshape(e, -1)
+            R[other, lo:] = reduce_p(upd, p)
         pivots.append(c)
         rank += 1
-    return R, pivots
+    if e == 1:
+        return (R if ctx is None else R[..., None]), pivots
+    R = R.reshape(rows, cols, e)
+    if reduced and rank:
+        # each pivot row times the matrix of the inverse of its leading entry
+        lead = R[np.arange(rank), pivots] @ ctx.weights.astype(np.float32)
+        scale = ctx.element_matrix(ctx.inv_array(lead)).transpose(0, 2, 1)
+        R[:rank] = reduce_p(R[:rank] @ scale.astype(np.float32), p)
+    return R.astype(np.uint8), pivots
 
 
 def stacked_pivots(D, ctx):
@@ -551,12 +609,15 @@ def kernel_from_rref(R, pivots, cols, p):
     """Kernel basis (columns, uint8) of any matrix whose RREF is (R, pivots).
 
     Column k sets the k-th free variable to 1 and the other free ones to 0.
+    An R of digit vectors over GF(p^e), as echelon_p gives with ctx, gives
+    a K of digit vectors, (cols, free, e).
     """
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    K = np.zeros((cols, free.size), dtype=np.uint8)
-    K[free, np.arange(free.size)] = 1
+    K = np.zeros((cols, free.size) + R.shape[2:], dtype=np.uint8)
+    # 1, or its digit vector (1, 0, ..., 0)
+    K[free, np.arange(free.size)] = 1 if R.ndim == 2 else np.arange(R.shape[2]) == 0
     K[pivots] = (-R[: len(pivots), free].astype(np.int64)) % p
     return K
 

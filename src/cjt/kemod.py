@@ -31,6 +31,8 @@ from .errors import Failure, InputError
 from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
 
 DEFAULT_SEED = 0xC0FFEE
+# check_constant visits every GF(p)-point of P^{r-1}, and refuses more than this many
+RATIONAL_CAP = 10_000
 # check_constant visits every GF(p^2)-point of P^{r-1} when there are at most this many
 QUADRATIC_CAP = 10_000
 # most seeded-random points a SamplingPlan may ask for; all are built up front
@@ -450,30 +452,33 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     Only the ranks of X_alpha^1 .. X_alpha^(p-1) are computed, and none past
     the first power of rank 0: X_alpha^p = sum lambda_i^p X_i^p is zero for
     commuting p-nilpotent X_i.  X_alpha is built in digit form by
-    _digit_stack, as a stack of one point, and blocked over GF(p) (B).
-    Each power is ranked on the image of the one before: C_1 = B and
-    C_j = B C_{j-1}[:, P], P the pivot columns of C_{j-1}.  Those columns
-    are a basis of Im B^(j-1), so C_j spans Im B^j and has its rank, with
-    r_{j-1} columns instead of n*e.  The ranks come from gfalg.echelon_p and
-    the images from matmul_p, so this shares neither step with the sampler.
+    _digit_stack, as a stack of one point, and each power is ranked over
+    GF(p^e) on its (n, cols, e) digit vectors by gfalg.echelon_p, one step
+    per GF(p^e) column.  Each power is ranked on the image of the one
+    before: C_1 = X_alpha and C_j = X_alpha C_{j-1}[:, P], P the pivot
+    columns of C_{j-1}.  Those columns are a basis of Im X_alpha^(j-1), so
+    C_j spans Im X_alpha^j and has its rank, with r_{j-1} columns instead
+    of n.  The image is one matmul_p of the companion-blocked X_alpha
+    (gfalg.blocked_over_prime), which maps the stacked digits of a column
+    to those of its image.  So this shares neither step with the sampler,
+    which ranks with gfalg.stacked_pivots and forms images with _next_image.
     """
     if alpha.r != M.r:
         raise ModuleError("point rank does not match the module")
-    p = M.p
+    p, n = M.p, M.n
     ctx = alpha.ctx
     e = ctx.e
-    digits = _digit_stack(np.array(M.X, dtype=np.float32), [alpha])[0]
-    B = gfalg.blocked_over_prime(ctx, digits @ ctx.weights)
-    ranks = [M.n]  # rank of X^0 in GF(p^e) units
-    C = B
+    C = _digit_stack(np.array(M.X, dtype=np.float32), [alpha])[0]
+    ranks = [n]  # rank of X^0
     for j in range(1, p):
+        if j == 2:
+            B = gfalg.blocked_over_prime(ctx, C @ ctx.weights)
         if j > 1:
-            C = matmul_p(B, C[:, pivots], p)
-        _, pivots = gfalg.echelon_p(C, p)
-        rk = len(pivots)
-        assert rk % e == 0
-        ranks.append(rk // e)
-        if rk == 0:
+            V = C[:, pivots].transpose(0, 2, 1).reshape(n * e, -1)
+            C = matmul_p(B, V, p).reshape(n, e, -1).transpose(0, 2, 1)
+        _, pivots = gfalg.echelon_p(C, p, ctx=ctx)
+        ranks.append(len(pivots))
+        if not pivots:
             break
     ranks += [0] * (p + 2 - len(ranks))  # up to X^{p+1}
     a = tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1))
@@ -636,7 +641,8 @@ def _sampling_schedule(p, r, plan: SamplingPlan):
     """The points check_constant visits at (p, r) under plan, as
     (points_checked, fields_used, chunks).
 
-    The points are every GF(p)-point of P^{r-1}, every GF(p^2)-point when
+    The points are every GF(p)-point of P^{r-1} (more than RATIONAL_CAP
+    are refused before any is built), every GF(p^2)-point when
     there are at most QUADRATIC_CAP of them, and plan.extra seeded-random
     points over GF(p^e) with e <= plan.max_ext_degree.  The earliest point
     of each Galois orbit stands for the orbit, and these representatives
@@ -645,6 +651,12 @@ def _sampling_schedule(p, r, plan: SamplingPlan):
     (index in the chunk, point) pairs in visit order.  The schedule
     depends on no module, so it is built once per (p, r, plan).
     """
+    count_rational = (p**r - 1) // (p - 1)
+    if count_rational > RATIONAL_CAP:
+        raise ResourceCapError(
+            f"P^{r - 1} has {count_rational} GF({p})-points, above the cap "
+            f"{RATIONAL_CAP} on the points a constancy check visits"
+        )
     fields_used = [f"GF({p})"]
     points = projective_points(p, r, 1)
     count_quadratic = (p ** (2 * r) - 1) // (p**2 - 1)
@@ -690,9 +702,9 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     reference ranks as digit stacks (_rank_mismatches), and the first
     failing point in visit order is the witness.  The reference and the
     witness take their types from jordan_type_at.  It builds X_alpha
-    through _digit_stack too, but ranks the companion-blocked matrix with
-    gfalg.echelon_p and forms its images with matmul_p, so it shares no
-    elimination and no image step with the stacks.
+    through _digit_stack too, but ranks it with gfalg.echelon_p on digit
+    vectors and forms its images with matmul_p on the companion-blocked
+    matrix, so it shares no elimination and no image step with the stacks.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))

@@ -30,18 +30,20 @@ series then follows from them by a colon recursion, so R(a, e) =
 sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 
 Fibers at points are computed independently of jordan_type_at, from
-explicit kernel and image bases of powers of X_alpha, over GF(p) on the
-companion-blocked X_alpha; one reduced echelon form of it gives both the
-kernel and Im X_alpha.  fiber builds the encoded matrix entrywise
-(x_alpha); jordan_type_at builds its digits in kemod._digit_stack, one
-float32 product of the actions with the coordinates' digits, as the
-constancy sampler does.  Both are then blocked by
-gfalg.blocked_over_prime.  Sharing neither that construction nor the
-dimension formula, each route checks the other.
+explicit kernel and image bases of powers of X_alpha, eliminated over
+GF(p^e) on digit vectors (gfalg.echelon_p with the point's field); one
+reduced echelon form of X_alpha gives both the kernel and Im X_alpha, and
+one elimination per power gives the next image and its meet with the
+kernel.  fiber builds the encoded matrix entrywise (x_alpha);
+jordan_type_at builds its digits in kemod._digit_stack, one float32
+product of the actions with the coordinates' digits, as the constancy
+sampler does.  Sharing neither that construction nor the dimension
+formula, each route checks the other.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 from collections import Counter
@@ -328,35 +330,40 @@ class FiberReport:
 def fiber(M: KEModule, alpha: Point) -> FiberReport:
     """Exact fiber dimensions at alpha, from explicit subspace bases.
 
-    Computed from dim(Ker X n Im X^i) = dim Ker X + dim Im X^i - rank[K | W_i]
+    Computed from dim(Ker X n Im X^i) = dim Ker X + dim Im X^i - rank[W_i | K]
     rather than from the Jordan-type rank formula, so the two routes check
-    each other.  X = X_alpha is B over GF(p), each GF(p^e) entry replaced by
-    its e x e companion block; one RREF of B gives the kernel basis K and
-    W_1, and W_i is, as in jordan_type_at, the pivot columns of B W_{i-1}.
-    Only 0 < i < p is eliminated: the meet is Ker X at i = 0 and 0 at i = p.
-    Kernels, images and their intersections under a GF(p^e)-linear map are
-    GF(p^e)-subspaces, so each dimension over GF(p) is exactly e times the
-    one over GF(p^e).
+    each other.  X = X_alpha is built entrywise by x_alpha and eliminated
+    over GF(p^e) on its digit vectors (gfalg.echelon_p).  Its reduced
+    echelon form gives the kernel basis K, the identity at the free
+    columns, and W_1, the pivot columns of X.  W_i is the pivot columns of
+    U = X W_{i-1}, formed by matmul_p with the companion-blocked X.  One
+    elimination of [U | K] per power gives both: U's pivot columns are
+    those of [U | K] left of U's width (the column rank profile is
+    prefix-stable), and their total count is rank [U | K] = rank
+    [W_i | K].  Only 0 < i < p is eliminated: the meet is Ker X at i = 0
+    and 0 at i = p.
     """
     ctx = alpha.ctx
-    p, e = M.p, ctx.e
-    B = gfalg.blocked_over_prime(ctx, x_alpha(M, alpha).array)
-    R, pivots = gfalg.rref_p(B, p)
-    K = gfalg.kernel_from_rref(R, pivots, B.shape[1], p)
+    p, n, e = M.p, M.n, ctx.e
+    X = x_alpha(M, alpha).array
+    D = ctx.digit_array(X).astype(np.uint8)
+    R, pivots = gfalg.echelon_p(D, p, reduced=True, ctx=ctx)
+    K = gfalg.kernel_from_rref(R, pivots, n, p)
     kerdim = K.shape[1]
-    assert kerdim % e == 0
-    meets = [kerdim // e] + [0] * p
-    W = B
+    meets = [kerdim] + [0] * p
+    U = D[:, pivots]
     for i in range(1, p):
+        if i == 2:
+            B = gfalg.blocked_over_prime(ctx, X)
         if i > 1:
-            W = matmul_p(B, W, p)
-            _, pivots = gfalg.echelon_p(W, p)
-        if not pivots:
+            V = W.transpose(0, 2, 1).reshape(n * e, -1)
+            U = matmul_p(B, V, p).reshape(n, e, -1).transpose(0, 2, 1)
+        _, found = gfalg.echelon_p(np.concatenate((U, K), axis=1), p, ctx=ctx)
+        rank = bisect.bisect_left(found, U.shape[1])
+        if not rank:
             break
-        W = W[:, pivots]
-        meet = kerdim + len(pivots) - gfalg.rank_p(np.hstack([K, W]), p)
-        assert meet % e == 0
-        meets[i] = meet // e
+        W = U[:, found[:rank]]
+        meets[i] = kerdim + rank - len(found)
     dims = tuple(meets[i - 1] - meets[i] for i in range(1, p + 1))
     return FiberReport(alpha, dims)
 

@@ -5,6 +5,7 @@ per criterion; pytest's exit status is the overall gate.  Runtime caps
 are asserted with a wall clock.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -168,6 +169,16 @@ def test_criterion_7_divisibility_battery():
     assert ok
 
 
+# sha256 of the stdout of `cjt verify all` (its 212 lines carry no timings),
+# cut to 16 hex digits as in test_golden; print the current one with
+# `PYTHONPATH=src python tests/test_acceptance.py`
+VERIFY_ALL_DIGEST = "fe5a47eb66511be5"
+
+
+def verify_all_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class _Args:
     p = None
     r = None
@@ -186,11 +197,14 @@ def test_criterion_8_structural_suites_and_verify_all():
     elapsed = time.monotonic() - t0
     ok = code == 0 and elapsed < 900
     tail = buf.getvalue().strip().splitlines()[-1]
-    report(8, ok, f"verify all: {tail}", elapsed, 900)
+    digest = verify_all_digest(buf.getvalue())
+    ok = ok and digest == VERIFY_ALL_DIGEST
+    report(8, ok, f"verify all: {tail}, stdout digest {digest}", elapsed, 900)
     if code != 0:
         print(buf.getvalue())
     assert code == 0
     assert elapsed < 900
+    assert digest == VERIFY_ALL_DIGEST
 
 
 def test_criterion_9_falsifiability():
@@ -204,3 +218,11 @@ def test_criterion_9_falsifiability():
     report(9, ok, f"witness {v.witness.coords}: {v.type_at_witness} vs {v.reference_type}",
            elapsed, 60)
     assert ok
+
+
+if __name__ == "__main__":
+    import io
+
+    buf = io.StringIO()
+    run_verify(list(SUITES), _Args(), out=buf)
+    print(f"VERIFY_ALL_DIGEST = {verify_all_digest(buf.getvalue())!r}")

@@ -571,6 +571,8 @@ class TestCommands:
             # 2^40 under the default cap
             ["jordan-type", "builtin:regular", "--p", "2", "--r", "40"],
             ["hilbert", "builtin:radq3", "--p", "2", "--r", "40", "--functor", "1"],
+            # 2^40 - 1 GF(2)-points of P^39 under the constancy check's cap
+            ["check-constant", "builtin:trivial", "--p", "2", "--r", "40"],
             ["strip-free", "builtin:trivial", "--p", "2", "--r", "3", "--max-dim", "7"],
             ["verify", "fij-shift", "--p", "2", "--r", "3", "--max-dim", "7"],
             # Omega^2 k has dimension 5 at p = r = 2, radq2 (x) radq2 has 9

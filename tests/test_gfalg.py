@@ -733,6 +733,81 @@ class TestEchelonKernel:
             assert np.array_equal(got, x % p)
 
 
+ALL_FIELDS = [
+    (p, e)
+    for p in gfalg.SUPPORTED_PRIMES
+    for e in range(1, 15)
+    if p**e <= gfalg.MAX_FIELD_ORDER
+]
+
+
+def digit_inputs(ctx, rng):
+    """Encoded GF(p^e) matrices: random, sparse, rank-deficient (through a
+    thinner space), every digit p - 1 (the largest sums), repeated rows,
+    zero, 1 x k, k x 1 and empty."""
+    q, p = ctx.q, ctx.p
+    out = [rng.integers(0, q, size=(5, 7)), rng.integers(0, q, size=(7, 4))]
+    sparse = rng.integers(1, q, size=(6, 8))
+    sparse[rng.random((6, 8)) < 0.7] = 0
+    out.append(sparse)
+    for inner in (1, 2):
+        thin = [rng.integers(0, q, size=shape) for shape in ((6, inner), (inner, 7))]
+        product = gfalg.matmul_p(*(blocked_over_prime(ctx, A) for A in thin), p)
+        out.append(_unblock(ctx, product))
+    out.append(np.full((4, 5), q - 1))
+    out.append(out[0][[0, 1, 0, 2, 1]])
+    out += [np.zeros((4, 6), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]
+    out += [rng.integers(1, q, size=(1, 6)), rng.integers(1, q, size=(6, 1))]
+    out += [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
+    return out
+
+
+class TestDigitEchelon:
+    """echelon_p over GF(p^e) on digit vectors against the blocked oracle:
+    echelon_p and kernel_p of blocked_over_prime, read back by _unblock."""
+
+    @pytest.mark.parametrize("p,e", ALL_FIELDS)
+    def test_matches_the_blocked_oracle(self, p, e):
+        ctx = build_field(p, e)
+        rng = np.random.default_rng(p * 100 + e)
+        for A in digit_inputs(ctx, rng):
+            rows, cols = A.shape
+            D = ctx.digit_array(A).astype(np.uint8)
+            before = D.copy()
+            B = blocked_over_prime(ctx, A)
+            _, want = gfalg.echelon_p(B, p)
+            R, got = gfalg.echelon_p(D, p, ctx=ctx)
+            assert [j * e + k for j in got for k in range(e)] == want
+            assert R.dtype == np.uint8 and R.shape == (rows, cols, e)
+            # an echelon form: row i leads at got[i], the rows past the rank are zero
+            nonzero = R.any(axis=2)
+            for i, c in enumerate(got):
+                assert not nonzero[i, :c].any() and nonzero[i, c]
+            assert not nonzero[len(got) :].any()
+            # of A's row space: its reduced form is A's
+            RB = gfalg.rref_p(B, p)[0]
+            for M in (D, R):
+                reduced, pivots = gfalg.echelon_p(M, p, reduced=True, ctx=ctx)
+                assert pivots == got
+                assert reduced.dtype == np.uint8
+                assert np.array_equal(reduced @ ctx.weights, _unblock(ctx, RB))
+            K = gfalg.kernel_from_rref(reduced, pivots, cols, p)
+            assert K.shape == (cols, cols - len(got), e)
+            assert np.array_equal(K @ ctx.weights, _unblock(ctx, gfalg.kernel_p(B, p)))
+            assert np.array_equal(D, before)
+
+    @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
+    def test_prime_field_digits_run_the_uint8_loop(self, p):
+        # at e = 1 the digit form is the plain uint8 elimination, bit for bit
+        ctx = build_field(p, 1)
+        for A in kernel_inputs(p):
+            for reduced in (False, True):
+                R, pivots = gfalg.echelon_p(A[..., None], p, reduced, ctx)
+                want = gfalg.echelon_p(A, p, reduced)
+                assert R.dtype == np.uint8 and np.array_equal(R[..., 0], want[0])
+                assert pivots == want[1]
+
+
 class TestKernel:
     def test_identity_has_empty_kernel(self):
         F = build_field(5)

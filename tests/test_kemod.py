@@ -24,6 +24,7 @@ from cjt.kemod import (
     EXTRA_CAP,
     EXTRA_DEGREES,
     QUADRATIC_CAP,
+    RATIONAL_CAP,
     ConstantSoFar,
     Falsified,
     HellerStep,
@@ -297,6 +298,22 @@ class TestCheckConstant:
         assert peak < 1 << 16
         assert SamplingPlan(extra=EXTRA_CAP, max_ext_degree=max(EXTRA_DEGREES))
 
+    @pytest.mark.parametrize("p,r", [(2, 14), (2, 40), (13, 5), (13, 30)])
+    def test_rational_points_refused_before_any_is_built(self, p, r):
+        # (p^r - 1)/(p - 1) GF(p)-points above RATIONAL_CAP (r = 14 and 5
+        # are the least such r); a point costs about 1.5 KB, so a refusal
+        # that built them would show
+        assert (p**r - 1) // (p - 1) > RATIONAL_CAP
+        M = builtin("trivial", p, r)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="GF.*-points, above the cap"):
+                check_constant(M, SamplingPlan(extra=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_trivial_constant(self):
         v = check_constant(builtin("trivial", 3, 2), SamplingPlan(extra=10))
         assert isinstance(v, ConstantSoFar)
@@ -354,6 +371,25 @@ class TestImageChain:
                     assert got.dtype == blocked.dtype == np.uint8
                     assert np.array_equal(got, blocked)
                     assert jordan_type_at(M, pt) == full_jordan_type(M, pt)
+
+    def test_battery_in_the_largest_field(self):
+        # verify's battery at (13, 2) at GF(13^4) points (an axis point, one
+        # point with a zero coordinate, generic ones): jordan_type_at and
+        # fiber agree, and match the blocked full-power oracle on every
+        # member small enough for it (n <= 13, blocked 52 x 52)
+        from cjt.thetasheaf import fiber
+
+        ctx = build_field(13, 4)
+        assert ctx.q == MAX_FIELD_ORDER
+        rng = random.Random(134)
+        coords = [(1, 0), (0, rng.randrange(1, ctx.q))]
+        coords += [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)) for _ in range(2)]
+        for name, M in _battery(13, 2):
+            for pt in (Point(ctx, c) for c in coords):
+                want = jordan_type_at(M, pt)
+                assert fiber(M, pt).dims == want.a, name
+                if M.n <= 13:
+                    assert want == full_jordan_type(M, pt), name
 
 
 def visit_order(M, plan):
@@ -766,7 +802,7 @@ class TestDigitSampler:
                 cases.append((name, M, points, ranks_of(reference), want))
         assert any(want for *_, want in cases)
 
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise AssertionError("the sampler called echelon_p or matmul_p")
 
         monkeypatch.setattr(kemod.gfalg, "echelon_p", broken)
