@@ -11,7 +11,8 @@ row/col into the twist lists.
 
 A module reference is a file path or ``builtin:<name>``; modules built
 from a reference stay within a dimension cap (the command line's
---max-dim).
+--max-dim), and a file is refused above it right after its header, before
+any row is read.  A given p or r (--p, --r) must match a file's header.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .gfalg import SUPPORTED_PRIMES, build_field
-from .kemod import KEModule, ModuleError, Point, builtin, new_module, omega
+from .kemod import KEModule, ModuleError, Point, builtin, cap, new_module, omega
 from .realize import ResolutionSpec
 
 
@@ -35,41 +36,52 @@ class ParseError(InputError):
 
 
 def _content_lines(path):
-    """(line number, text) of each line with something left besides comments."""
-    out = []
+    """(line number, text) of each line with something left besides comments,
+    read as they are asked for."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 text = raw.split("#", 1)[0].strip()
                 if text:
-                    out.append((lineno, text))
+                    yield lineno, text
     except UnicodeDecodeError:
         raise ParseError(path, None, "not UTF-8 text") from None
     except OSError as exc:
         raise ParseError(path, None, exc.strerror or "cannot be read") from None
-    return out
 
 
-def parse_module(path) -> KEModule:
-    """Read and validate a module file."""
+def parse_module(path, p=None, r=None, max_dim=None) -> KEModule:
+    """Read and validate a module file.
+
+    A p or r given must match the header, and a max_dim given must be at
+    least its n; both are checked before any matrix row is read.
+    """
     lines = _content_lines(path)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise ParseError(path, 1, "empty module file")
-    lineno, header = lines[0]
-    parts = header.split()
+    lineno, text = first
+    parts = text.split()
     if len(parts) != 3:
         raise ParseError(path, lineno, "header must be: p r n")
     try:
-        p, r, n = (int(x) for x in parts)
+        header = [int(x) for x in parts]
     except ValueError:
         raise ParseError(path, lineno, "header entries must be integers") from None
+    for name, given, got in (("p", p, header[0]), ("r", r, header[1])):
+        if given is not None and given != got:
+            message = f"header has {name} = {got}, not the {given} asked for"
+            raise ParseError(path, lineno, message)
+    p, r, n = header
     if p not in SUPPORTED_PRIMES or r < 1:
         raise ParseError(
             path, lineno, f"header needs p in {SUPPORTED_PRIMES} and r >= 1"
         )
     if n < 0:
         raise ParseError(path, lineno, f"header needs n >= 0, got {n}")
-    rows = lines[1:]
+    if max_dim is not None:
+        cap(n, "module file", max_dim)
+    rows = list(lines)
     if len(rows) != r * n:
         raise ParseError(
             path,
@@ -103,7 +115,7 @@ def print_module(M: KEModule) -> str:
 
 def parse_spec(path) -> ResolutionSpec:
     """Read a resolution-spec file."""
-    lines = _content_lines(path)
+    lines = list(_content_lines(path))
     if not lines:
         raise ParseError(path, 1, "empty spec file")
     lineno, header = lines[0]
@@ -195,9 +207,13 @@ def parse_spec(path) -> ResolutionSpec:
 
 def parse_point(M: KEModule, text: str, ext: int) -> Point:
     """Coordinates read mod p over GF(p); over GF(p^e), e > 1, encoded
-    elements in [0, p^e), which do not wrap."""
+    elements in [0, p^e), which do not wrap.  They are separated by commas,
+    whitespace or both, and a comma with no coordinate before or after it is
+    refused."""
     try:
         ctx = build_field(M.p, ext)
+        if any(not field.strip() for field in text.split(",")):
+            raise ValueError("empty coordinate")
         coords = tuple(int(x) for x in text.replace(",", " ").split())
         if ctx.e == 1:
             coords = tuple(c % ctx.p for c in coords)
@@ -210,9 +226,11 @@ def parse_point(M: KEModule, text: str, ext: int) -> Point:
 
 
 def resolve_module(ref: str, p, r, max_dim) -> KEModule:
-    """A path, or builtin:<name> over the algebra of (p, r), within max_dim."""
+    """A path, or builtin:<name> over the algebra of (p, r), within max_dim.
+
+    A file's header must agree with p and r where they are given."""
     if not ref.startswith("builtin:"):
-        return parse_module(ref)
+        return parse_module(ref, p, r, max_dim)
     name = ref[len("builtin:") :]
     if p is None or r is None:
         raise ModuleError("builtin modules need --p and --r")

@@ -42,8 +42,13 @@ rounds, not columns: each round groups the nonzero rows of the whole
 stack by (matrix, leading column), keeps the first row of each group and
 clears the leading entry of every other one against it, all in one
 batch.  When every group has one row, the leading columns are the pivot
-columns, which do not depend on the elimination order.  At e = 1 it is
-plain elimination over GF(p).  Its rows and the table are float32, so
+columns, which do not depend on the elimination order.  The rounds a
+stack takes depend on how many rows share a leading column: on a dense
+matrix every row leads at column 0, and a round resolves about one
+column.  The sampler therefore builds its stacks in a basis adapted to
+the module's radical series (``kemod.layered_actions``), where the rows
+of each layer lead in the columns of the layers above it, and a dense
+module's stacks take fewer rounds.  At e = 1 it is plain elimination over GF(p).  Its rows and the table are float32, so
 each round's row update is a batch of BLAS products whose sums
 ``reduce_p`` reduces.
 

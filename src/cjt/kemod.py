@@ -15,6 +15,13 @@ linear dual of M (hom_to_free).  Choosing the functionals is one solve:
 a left inverse on the socle for a hull, and an n x n system for the
 free-summand retraction in strip_free_with_inclusion.  apply_monomials
 gives both maps, applying every monomial X^v to the n x b matrix at hand.
+
+The constancy sampler (check_constant) ranks the X_alpha of many points
+at once, in a basis adapted to the radical series M, JM, J^2 M, ..., J
+spanned by the X_i (layered_actions), where X_alpha maps each layer into
+deeper ones; the change of basis is over GF(p), so it keeps every rank
+and every answer.  Jordan types at single points (jordan_type_at, the
+sampler's oracle) stay on the actions as given.
 """
 
 from __future__ import annotations
@@ -585,11 +592,81 @@ def _next_image(X, C, keep, cols, lam, p):
     return gfalg.reduce_p(image, p).astype(np.uint8).reshape(b, n, -1, e)
 
 
+def _support_is_acyclic(X, n):
+    """Whether the nonzeros of the n x n matrices X, as edges j -> i for
+    each entry [i, j], form a DAG: then some permutation makes every matrix
+    strictly triangular.  One topological sort, O(n + nonzeros) steps."""
+    # the transposed support lists the edges by source
+    sources, targets = np.any(np.array(X, dtype=bool), axis=0).T.nonzero()
+    starts = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    indegree = np.bincount(targets, minlength=n).tolist()
+    targets = targets.tolist()
+    ready = [v for v in range(n) if indegree[v] == 0]
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for w in targets[starts[v] : starts[v + 1]]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return done == n
+
+
+def _radical_layers(M: KEModule):
+    """Row bases of the layers of M's radical series, top layer first.
+
+    V_0 = M and V_{k+1} = sum_i X_i V_k, each held as the rows of its
+    reduced echelon basis.  Layer k is the rows of V_k's basis whose pivot
+    is not a pivot of V_{k+1} (V_{k+1} lies in V_k, so its pivots are some
+    of V_k's).  The layers from k on have distinct pivots, dim V_k of them
+    in all, so they are a basis of V_k, and each X_i maps layer k into the
+    span of the layers below it.
+    """
+    p = M.p
+    basis, pivots = np.eye(M.n, dtype=np.uint8), list(range(M.n))
+    layers = []
+    while pivots:
+        image = np.vstack([matmul_p(basis, A.T, p) for A in M.X])
+        below, below_pivots = gfalg.rref_p(image, p)
+        keep = np.isin(pivots, below_pivots, invert=True)
+        layers.append(basis[keep])
+        basis, pivots = below[: len(below_pivots)], below_pivots
+    return layers
+
+
+def layered_actions(M: KEModule):
+    """M's actions in a basis adapted to its radical series: P^-1 X_i P, P
+    the vectors of _radical_layers(M) as columns, deepest layer first.
+
+    Every X_i, and so every X_alpha, then maps each layer into the layers
+    before it: X_alpha is strictly upper triangular by layer blocks, and a
+    row of layer k has its nonzeros in the columns of the layers above k.
+    The rows of a stack so lead in many columns, not all near column 0,
+    and gfalg.stacked_pivots clears them in fewer rounds.  When the support
+    of the X_i is already a DAG (_support_is_acyclic), a change of basis
+    gains nothing on it, and M.X itself is returned.  Cached on M.
+    """
+    if "layered" not in M._cache:
+        if _support_is_acyclic(M.X, M.n):
+            actions = M.X
+        else:
+            P = np.vstack(_radical_layers(M)[::-1]).T
+            actions = submodule(M, P)[0].X
+        M._cache["layered"] = actions
+    return M._cache["layered"]
+
+
 def _rank_mismatches(M: KEModule, points, ranks):
     """Indices of the points, all over one field, whose Jordan type differs
     from the one with ranks[j] = rank X_alpha^j over GF(p^e).
 
-    The points' X_alpha are built in digit form (_digit_stack), with no
+    The stacks are built from layered_actions(M), not M.X.  Conjugation
+    by an invertible P over GF(p) commutes with extension of scalars, so
+    P^-1 X_alpha^j P has the rank of X_alpha^j at every point and power,
+    and the failing points are the same in either basis; the layered basis
+    only makes gfalg.stacked_pivots take fewer rounds.  The points'
+    X_alpha are built in digit form (_digit_stack), with no
     companion blocks, in stacks whose widest transient fits STACK_CELLS,
     and ranked by their GF(p^e) columns with gfalg.stacked_pivots, each
     power on the image of the one before, as in jordan_type_at.  The next
@@ -608,7 +685,7 @@ def _rank_mismatches(M: KEModule, points, ranks):
     ctx = points[0].ctx
     p, e, n, r = M.p, ctx.e, M.n, M.r
     dtype = np.float32 if r * n * (p - 1) ** 2 < 2**22 else np.float64
-    X = np.array(M.X, dtype=dtype)
+    X = np.array(layered_actions(M), dtype=dtype)
     # float cells alive at once per point: the first stack and its quotient,
     # or four arrays of e n ranks[1] cells while the next image is formed.
     # stacked_pivots adds its float32 copy of the stack, e n^2, and a round's
@@ -705,6 +782,11 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     through _digit_stack too, but ranks it with gfalg.echelon_p on digit
     vectors and forms its images with matmul_p on the companion-blocked
     matrix, so it shares no elimination and no image step with the stacks.
+    It also stays on M.X, while the stacks use layered_actions(M), a basis
+    adapted to M's radical series, so the two check each other across two
+    bases.  A change of basis over GF(p) keeps every rank of every power
+    of X_alpha, so the verdict, the witness, points_checked and
+    fields_used do not depend on the basis M comes in.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))

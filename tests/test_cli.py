@@ -542,6 +542,16 @@ class TestCommands:
             ["verify", "exactness", "--r", "1"],
             ["verify", "all", "--r", "4"],
             ["verify", "fij-shift", "--p", "7"],
+            # an empty coordinate between or after commas
+            ["jordan-type", "builtin:radq2", "--p", "3", "--r", "2", "--point", "1,2,"],
+            ["jordan-type", "builtin:radq2", "--p", "3", "--r", "2", "--point", "1,,2"],
+            ["fiber", "builtin:radq2", "--p", "3", "--r", "2", "--point", ",1,2"],
+            # --p or --r that contradicts a module file's header (p = 3, r = 2);
+            # verify resolves the file at each pair it runs, (2, 2) first
+            ["jordan-type", "file:" + RADQ2_32, "--p", "5", "--r", "2"],
+            ["check-constant", "file:" + RADQ2_32, "--r", "3"],
+            ["hilbert", "file:" + RADQ2_32, "--p", "2", "--functor", "1"],
+            ["verify", "fij-shift", "--module", "file:" + RADQ2_32],
         ],
     )
     def test_bad_point_and_field_exit_2(self, argv, capsys, monkeypatch, tmp_path):
@@ -593,6 +603,40 @@ class TestCommands:
         assert code == 1
         assert err.startswith("failure: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-constant", "FILE", "--max-dim", "2"],
+            ["jordan-type", "FILE", "--p", "3", "--r", "2", "--max-dim", "2"],
+            ["sum", "FILE", "FILE", "--max-dim", "2"],
+            # refused at the header: the 10^5 rows it announces are not there
+            ["jordan-type", "HUGE"],
+            ["verify", "filtration", "--module", "HUGE", "--p", "3", "--r", "2"],
+        ],
+    )
+    def test_module_file_above_max_dim_exit_1(self, argv, tmp_path, capsys):
+        files = {"FILE": RADQ2_32, "HUGE": "3 2 100000\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("failure: module file of dimension ")
+        assert err.count("\n") == 1
+
+    def test_module_file_at_its_own_algebra(self, tmp_path, capsys):
+        # --p and --r that agree with the header, and verify at that pair
+        f = tmp_path / "m.txt"
+        f.write_text(RADQ2_32)
+        code, plain, _ = run_cli(["jordan-type", str(f), "--max-dim", "3"], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["jordan-type", str(f), "--p", "3", "--r", "2"], capsys)
+        assert code == 0 and out == plain
+        code, out, _ = run_cli(
+            ["verify", "fij-shift", "--module", str(f), "--p", "3", "--r", "2"], capsys
+        )
+        assert code == 0 and out.endswith("1/1 cases passed\n")
 
     def test_no_solution_exit_1(self, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):

@@ -41,14 +41,17 @@ from cjt.kemod import (
     _digit_stack,
     _next_image,
     _orbit_keys,
+    _radical_layers,
     _rank_mismatches,
     _sampling_schedule,
+    _support_is_acyclic,
     builtin,
     check_constant,
     direct_sum,
     dual,
     injective_hull,
     jordan_type_at,
+    layered_actions,
     minimal_generators,
     new_module,
     omega,
@@ -786,10 +789,12 @@ class TestDigitSampler:
     def test_sampler_shares_no_kernel_with_the_oracle(self, monkeypatch):
         # _rank_mismatches ranks with stacked_pivots and forms images with
         # _next_image: with echelon_p and matmul_p, jordan_type_at's two
-        # steps, broken it still finds the points off the reference type
+        # steps, broken it still finds the points off the reference type.
+        # Its change of basis uses both, once per module: it is built first
         cases = []
         rng = random.Random(5)
         for name, M in sampler_modules():
+            kemod.layered_actions(M)
             for e in (1, 2):
                 ctx = build_field(M.p, e)
                 points = [axis_point(M.p, M.r, i, e) for i in range(M.r)]
@@ -861,6 +866,104 @@ class TestDigitSampler:
             for got, t, c in zip(image, keep, cols):
                 terms = ctx.mul_array(A[t][:, :, None], A[t][None, :, c])  # (n, n, cols)
                 assert np.array_equal(got, ctx.digit_array(terms).sum(axis=1) % p)
+
+
+def radical_dims(M):
+    """dim J^k M for k = 0, 1, ... while nonzero, each the rank of all
+    products of k actions."""
+    span, dims = np.eye(M.n, dtype=np.uint8), []
+    while (d := rank_p(span, M.p)) > 0:
+        dims.append(d)
+        span = np.hstack([matmul_p(A, span, M.p) for A in M.X])
+    return dims
+
+
+def layered_modules():
+    """Modules whose support is no DAG, from the test battery, zoo(5), the
+    falsified DIFFERENTIAL_MODULES and Omega^4 k at (2,2) in a random basis."""
+    rng = np.random.default_rng(41)
+    mods = [(f"dense {name}", conjugate(M, rng)) for name, M in battery() if M.n > 1]
+    mods += [(f"zoo(5) {i}", M) for i, M in enumerate(zoo(5))]
+    mods += [
+        (f"dense {name}", conjugate(DIFFERENTIAL_MODULES[name][0](), rng))
+        for name in dict(FALSIFIED)
+    ]
+    mods.append(("dense Omega^4 k(2,2)", conjugate(omega(builtin("trivial", 2, 2), 4), rng)))
+    cyclic = [(name, M) for name, M in mods if not _support_is_acyclic(M.X, M.n)]
+    assert len(cyclic) > 20
+    return cyclic
+
+
+class TestLayeredActions:
+    """The sampler ranks X_alpha in a basis adapted to the radical series;
+    no verdict may depend on the basis a module comes in."""
+
+    @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
+    def test_conjugate_keeps_every_verdict(self, k):
+        # the battery, zoo modules, the perm modules and the falsified
+        # modules, each against two seeded changes of basis
+        plan = DIFFERENTIAL_PLANS[k]
+        mods = [M for _, M in battery()] + zoo(13)
+        mods += [builtin("perm", p, r, i=r) for p, r in ((2, 3), (3, 2), (5, 2))]
+        names = [name for name, j in FALSIFIED if j == k]
+        mods += [DIFFERENTIAL_MODULES[name][0]() for name in names]
+        falsified = 0
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            for M in mods:
+                want = check_constant(M, plan)
+                got = check_constant(conjugate(M, rng), plan)
+                assert got == want
+                falsified += isinstance(want, Falsified)
+        assert falsified >= 2 * (len(names) + 3)
+
+    def test_is_a_conjugation(self):
+        # P, the layers' vectors deepest first, is invertible and P Y_i = X_i P
+        for name, M in layered_modules():
+            Y = layered_actions(M)
+            assert Y is not M.X, name
+            P = np.vstack(_radical_layers(M)[::-1]).T
+            assert rank_p(P, M.p) == M.n, name
+            for A, B in zip(M.X, Y):
+                assert np.array_equal(matmul_p(P, B, M.p), matmul_p(A, P, M.p)), name
+
+    def test_each_layer_maps_deeper(self):
+        # with dims d_k = dim J^k M, layer k has d_k - d_(k+1) vectors and
+        # comes before every layer above it, so each Y_i is zero on and
+        # below the diagonal of layer blocks
+        for name, M in layered_modules():
+            dims = radical_dims(M) + [0]
+            sizes = [dims[k] - dims[k + 1] for k in range(len(dims) - 1)]
+            assert [len(layer) for layer in _radical_layers(M)] == sizes, name
+            block = np.repeat(np.arange(len(sizes)), sizes[::-1])
+            low = block[:, None] >= block[None, :]
+            for B in layered_actions(M):
+                assert not B[low].any(), name
+
+    def test_dag_support_keeps_the_actions(self):
+        # the sparse builtins, realized modules and the zero module take the
+        # shortcut; the result is cached
+        Z = omega(builtin("regular", 2, 2), 1)
+        assert Z.n == 0
+        mods = [M for _, M in battery()] + [Z, realized(realize.euler_spec(2, 3))]
+        mods += [omega(builtin("trivial", 3, 2), n) for n in (-2, 2)]
+        for M in mods:
+            assert layered_actions(M) is M.X
+            assert layered_actions(M) is M._cache["layered"]
+        verdict = check_constant(Z)
+        assert isinstance(verdict, ConstantSoFar) and verdict.type == JordanType(2, (0, 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_acyclic_is_a_nilpotent_support(self, n):
+        # a support is a DAG exactly when its boolean adjacency matrix is
+        # nilpotent: A^n = 0
+        rng = np.random.default_rng(n)
+        for density in (0.05, 0.2, 0.5):
+            for _ in range(20):
+                X = [(rng.random((n, n)) < density).astype(np.uint8) for _ in range(2)]
+                A = np.any(np.array(X, dtype=bool), axis=0).astype(np.int64)
+                power = np.linalg.matrix_power(A, n) if n else A
+                assert _support_is_acyclic(X, n) == (not power.any())
 
 
 class TestSumTensorDual:
