@@ -130,11 +130,9 @@ def _cmd_module_op(args, out):
         result = omega(_module(args.module, args), args.n, args.max_dim)
     elif args.op == "dual":
         result = dual(_module(args.module, args))
-    elif args.op == "sum":
-        result = direct_sum(_module(args.module, args), _module(args.other, args))
-    elif args.op == "tensor":
+    elif args.op in ("sum", "tensor"):
         M, N = _module(args.module, args), _module(args.other, args)
-        result = tensor(M, N, args.max_dim)
+        result = (direct_sum if args.op == "sum" else tensor)(M, N, args.max_dim)
     else:  # strip-free
         M = _module(args.module, args)
         cap(M.p**M.r, "group algebra", args.max_dim)

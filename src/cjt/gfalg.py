@@ -338,7 +338,7 @@ class FieldCtx:
 
         float32, the dtype of stacked_pivots' rows, so its BLAS products
         need no cast; 4 q e^2 bytes, 1.8 MB at GF(13^4), 40 KB at GF(5^4).
-        Read by stacked_pivots and the constancy sampler.
+        Read only by stacked_pivots, the constancy sampler's kernel.
         """
         out = self.element_matrix(np.arange(self.q)).transpose(0, 2, 1).astype(np.float32)
         out.setflags(write=False)

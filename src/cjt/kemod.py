@@ -16,12 +16,12 @@ a left inverse on the socle for a hull, and an n x n system for the
 free-summand retraction in strip_free_with_inclusion.  apply_monomials
 gives both maps, applying every monomial X^v to the n x b matrix at hand.
 
-The constancy sampler (check_constant) ranks the X_alpha of many points
-at once, in a basis adapted to the radical series M, JM, J^2 M, ..., J
-spanned by the X_i (layered_actions), where X_alpha maps each layer into
-deeper ones; the change of basis is over GF(p), so it keeps every rank
-and every answer.  Jordan types at single points (jordan_type_at, the
-sampler's oracle) stay on the actions as given.
+The constancy sampler (check_constant) ranks every power X_alpha^j, a
+combination of the products X^m with |m| = j, at many points at once, in
+a basis adapted to the radical series M, JM, J^2 M, ... (layered_actions),
+where X_alpha maps each layer into deeper ones; the change of basis is
+over GF(p), so it keeps every rank and every answer.  Jordan types at
+single points (jordan_type_at, the sampler's oracle) stay on M.X.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -46,11 +47,13 @@ QUADRATIC_CAP = 10_000
 EXTRA_CAP = 10_000
 # extension degrees of the seeded-random points, before max_ext_degree caps them
 EXTRA_DEGREES = (2, 3, 4)
-# most float cells (1 MB in float32) one stack of check_constant's sampler
-# holds at once: e n max(2 n, 4 rank X_alpha) per point over GF(p^e)
+# most cells (1 MB in float32) one stack of check_constant's sampler holds:
+# 2 J e n^2 per point over GF(p^e), its J powers' digits and their float copy
 STACK_CELLS = 2**18
 # largest module dimension omega and realize_bundle build by default
 DEFAULT_MAX_DIM = 5000
+# bytes an image tracker step, a realize system or the sampler's X^m may take
+DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 
 class ModuleError(InputError):
@@ -371,9 +374,11 @@ def builtin(kind: str, p: int, r: int, *, max_dim=DEFAULT_MAX_DIM, **params) -> 
     raise ModuleError(f"unknown builtin kind {kind!r}")
 
 
-def direct_sum(M: KEModule, N: KEModule) -> KEModule:
+def direct_sum(M: KEModule, N: KEModule, max_dim: int = DEFAULT_MAX_DIM) -> KEModule:
+    """M + N; refuses a sum of dimension M.n + N.n above max_dim before building it."""
     if (M.p, M.r) != (N.p, N.r):
         raise ModuleError("direct_sum needs matching p and r")
+    cap(M.n + N.n, "direct sum", max_dim)
     X = []
     for A, B in zip(M.X, N.X):
         C = np.zeros((M.n + N.n, M.n + N.n), dtype=np.uint8)
@@ -468,7 +473,7 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     of n.  The image is one matmul_p of the companion-blocked X_alpha
     (gfalg.blocked_over_prime), which maps the stacked digits of a column
     to those of its image.  So this shares neither step with the sampler,
-    which ranks with gfalg.stacked_pivots and forms images with _next_image.
+    which ranks with gfalg.stacked_pivots and sums products X^m (_power_stack).
     """
     if alpha.r != M.r:
         raise ModuleError("point rank does not match the module")
@@ -572,26 +577,6 @@ def _digit_stack(X, points):
     return stack.astype(np.uint8).reshape(len(points), n, n, ctx.e)
 
 
-def _next_image(X, C, keep, cols, lam, p):
-    """Digits of X_alpha V at the points keep of a (b, n, n', e) digit
-    stack C, V holding the GF(p^e) columns cols[t] of C[keep[t]].
-
-    X_alpha V = sum_s X_s (lambda_s V).  lam[t, s] is the e x e matrix
-    taking digits(v) to digits(lambda_s v) at the point of C[t]
-    (FieldCtx.matrix_table), so lambda_s V is a product on the digits, and
-    X_s (lambda_s V) one BLAS product per action for the whole stack.
-    Returns a (len(keep), n, cols.shape[1], e) uint8 stack.
-    """
-    b, (n, e) = len(keep), C.shape[1::2]
-    V = C[keep[:, None], :, cols].transpose(0, 2, 1, 3)  # (b, n, cols, e)
-    V = V.astype(X.dtype, order="C").reshape(b, -1, e)
-    image = 0
-    for A, L in zip(X, lam[keep].transpose(1, 0, 2, 3)):
-        scaled = gfalg.reduce_p(V @ L, p).reshape(b, n, -1)
-        image += A @ scaled
-    return gfalg.reduce_p(image, p).astype(np.uint8).reshape(b, n, -1, e)
-
-
 def _support_is_acyclic(X, n):
     """Whether the nonzeros of the n x n matrices X, as edges j -> i for
     each entry [i, j], form a DAG: then some permutation makes every matrix
@@ -657,59 +642,69 @@ def layered_actions(M: KEModule):
     return M._cache["layered"]
 
 
-def _rank_mismatches(M: KEModule, points, ranks):
+def _power_terms(X, J, p):
+    """The products X^m of the (r, n, n) float actions X, 1 <= |m| <= J: per
+    degree j, (the (M_j, n, n) X^m, first, parent, coef), M_j = C(r+j-1, j);
+    degree 1 is (X, None, None, None).  A monomial m of degree j is the
+    sorted tuple of its j variables, and X^m = X_first X^parent, parent the
+    index of m without its first variable: one BLAS product per monomial,
+    written in place.  coef = j!/m! mod p.  Terms above
+    DEFAULT_MEMORY_BUDGET bytes are refused before they are built."""
+    r, n, _ = X.shape
+    nbytes = sum(math.comb(r + j - 1, j) for j in range(2, J + 1)) * n * n * X.itemsize
+    if nbytes > DEFAULT_MEMORY_BUDGET:
+        raise ResourceCapError(
+            f"products X^m of degree <= {J}: {nbytes >> 20} MB, above the memory "
+            f"budget of {DEFAULT_MEMORY_BUDGET >> 20} MB")
+    terms, index = [(X, None, None, None)], {(i,): i for i in range(r)}
+    for j in range(2, J + 1):
+        mons = list(itertools.combinations_with_replacement(range(r), j))
+        first, parent = [m[0] for m in mons], [index[m[1:]] for m in mons]
+        P = np.empty((len(mons), n, n), dtype=X.dtype)
+        for k in range(len(mons)):
+            np.matmul(X[first[k]], terms[-1][0][parent[k]], out=P[k])
+        coef = [math.factorial(j) // math.prod(map(math.factorial, map(m.count, set(m))))
+                for m in mons]
+        terms.append((gfalg.reduce_p(P, p), first, parent, np.array(coef)[:, None] % p))
+        index = {m: k for k, m in enumerate(mons)}
+    return terms
+
+
+def _power_stack(terms, points):
+    """Digits of X_alpha^1 .. X_alpha^J at points all over one field, a
+    (J b, n, n, e) uint8 stack, power by power; terms = _power_terms(X, J,
+    p).  The X_i commute, so X_alpha^j = sum_{|m| = j} (j!/m!) alpha^m X^m:
+    one product of the (n^2, M_j) terms with the points' (b, M_j, e) digits
+    of (j!/m!) alpha^m, the alpha^m one FieldCtx.mul_array from degree
+    j - 1.  Degree 1 is _digit_stack."""
+    ctx, X, b = points[0].ctx, terms[0][0], len(points)
+    n = X.shape[1]
+    out = np.empty((len(terms), b, n, n, ctx.e), dtype=np.uint8)
+    out[0] = _digit_stack(X, points)
+    coords = values = np.array([pt.coords for pt in points], dtype=np.int64)
+    for j, (P, first, parent, coef) in enumerate(terms[1:], 1):
+        values = ctx.mul_array(coords[:, first], values[:, parent])
+        digits = (ctx.digit_array(values) * coef % ctx.p).astype(X.dtype)
+        power = gfalg.reduce_p(P.reshape(len(P), n * n).T @ digits, ctx.p)
+        out[j] = power.reshape(b, n, n, ctx.e)
+    return out.reshape(len(terms) * b, n, n, ctx.e)
+
+
+def _rank_mismatches(terms, points, ranks):
     """Indices of the points, all over one field, whose Jordan type differs
-    from the one with ranks[j] = rank X_alpha^j over GF(p^e).
-
-    The stacks are built from layered_actions(M), not M.X.  Conjugation
-    by an invertible P over GF(p) commutes with extension of scalars, so
-    P^-1 X_alpha^j P has the rank of X_alpha^j at every point and power,
-    and the failing points are the same in either basis; the layered basis
-    only makes gfalg.stacked_pivots take fewer rounds.  The points'
-    X_alpha are built in digit form (_digit_stack), with no
-    companion blocks, in stacks whose widest transient fits STACK_CELLS,
-    and ranked by their GF(p^e) columns with gfalg.stacked_pivots, each
-    power on the image of the one before, as in jordan_type_at.  The next
-    image C_j = X_alpha C_{j-1}[:, P], P the GF(p^e) pivot columns of
-    C_{j-1}, holds the digits of X_alpha applied to a basis of
-    Im X_alpha^(j-1), r_{j-1} columns; _next_image forms it for every point
-    left in the stack at once.  A point drops out at its first rank off the
-    reference, so the points left share their pivot counts, and the loop
-    stops at the first power of reference rank 0: equal ranks up to there
-    give equal types.
-
-    The products run in float32 and gfalg.reduce_p reduces their sums, at
-    most r n (p-1)^2 (e (p-1)^2 on the digits), exactly below 2^22; a
-    module above that bound takes float64.
-    """
-    ctx = points[0].ctx
-    p, e, n, r = M.p, ctx.e, M.n, M.r
-    dtype = np.float32 if r * n * (p - 1) ** 2 < 2**22 else np.float64
-    X = np.array(layered_actions(M), dtype=dtype)
-    # float cells alive at once per point: the first stack and its quotient,
-    # or four arrays of e n ranks[1] cells while the next image is formed.
-    # stacked_pivots adds its float32 copy of the stack, e n^2, and a round's
-    # row update up to three times the rows it clears
-    per_point = e * n * max(2 * n, 4 * ranks[1])
-    per_stack = max(1, STACK_CELLS // max(1, per_point))
+    from the one with ranks[j] = rank X_alpha^j over GF(p^e), where terms
+    = _power_terms(X, J, p) and ranks[J] = 0 or J = p - 1 (X_alpha^p = 0).
+    The J powers (_power_stack) of a stack of STACK_CELLS // (2 J e n^2)
+    points are ranked in one gfalg.stacked_pivots call; a point fails when
+    any of its powers has a rank off the reference."""
+    ctx, J, n = points[0].ctx, len(terms), terms[0][0].shape[1]
+    per_stack = max(1, STACK_CELLS // max(1, 2 * J * ctx.e * n * n))
     out = []
     for start in range(0, len(points), per_stack):
-        stack = points[start : start + per_stack]
-        coords = np.array([pt.coords for pt in stack], dtype=np.int64)
-        lam = ctx.matrix_table[coords].astype(dtype, copy=False)  # (b, r, e, e)
-        C = _digit_stack(X, stack)
-        live = np.arange(len(stack))  # C[t] spans Im X_alpha^j at point start + live[t]
-        for j in range(1, p):
-            if j > 1:
-                cols = np.array([pivots[t] for t in keep])
-                C = _next_image(X, C, keep, cols, lam[live], p)
-                live = live[keep]
-            pivots = gfalg.stacked_pivots(C, ctx)
-            ok = np.array([len(found) == ranks[j] for found in pivots], dtype=bool)
-            out += (start + live[~ok]).tolist()
-            keep = ok.nonzero()[0]
-            if ranks[j] == 0 or keep.size == 0:
-                break
+        powers = _power_stack(terms, points[start : start + per_stack])
+        found = np.reshape([len(pv) for pv in gfalg.stacked_pivots(powers, ctx)], (J, -1))
+        off = (found != np.c_[ranks[1 : J + 1]]).any(axis=0)
+        out += (start + off.nonzero()[0]).tolist()
     return out
 
 
@@ -776,17 +771,14 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     plan): only the first point of each Galois orbit, since the points of
     one orbit share a Jordan type; points_checked counts every point
     covered.  Each chunk's points of one field are checked against the
-    reference ranks as digit stacks (_rank_mismatches), and the first
-    failing point in visit order is the witness.  The reference and the
-    witness take their types from jordan_type_at.  It builds X_alpha
-    through _digit_stack too, but ranks it with gfalg.echelon_p on digit
-    vectors and forms its images with matmul_p on the companion-blocked
-    matrix, so it shares no elimination and no image step with the stacks.
-    It also stays on M.X, while the stacks use layered_actions(M), a basis
-    adapted to M's radical series, so the two check each other across two
-    bases.  A change of basis over GF(p) keeps every rank of every power
-    of X_alpha, so the verdict, the witness, points_checked and
-    fields_used do not depend on the basis M comes in.
+    reference ranks (_rank_mismatches) at the powers 1 .. J, J the first
+    of reference rank 0, or p - 1, whose products X^m are built once
+    (_power_terms) from layered_actions(M); the first failing point in
+    visit order is the witness.  The reference and the witness take their
+    types from jordan_type_at, which shares no elimination and no power
+    with the stacks, and stays on M.X, so the two check each other across
+    two bases.  A change of basis over GF(p) keeps every rank of every
+    power of X_alpha, so no answer depends on the basis M comes in.
     """
     plan = plan or SamplingPlan()
     cached = M._cache.get(("constancy", plan))
@@ -798,11 +790,16 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
     ranks = [
         sum((i - j) * m for i, m in enumerate(reference.a, 1) if i > j) for j in range(M.p)
     ]
+    J = min((ranks + [0]).index(0, 1), M.p - 1)
+    # float32 sums are exact below 2^22: the X^m sum n products of residues,
+    # the powers C(r + J - 1, J) <= 455 of them (RATIONAL_CAP bounds r)
+    dtype = np.float32 if M.n * (M.p - 1) ** 2 < 2**22 else np.float64
+    terms = _power_terms(np.array(layered_actions(M), dtype=dtype), J, M.p)
     for groups in chunks:
         failing = [
             group[k]
             for group in groups
-            for k in _rank_mismatches(M, [pt for _, pt in group], ranks)
+            for k in _rank_mismatches(terms, [pt for _, pt in group], ranks)
         ]
         if failing:
             witness = min(failing)[1]  # the indices differ, so no points are compared

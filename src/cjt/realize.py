@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -427,7 +428,7 @@ def cone(f: ModuleHom) -> ConeResult:
     """
     A, B = f.source, f.target
     hull = injective_hull(A)
-    D = direct_sum(B, hull.free)
+    D = direct_sum(B, hull.free, max_dim=math.inf)  # realize_bundle caps the cone
     G = np.vstack([f.matrix, hull.incl])
     C, _, sec = quotient_module(D, G)
     C.constant_by_construction = (
@@ -502,7 +503,7 @@ def _sum_of_shifts(models: StableModels, shifts):
     offsets = [0]
     for part in parts[1:]:
         offsets.append(total.n)
-        total = direct_sum(total, part)
+        total = direct_sum(total, part, models.max_dim)
     return total, parts, offsets
 
 

@@ -56,6 +56,7 @@ from . import gfalg, polyd
 from .errors import Failure, InputError
 from .gfalg import matmul_p
 from .kemod import (
+    DEFAULT_MEMORY_BUDGET,
     Falsified,
     KEModule,
     Point,
@@ -65,7 +66,6 @@ from .kemod import (
     x_alpha,
 )
 
-DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024  # bytes of elimination storage per step
 MAX_DEGREE = 10_000  # largest d_max hilbert accepts; samples grow linearly in it
 
 

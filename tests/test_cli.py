@@ -589,6 +589,9 @@ class TestCommands:
             ["omega", "2", "builtin:trivial", "--p", "2", "--r", "2", "--max-dim", "4"],
             ["tensor", "builtin:radq2", "builtin:radq2", "--p", "2", "--r", "2",
              "--max-dim", "8"],
+            # radq2 + radq2 has dimension 6
+            ["sum", "builtin:radq2", "builtin:radq2", "--p", "2", "--r", "2",
+             "--max-dim", "5"],
             # Heller chains longer than the cap; perm1's shifts and every
             # module's at r = 1 stay small, so no dimension cap would stop them
             ["omega", "100000000", "builtin:perm1", "--p", "2", "--r", "2"],

@@ -11,6 +11,7 @@ from cjt.gfalg import (
     MAX_FIELD_ORDER,
     SUPPORTED_PRIMES,
     FieldCtx,
+    _unblock,
     blocked_over_prime,
     build_field,
     kernel_p,
@@ -39,8 +40,9 @@ from cjt.kemod import (
     SamplingPlan,
     _column_complement,
     _digit_stack,
-    _next_image,
     _orbit_keys,
+    _power_stack,
+    _power_terms,
     _radical_layers,
     _rank_mismatches,
     _sampling_schedule,
@@ -478,15 +480,16 @@ def conic_module(p, r, d):
     return new_module(p, r, X)
 
 
-def squares_module():
-    """X_1 = J_3 on a, b, c and X_2: a -> d -> c at p = 3, so X_alpha^2 a =
-    (l_1^2 + l_2^2) c: rank X_alpha is 2 everywhere, and the type is [3][1]
-    but at the GF(9)-points (1, +-i), where X_alpha^2 = 0 and it is [2][2]."""
+def squares_module(p=3):
+    """X_1: a -> b -> c and X_2: a -> d -> c, so X_alpha^2 a = (l_1^2 +
+    l_2^2) c: rank X_alpha is 2 everywhere, and the type is [3][1] but
+    where l_1^2 = -l_2^2, where X_alpha^2 = 0 and it is [2][2]: at the
+    GF(9)-points (1, +-i) at p = 3, at (1, 2) and (1, 3) at p = 5."""
     X1 = np.zeros((4, 4), dtype=np.uint8)
     X2 = np.zeros((4, 4), dtype=np.uint8)
     X1[1, 0] = X1[2, 1] = 1
     X2[3, 0] = X2[2, 3] = 1
-    return new_module(3, 2, [X1, X2])
+    return new_module(p, 2, [X1, X2])
 
 
 @functools.cache
@@ -728,10 +731,17 @@ def ranks_of(t: JordanType):
     return [sum((i - j) * m for i, m in enumerate(t.a, 1) if i > j) for j in range(t.p)]
 
 
+def mismatches(M, points, ranks):
+    """_rank_mismatches on every power X_alpha^1 .. X_alpha^(p-1), built
+    from M's layered actions in float32."""
+    X = np.array(layered_actions(M), dtype=np.float32)
+    return _rank_mismatches(_power_terms(X, M.p - 1, M.p), points, ranks)
+
+
 class TestDigitSampler:
     """The sampler's digit stacks against jordan_type_at, which ranks the
     companion-blocked X_alpha point by point.  Both build X_alpha through
-    _digit_stack, but they share no elimination and no image step."""
+    _digit_stack, but they share no elimination and no power of it."""
 
     @pytest.mark.parametrize("e", [1, 2, 3, 4])
     def test_mismatches_are_the_points_off_the_reference(self, e, monkeypatch):
@@ -752,15 +762,15 @@ class TestDigitSampler:
             # the default stacks, and one point per stack
             for cells in (kemod.STACK_CELLS, 1):
                 monkeypatch.setattr(kemod, "STACK_CELLS", cells)
-                got = _rank_mismatches(M, points, ranks_of(reference))
+                got = mismatches(M, points, ranks_of(reference))
                 assert sorted(got) == want, name
         assert off > 0
 
     def test_oracle_shares_no_kernel_with_the_sampler(self, monkeypatch):
         # jordan_type_at and reference_jordan_type are the sampler's oracle:
-        # with stacked_pivots and _next_image broken they still give the
-        # battery's types, at the reference point and at a GF(p^2) point off
-        # every coordinate plane
+        # with stacked_pivots and the power builders _power_terms and
+        # _power_stack broken they still give the battery's types, at the
+        # reference point and at a GF(p^2) point off every coordinate plane
         want = {
             "k(2,2)": (1, 0),
             "radq2(2,2)": (1, 1),
@@ -773,10 +783,11 @@ class TestDigitSampler:
         }
 
         def broken(*args):
-            raise AssertionError("the oracle called stacked_pivots or _next_image")
+            raise AssertionError("the oracle called stacked_pivots or a power builder")
 
         monkeypatch.setattr(kemod.gfalg, "stacked_pivots", broken)
-        monkeypatch.setattr(kemod, "_next_image", broken)
+        monkeypatch.setattr(kemod, "_power_terms", broken)
+        monkeypatch.setattr(kemod, "_power_stack", broken)
         for name, M in battery():
             t = JordanType(M.p, want[name])
             ctx = build_field(M.p, 2)
@@ -787,9 +798,9 @@ class TestDigitSampler:
             check_constant(builtin("zigzag", 3, 2, n=4))
 
     def test_sampler_shares_no_kernel_with_the_oracle(self, monkeypatch):
-        # _rank_mismatches ranks with stacked_pivots and forms images with
-        # _next_image: with echelon_p and matmul_p, jordan_type_at's two
-        # steps, broken it still finds the points off the reference type.
+        # _rank_mismatches ranks with stacked_pivots and forms the powers
+        # from the products X^m: with echelon_p and matmul_p, jordan_type_at's
+        # two steps, broken it still finds the points off the reference type.
         # Its change of basis uses both, once per module: it is built first
         cases = []
         rng = random.Random(5)
@@ -813,7 +824,7 @@ class TestDigitSampler:
         monkeypatch.setattr(kemod.gfalg, "echelon_p", broken)
         monkeypatch.setattr(kemod, "matmul_p", broken)
         for name, M, points, ranks, want in cases:
-            assert sorted(_rank_mismatches(M, points, ranks)) == want, name
+            assert sorted(mismatches(M, points, ranks)) == want, name
         with pytest.raises(AssertionError, match="echelon_p"):
             jordan_type_at(M, points[0])
 
@@ -829,7 +840,7 @@ class TestDigitSampler:
         assert len(want) == 3 and {ranks_of(types[i])[1] for i in want[1:]} == {4}
         for cells in (kemod.STACK_CELLS, 1):
             monkeypatch.setattr(kemod, "STACK_CELLS", cells)
-            assert sorted(_rank_mismatches(M, points, ranks_of(reference))) == want
+            assert sorted(mismatches(M, points, ranks_of(reference))) == want
 
     @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
     def test_one_point_per_stack_keeps_every_verdict(self, k, monkeypatch):
@@ -844,28 +855,108 @@ class TestDigitSampler:
             M._cache.pop(("constancy", plan), None)
             assert check_constant(M, plan) == verdict, name
 
-    @pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2), (13, 2)])
-    def test_stacks_in_float32_and_float64(self, p, e):
-        # float64 serves modules where a float32 sum could reach 2^22; the
-        # image of V is summed over GF(p^e) digitwise, entry by entry
-        M = direct_sum(builtin("rad_quotient", p, 2, m=3), builtin("perm", p, 2, i=1))
+    @pytest.mark.parametrize(
+        "p,e",
+        [(p, e) for p in SUPPORTED_PRIMES for e in range(1, 15) if p**e <= MAX_FIELD_ORDER],
+    )
+    def test_power_stacks_against_the_blocked_oracle(self, p, e):
+        # _power_stack, in float32 and in float64, holds the digits of the
+        # j-th powers of the companion-blocked X_alpha, j = 1 .. p - 1, power
+        # by power: on verify's battery at (p, 2) (n <= 24), a conjugated copy
+        # of it and a stripped tensor, at an axis point and random ones
         ctx = build_field(p, e)
-        rng = random.Random(p)
-        points = [
-            Point(ctx, (rng.randrange(ctx.q), rng.randrange(1, ctx.q))) for _ in range(5)
-        ]
-        A = [x_alpha(M, pt).array for pt in points]
-        lam = ctx.matrix_table[np.array([pt.coords for pt in points])]
-        keep, cols = np.array([0, 2, 3]), np.array([[0, 2], [1, 3], [4, 5]])
-        for dtype in (np.float32, np.float64):
-            X = np.array(M.X, dtype=dtype)
-            C = _digit_stack(X, points)
-            assert C.dtype == np.uint8
-            assert np.array_equal(C, ctx.digit_array(np.array(A)))
-            image = _next_image(X, C, keep, cols, lam.astype(dtype), p)
-            for got, t, c in zip(image, keep, cols):
-                terms = ctx.mul_array(A[t][:, :, None], A[t][None, :, c])  # (n, n, cols)
-                assert np.array_equal(got, ctx.digit_array(terms).sum(axis=1) % p)
+        rng = random.Random(p * 100 + e)
+        nprng = np.random.default_rng(p * 100 + e)
+        mods = [M for _, M in _battery(p, 2) if M.n <= 24]
+        mods += [conjugate(M, nprng) for M in mods if M.n > 1]
+        T, _ = strip_free(tensor(builtin("rad_quotient", p, 2, m=2), builtin("perm", p, 2, i=1)))
+        mods.append(T)
+        points = [axis_point(p, 2, 1, e)]
+        points += [Point(ctx, (rng.randrange(1, ctx.q), rng.randrange(ctx.q))) for _ in range(2)]
+        for M in mods:
+            blocked = [blocked_over_prime(ctx, x_alpha(M, pt).array) for pt in points]
+            want = [_unblock(ctx, matpow_p(B, j, p)) for j in range(1, p) for B in blocked]
+            want = ctx.digit_array(np.array(want))
+            for dtype in (np.float32, np.float64):
+                terms = _power_terms(np.array(M.X, dtype=dtype), p - 1, p)
+                assert [P.dtype for P, *_ in terms] == [dtype] * (p - 1)
+                got = _power_stack(terms, points)
+                assert got.dtype == np.uint8 and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def lopsided_module(p):
+    """k[x, y]/(x^2, y^2 - xy) on a, b = xa, d = ya, c = xya: rank X_alpha
+    is 2 everywhere, and X_alpha^2 = l_2 (2 l_1 + l_2) (a -> c), so the
+    reference point (1, 0) has rank 0 at the second power and every point
+    with l_2 (2 l_1 + l_2) != 0 has rank 1 there."""
+    X1 = np.zeros((4, 4), dtype=np.uint8)
+    X2 = np.zeros((4, 4), dtype=np.uint8)
+    X1[1, 0] = X1[3, 2] = 1
+    X2[2, 0] = X2[3, 1] = X2[3, 2] = 1
+    return new_module(p, 2, [X1, X2])
+
+
+class TestPowerDepth:
+    """check_constant ranks X_alpha^1 .. X_alpha^J, J the first power of
+    reference rank 0, or p - 1; at the edges of J it must match the brute
+    force, which ranks all p powers at every point."""
+
+    # name: (module, the powers j whose ranks differ between the reference
+    # and the witness, or None where the module is constant)
+    EDGES = {
+        # J = p - 1 = 2, and the types differ at j = 2 only
+        "squares p=3": (squares_module, [2]),
+        # J = 3 < p - 1, the types differ at j = 2 only, at GF(5)-points
+        "squares p=5": (lambda: squares_module(5), [2]),
+        # reference rank 0 at j = J = 2: J = p - 1 at p = 3, J < p - 1 at p = 5
+        "lopsided p=3": (lambda: lopsided_module(3), [2]),
+        "lopsided p=5": (lambda: lopsided_module(5), [2]),
+        # every rank is 0, so J = 1
+        "zero p=3": (lambda: new_module(3, 2, [np.zeros((0, 0))] * 2), None),
+        "zero p=5 r=3": (lambda: new_module(5, 3, [np.zeros((0, 0))] * 3), None),
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    @pytest.mark.parametrize("k", range(len(DIFFERENTIAL_PLANS)))
+    def test_matches_brute_force(self, name, k):
+        make, differ = self.EDGES[name]
+        M, plan = make(), DIFFERENTIAL_PLANS[k]
+        got, want = check_constant(M, plan), brute_force_check_constant(M, plan)
+        assert got == want
+        if differ is None:
+            assert isinstance(want, ConstantSoFar)
+            return
+        reference, other = ranks_of(want.reference_type), ranks_of(want.type_at_witness)
+        assert [j for j in range(M.p) if reference[j] != other[j]] == differ
+        if name.startswith("lopsided"):
+            assert reference[2] == 0 and other[2] == 1
+
+    def test_power_terms_refused_before_they_are_allocated(self, monkeypatch):
+        # the products X^m of degrees 2..4 of r = 2 actions, n = 300, are
+        # 12 n^2 float32 cells; one byte above the budget they are refused
+        # with next to nothing allocated, and at the budget the traced peak
+        # is the terms and one degree's transient
+        X = np.zeros((2, 300, 300), dtype=np.float32)
+        nbytes = (3 + 4 + 5) * 300 * 300 * 4
+        monkeypatch.setattr(kemod, "DEFAULT_MEMORY_BUDGET", nbytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="memory budget"):
+                _power_terms(X, 4, 5)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(kemod, "DEFAULT_MEMORY_BUDGET", nbytes)
+            terms = _power_terms(X, 4, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < 2**16
+        assert [P.shape[0] for P, *_ in terms] == [2, 3, 4, 5]
+        assert nbytes <= peak < nbytes + 5 * 300 * 300 * 4 + 2**16
+        monkeypatch.setattr(kemod, "DEFAULT_MEMORY_BUDGET", 16)
+        with pytest.raises(ResourceCapError, match="memory budget"):
+            check_constant(builtin("rad_quotient", 3, 2, m=3))
 
 
 def radical_dims(M):
