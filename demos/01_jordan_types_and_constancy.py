@@ -34,7 +34,7 @@ K = build_field(p, 2)
 pt = Point(K, (1, 4))  # coordinates in GF(9), encoded base p
 print(f"\nat a GF(9)-point {pt.coords}: {jordan_type_at(M, pt)}")
 print("the matrix of X_alpha there:")
-print(x_alpha(M, pt).array)
+print(x_alpha(M, pt))
 
 print("\nsampling-based constancy check (exhaustive small fields + random):")
 print(" ", check_constant(M, SamplingPlan(extra=50)))

@@ -17,7 +17,7 @@ The package computes, in exact arithmetic over small finite fields:
 """
 
 from .errors import Failure, InputError
-from .gfalg import FFMatrix, FieldCtx, build_field, kernel_basis
+from .gfalg import FieldCtx, build_field, kernel_basis
 from .kemod import (
     ConstancyVerdict,
     ConstantSoFar,

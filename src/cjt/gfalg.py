@@ -20,50 +20,44 @@ GF(p^e) matrix held as digit vectors, one step per GF(p^e) column: the
 step expands the pivot row into the digits of t^k * row, k < e, and
 clears the other rows fraction-free with BLAS products, so no step
 inverts an element.  ``jordan_type_at`` and ``fiber`` rank X_alpha and
-its powers this way at points over GF(p^e).  The other route blocks a
-GF(p^e) matrix, replacing each entry with its e x e companion matrix;
-ranks are blocked ranks divided by e, at e column steps per GF(p^e)
-pivot.  Blocking is a ring embedding that maps the reduced echelon form
-of A to that of blocked(A) (both are unique), so kernels over GF(p^e)
-are read back from the GF(p) ones by ``_unblock``; ``kernel_basis`` and
-``rank_ext`` take this route, and the tests check the digit form
-against it.  The same embedding is the scalar
-arithmetic: ``FieldCtx`` multiplies by applying an element's e x e
-matrix to digits, and Frobenius is one e x e matrix on digits, so
-GF(p^e) has one representation.
+its powers this way at points over GF(p^e), and ``rank_ext`` and
+``kernel_basis`` are this loop on encoded matrices.  Digit vectors are
+the one matrix form over GF(p^e).  An element acts on them as its e x e
+matrix over GF(p), sum_k c_k C^k with C the companion matrix of the
+modulus: the scalar arithmetic of ``FieldCtx`` multiplies this way, and
+Frobenius is one e x e matrix on digits.
 
 Many matrices of one shape go through ``stacked_pivots``, which returns
 each matrix's GF(p^e) pivot columns; the constancy sampler uses it, and
-builds its stacks in digit form too, never blocked.  Its entries are
-digit vectors, and a row operation applies e x e matrices over GF(p)
-from the per-field table ``FieldCtx.matrix_table`` to them, so each
-entry it updates is e digits, not e^2 blocked cells.  Its loop runs over
-rounds, not columns: each round groups the nonzero rows of the whole
-stack by (matrix, leading column), keeps the first row of each group and
-clears the leading entry of every other one against it, all in one
-batch.  When every group has one row, the leading columns are the pivot
-columns, which do not depend on the elimination order.  The rounds a
-stack takes depend on how many rows share a leading column: on a dense
-matrix every row leads at column 0, and a round resolves about one
-column.  The sampler therefore builds its stacks in a basis adapted to
-the module's radical series (``kemod.layered_actions``), where the rows
-of each layer lead in the columns of the layers above it, and a dense
-module's stacks take fewer rounds.  At e = 1 it is plain elimination over GF(p).  Its rows and the table are float32, so
-each round's row update is a batch of BLAS products whose sums
-``reduce_p`` reduces.
+builds its stacks in digit form too.  A row operation applies e x e
+matrices over GF(p) from the per-field table ``FieldCtx.matrix_table``
+to digit vectors, so each entry it updates is e digits.  Its loop runs
+over rounds, not columns: each round groups the nonzero rows of the
+whole stack by (matrix, leading column), keeps the first row of each
+group and clears the leading entry of every other one against it, all
+in one batch.  When every group has one row, the leading columns are
+the pivot columns, which do not depend on the elimination order.  The
+rounds a stack takes depend on how many rows share a leading column: on
+a dense matrix every row leads at column 0, and a round resolves about
+one column.  The sampler therefore builds its stacks in a basis adapted
+to the module's radical series (``kemod.layered_actions``), where the
+rows of each layer lead in the columns of the layers above it, and a
+dense module's stacks take fewer rounds.  At e = 1 it is plain
+elimination over GF(p).  Its rows and the table are float32, so each
+round's row update is a batch of BLAS products whose sums ``reduce_p``
+reduces.
 
 Every exact matrix product of residues is a float BLAS product reduced
-by ``reduce_p``: ``matmul_p`` in float64; ``FieldCtx.element_matrix``,
-the one place e x e element matrices are made (``mul_array``,
-``matrix_table`` and ``blocked_over_prime`` read it), and the row
-updates of ``stacked_pivots`` and of ``echelon_p`` on digit vectors in
-float32.  (``mul_array`` and
-Frobenius apply an e x e matrix to single digit vectors, in int64.)  A
-product is exact while every sum is an integer below 2^24 in float32
-(2^53 in float64); ``reduce_p`` reduces a float array in place with
-elementwise float operations, exact below 2^22 in absolute value in
-float32 (2^51 in float64), several times faster than an integer
-remainder.
+by ``reduce_p``: ``matmul_p`` in float64, over GF(p) or on digit
+vectors over GF(p^e); ``FieldCtx.element_matrix``, the one place e x e
+element matrices are made (``mul_array`` and ``matrix_table`` read it),
+and the row updates of ``stacked_pivots`` and of ``echelon_p`` on digit
+vectors in float32.  (``mul_array`` and Frobenius apply an e x e matrix
+to single digit vectors, in int64.)  A product is exact while every sum
+is an integer below 2^24 in float32 (2^53 in float64); ``reduce_p``
+reduces a float array in place with elementwise float operations, exact
+below 2^22 in absolute value in float32 (2^51 in float64), several
+times faster than an integer remainder.
 
 All pivoting is first-nonzero-in-scan-order, so ranks, kernel bases and
 solve outputs are bit-stable across runs.  Values are immutable after
@@ -236,12 +230,6 @@ class FieldCtx:
 
     # -- operations on encoded elements
 
-    def add(self, a: int, b: int) -> int:
-        return self.encode(x + y for x, y in zip(self.digits(a), self.digits(b)))
-
-    def neg(self, a: int) -> int:
-        return self.encode(-x for x in self.digits(a))
-
     def mul_array(self, a, b):
         """Elementwise products of (broadcast) arrays of encoded elements."""
         digits = self.digit_array(b)[..., None]
@@ -278,9 +266,6 @@ class FieldCtx:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
-    def elements(self):
-        return range(self.q)
-
     # -- companion-matrix embedding into Mat_e(GF(p))
 
     @functools.cached_property
@@ -304,6 +289,16 @@ class FieldCtx:
         for k in range(1, e):
             out[k] = reduce_p(out[k - 1] @ self.companion, self.p)
         out = out.reshape(e, e * e)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def t_powers(self):
+        """(C^0)^T .. (C^(e-1))^T as an (e, e, e) float32 stack: a digit
+        vector times t_powers[k] gives the digits of t^k times it, unreduced.
+        Read by echelon_p and matmul_p on digit vectors."""
+        e = self.e
+        out = np.ascontiguousarray(self.companion_powers.reshape(e, e, e).transpose(0, 2, 1))
         out.setflags(write=False)
         return out
 
@@ -368,49 +363,6 @@ def build_field(p: int, e: int = 1) -> FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-class FFMatrix:
-    """Dense matrix over a FieldCtx; entries are encoded field elements."""
-
-    __slots__ = ("ctx", "array")
-
-    def __init__(self, ctx: FieldCtx, array):
-        arr = np.array(array, dtype=np.int64)
-        if arr.ndim != 2:
-            raise InputError("FFMatrix needs a 2-d array")
-        if arr.size and (arr.min() < 0 or arr.max() >= ctx.q):
-            if ctx.e == 1:
-                arr %= ctx.p
-            else:
-                # encoded extension elements do not wrap arithmetically
-                raise InputError("entries must already be encoded in [0, q)")
-        arr.setflags(write=False)
-        self.ctx = ctx
-        self.array = arr
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFMatrix)
-            and self.ctx is other.ctx
-            and self.array.shape == other.array.shape
-            and bool(np.all(self.array == other.array))
-        )
-
-    def __repr__(self):
-        return f"FFMatrix({self.ctx}, {self.array.tolist()})"
-
-
-# ---------------------------------------------------------------------------
 # prime-field elimination core (uint8 arrays, p <= 13)
 
 
@@ -434,7 +386,7 @@ def echelon_p(A, p, reduced=False, ctx=None):
     the rows are float32 and a step is fraction-free: every other row,
     with leading entry f, becomes a * row - f * pivot row, a the pivot's
     leading entry.  The step expands the pivot row once into the digits of
-    t^k * pivot row, k < e (the transposed C^k of companion_powers); then
+    t^k * pivot row, k < e (ctx.t_powers); then
     f * pivot row is one BLAS product of the rows' leading digits with
     that expansion, and a * row one product with its column c, the
     (transposed) matrix of a.  The unreduced sums lie below
@@ -449,8 +401,6 @@ def echelon_p(A, p, reduced=False, ctx=None):
         R = np.array(A if ctx is None else A[..., 0], dtype=np.uint8, copy=True)
     else:
         R = np.array(A, dtype=np.float32).reshape(A.shape[0], A.shape[1] * e)
-        # a row of digit vectors times expand[k] = (C^k)^T: those of t^k * row
-        expand = np.ascontiguousarray(ctx.companion_powers.reshape(e, e, e).transpose(0, 2, 1))
         ones = np.ones(e, dtype=np.float32)
     rows, cols = R.shape[0], R.shape[1] // e
     inv = _inverses(p)
@@ -496,7 +446,7 @@ def echelon_p(A, p, reduced=False, ctx=None):
         elif other.size:
             sub = R[other, lo:]
             at = c * e - lo  # the digits of column c within sub and row
-            t_row = np.matmul(row.reshape(-1, e), expand)
+            t_row = np.matmul(row.reshape(-1, e), ctx.t_powers)
             # a * row, then + (p - f) * pivot row
             upd = (sub.reshape(-1, e) @ t_row[:, at // e]).reshape(sub.shape)
             upd += (p - sub[:, at : at + e]) @ t_row.reshape(e, -1)
@@ -522,9 +472,7 @@ def stacked_pivots(D, ctx):
     columns, those of its unique reduced echelon form.  Entries stay digit
     vectors and every product applies an element's e x e matrix
     (ctx.matrix_table) to digits, so all arithmetic is over GF(p); at
-    e = 1 this is plain elimination over GF(p).  The blocked matrix over
-    GF(p) has the pivots {j*e + k : k < e} for each pivot j here, since
-    block column j spans the GF(p^e)-span of column j.
+    e = 1 this is plain elimination over GF(p).
 
     The loop runs over rounds, not columns, and each round resolves every
     clash of the stack at once.  The rows of all matrices are numbered
@@ -654,28 +602,51 @@ def solve_p(A, B, p):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over GF(p^e), through companion blocks over GF(p)
+# linear algebra over GF(p^e) on encoded matrices
 
 
-def kernel_basis(m: FFMatrix) -> FFMatrix:
-    """Basis of the right kernel; columns echelon-normalized and deterministic."""
-    ctx = m.ctx
-    K = kernel_p(blocked_over_prime(ctx, m.array), ctx.p)
-    return FFMatrix(ctx, _unblock(ctx, K))
+def rank_ext(ctx: FieldCtx, A) -> int:
+    """Rank over GF(p^e) of a matrix of encoded elements, by echelon_p on
+    its digit vectors."""
+    return len(echelon_p(ctx.digit_array(A).astype(np.uint8), ctx.p, ctx=ctx)[1])
+
+
+def kernel_basis(ctx: FieldCtx, A):
+    """Basis of the right kernel over GF(p^e) of a matrix of encoded
+    elements, as the columns of an int64 array of encoded elements.
+
+    Read off the reduced echelon form of A's digit vectors: column k sets
+    the k-th free variable to 1 and the other free ones to 0.
+    """
+    D = ctx.digit_array(A).astype(np.uint8)
+    R, pivots = echelon_p(D, ctx.p, reduced=True, ctx=ctx)
+    return kernel_from_rref(R, pivots, D.shape[1], ctx.p) @ ctx.weights
 
 
 # ---------------------------------------------------------------------------
 # helpers shared by the module layer (prime-field uint8 matrices)
 
 
-def matmul_p(A, B, p):
+def matmul_p(A, B, p, ctx=None):
     """Exact A @ B mod p (uint8), a float64 BLAS product reduced by reduce_p.
 
     Entries are residues below 13, so a sum of k products is below 144 k,
     exact for any inner dimension k < 10^13.
+
+    With ctx, the field GF(p^e), A (m, k, e) and B (k, n, e) are uint8
+    digit vectors over GF(p^e), and so is the product.  B is expanded once
+    into the (k e, n e) digits of t^a * B, a < e (ctx.t_powers, reduced);
+    the product is then one float64 product of A's (m, k e) digits with
+    that expansion, digit a of A[i, j] weighting t^a * B[j].  Its sums lie
+    below k e (p-1)^2 <= 576 k, exact for any inner dimension k < 10^12.
     """
-    C = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
-    return reduce_p(C, p).astype(np.uint8)
+    if ctx is None:
+        C = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+        return reduce_p(C, p).astype(np.uint8)
+    (m, k, e), n = A.shape, B.shape[1]
+    T = reduce_p(np.asarray(B, dtype=np.float64)[:, None] @ ctx.t_powers, p)
+    C = np.asarray(A, dtype=np.float64).reshape(m, k * e) @ T.reshape(k * e, n * e)
+    return reduce_p(C, p).astype(np.uint8).reshape(m, n, e)
 
 
 def reduce_p(x, p):
@@ -701,32 +672,3 @@ def matpow_p(A, k, p):
     for _ in range(k):
         out = matmul_p(out, A, p)
     return out
-
-
-def blocked_over_prime(ctx: FieldCtx, M):
-    """Replace each encoded GF(p^e) entry of M by its e x e matrix over GF(p).
-
-    rank over GF(p^e) equals rank of the blocked matrix over GF(p),
-    divided by e.  At e = 1 this is M itself, as uint8.
-    """
-    e = ctx.e
-    if e == 1:
-        return np.asarray(M, dtype=np.uint8)
-    rows, cols = np.shape(M)
-    blocks = ctx.element_matrix(M).transpose(0, 2, 1, 3)
-    return blocks.reshape(rows * e, cols * e)
-
-
-def _unblock(ctx: FieldCtx, B):
-    """Inverse of blocked_over_prime: encode column 0 of each e x e block."""
-    e = ctx.e
-    digits = B[:, ::e].astype(np.int64)
-    digits = digits.reshape(B.shape[0] // e, e, digits.shape[1])
-    return np.einsum("iej,e->ij", digits, ctx.p ** np.arange(e))
-
-
-def rank_ext(ctx: FieldCtx, M) -> int:
-    """Rank over GF(p^e) of an encoded matrix, via the blocked embedding."""
-    r = rank_p(blocked_over_prime(ctx, M), ctx.p)
-    assert r % ctx.e == 0
-    return r // ctx.e

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import gfalg
 from .errors import Failure, InputError
-from .gfalg import FFMatrix, FieldCtx, build_field, matmul_p, matpow_p
+from .gfalg import FieldCtx, build_field, matmul_p, matpow_p
 
 DEFAULT_SEED = 0xC0FFEE
 # check_constant visits every GF(p)-point of P^{r-1}, and refuses more than this many
@@ -444,8 +444,9 @@ def dual(M: KEModule) -> KEModule:
 # points and Jordan types
 
 
-def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
-    """Matrix of X_alpha = sum lambda_i X_i over the point's field.
+def x_alpha(M: KEModule, alpha: Point) -> np.ndarray:
+    """Matrix of X_alpha = sum lambda_i X_i over the point's field, as a
+    read-only int64 array of encoded elements.
 
     The X_i have entries in GF(p), so digit k of X_alpha is
     sum_i digit_k(lambda_i) X_i mod p; no field product is needed.
@@ -455,7 +456,9 @@ def x_alpha(M: KEModule, alpha: Point) -> FFMatrix:
     ctx = alpha.ctx
     lam_digits = np.array([ctx.digits(lam) for lam in alpha.coords], dtype=np.int64)
     planes = np.tensordot(lam_digits.T, np.array(M.X, dtype=np.int64), axes=1) % ctx.p
-    return FFMatrix(ctx, np.tensordot(ctx.p ** np.arange(ctx.e), planes, axes=1))
+    out = np.tensordot(ctx.weights, planes, axes=1)
+    out.setflags(write=False)
+    return out
 
 
 def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
@@ -470,24 +473,19 @@ def jordan_type_at(M: KEModule, alpha: Point) -> JordanType:
     before: C_1 = X_alpha and C_j = X_alpha C_{j-1}[:, P], P the pivot
     columns of C_{j-1}.  Those columns are a basis of Im X_alpha^(j-1), so
     C_j spans Im X_alpha^j and has its rank, with r_{j-1} columns instead
-    of n.  The image is one matmul_p of the companion-blocked X_alpha
-    (gfalg.blocked_over_prime), which maps the stacked digits of a column
-    to those of its image.  So this shares neither step with the sampler,
-    which ranks with gfalg.stacked_pivots and sums products X^m (_power_stack).
+    of n.  The image is one matmul_p on digit vectors.  So this shares
+    neither step with the sampler, which ranks with gfalg.stacked_pivots
+    and sums products X^m (_power_stack).
     """
     if alpha.r != M.r:
         raise ModuleError("point rank does not match the module")
     p, n = M.p, M.n
     ctx = alpha.ctx
-    e = ctx.e
-    C = _digit_stack(np.array(M.X, dtype=np.float32), [alpha])[0]
+    X = C = _digit_stack(np.array(M.X, dtype=np.float32), [alpha])[0]
     ranks = [n]  # rank of X^0
     for j in range(1, p):
-        if j == 2:
-            B = gfalg.blocked_over_prime(ctx, C @ ctx.weights)
         if j > 1:
-            V = C[:, pivots].transpose(0, 2, 1).reshape(n * e, -1)
-            C = matmul_p(B, V, p).reshape(n, e, -1).transpose(0, 2, 1)
+            C = matmul_p(X, C[:, pivots], p, ctx)
         _, pivots = gfalg.echelon_p(C, p, ctx=ctx)
         ranks.append(len(pivots))
         if not pivots:

@@ -39,6 +39,7 @@ from .errors import Failure, InputError
 from .gfalg import matmul_p
 from .kemod import (
     DEFAULT_MAX_DIM,
+    DEFAULT_MEMORY_BUDGET,
     ConstantSoFar,
     Falsified,
     HellerStep,
@@ -61,7 +62,6 @@ from .kemod import (
     quotient_module,
     strip_free_with_inclusion,
 )
-from .thetasheaf import DEFAULT_MEMORY_BUDGET
 
 MAX_LENGTH = 6  # longest resolution realize_bundle accepts
 

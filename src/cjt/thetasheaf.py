@@ -30,15 +30,17 @@ series then follows from them by a colon recursion, so R(a, e) =
 sum_k c_k dim S_{e+a-k} in every degree and Hilbert polynomials are exact.
 
 Fibers at points are computed independently of jordan_type_at, from
-explicit kernel and image bases of powers of X_alpha, eliminated over
-GF(p^e) on digit vectors (gfalg.echelon_p with the point's field); one
-reduced echelon form of X_alpha gives both the kernel and Im X_alpha, and
-one elimination per power gives the next image and its meet with the
-kernel.  fiber builds the encoded matrix entrywise (x_alpha);
-jordan_type_at builds its digits in kemod._digit_stack, one float32
-product of the actions with the coordinates' digits, as the constancy
-sampler does.  Sharing neither that construction nor the dimension
-formula, each route checks the other.
+explicit kernel and image bases of powers of X_alpha, held as digit
+vectors over GF(p^e) and eliminated by gfalg.echelon_p with the point's
+field; one reduced echelon form of X_alpha gives both the kernel and
+Im X_alpha, and one elimination per power gives the next image and its
+meet with the kernel.  Both routes form each next image with one
+gfalg.matmul_p on digit vectors.  fiber builds the encoded matrix
+entrywise (x_alpha); jordan_type_at builds its digits in
+kemod._digit_stack, one float32 product of the actions with the
+coordinates' digits, as the constancy sampler does.  Sharing neither
+that construction nor the dimension formula, each route checks the
+other.
 """
 
 from __future__ import annotations
@@ -336,28 +338,23 @@ def fiber(M: KEModule, alpha: Point) -> FiberReport:
     over GF(p^e) on its digit vectors (gfalg.echelon_p).  Its reduced
     echelon form gives the kernel basis K, the identity at the free
     columns, and W_1, the pivot columns of X.  W_i is the pivot columns of
-    U = X W_{i-1}, formed by matmul_p with the companion-blocked X.  One
-    elimination of [U | K] per power gives both: U's pivot columns are
-    those of [U | K] left of U's width (the column rank profile is
-    prefix-stable), and their total count is rank [U | K] = rank
-    [W_i | K].  Only 0 < i < p is eliminated: the meet is Ker X at i = 0
-    and 0 at i = p.
+    U = X W_{i-1}, one matmul_p on digit vectors.  One elimination of
+    [U | K] per power gives both: U's pivot columns are those of [U | K]
+    left of U's width (the column rank profile is prefix-stable), and
+    their total count is rank [U | K] = rank [W_i | K].  Only 0 < i < p is
+    eliminated: the meet is Ker X at i = 0 and 0 at i = p.
     """
     ctx = alpha.ctx
-    p, n, e = M.p, M.n, ctx.e
-    X = x_alpha(M, alpha).array
-    D = ctx.digit_array(X).astype(np.uint8)
+    p, n = M.p, M.n
+    D = ctx.digit_array(x_alpha(M, alpha)).astype(np.uint8)
     R, pivots = gfalg.echelon_p(D, p, reduced=True, ctx=ctx)
     K = gfalg.kernel_from_rref(R, pivots, n, p)
     kerdim = K.shape[1]
     meets = [kerdim] + [0] * p
     U = D[:, pivots]
     for i in range(1, p):
-        if i == 2:
-            B = gfalg.blocked_over_prime(ctx, X)
         if i > 1:
-            V = W.transpose(0, 2, 1).reshape(n * e, -1)
-            U = matmul_p(B, V, p).reshape(n, e, -1).transpose(0, 2, 1)
+            U = matmul_p(D, W, p, ctx)
         _, found = gfalg.echelon_p(np.concatenate((U, K), axis=1), p, ctx=ctx)
         rank = bisect.bisect_left(found, U.shape[1])
         if not rank:
@@ -472,13 +469,7 @@ def _require_constant(M: KEModule):
         )
 
 
-def hilbert(
-    M: KEModule,
-    i: int,
-    d_max: int | None = None,
-    *,
-    skip_constancy_check: bool = False,
-) -> HilbertData:
+def hilbert(M: KEModule, i: int, d_max: int | None = None) -> HilbertData:
     """Hilbert function of the i-th graded subquotient and its exact polynomial.
 
     graded_dim(M, i, 0, d) is a signed sum of c_k * dim S_{d+shift-k} over
@@ -495,8 +486,7 @@ def hilbert(
         d_max = M.n + M.p + 5
     elif not 0 <= d_max <= MAX_DEGREE:
         raise InputError(f"d_max must be in 0..{MAX_DEGREE}, got {d_max}")
-    if not skip_constancy_check:
-        _require_constant(M)
+    _require_constant(M)
     images = prefetch_image_dims(M, (i - 1, i, i + 1))
     certified = max(T for T, _ in images)
     lower, mid, upper = (num for _, num in images)

@@ -5,37 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjt import gfalg
-from cjt.gfalg import (
-    FFMatrix,
-    _unblock,
-    blocked_over_prime,
-    build_field,
-    kernel_basis,
-    rank_ext,
-    solve_p,
-)
+from cjt.gfalg import build_field, kernel_basis, rank_ext, solve_p
 from cjt.kemod import Point, _digit_stack, builtin, direct_sum, x_alpha
 
-
-def rank(m):
-    """Rank of an FFMatrix over its field, through the blocked embedding."""
-    return rank_ext(m.ctx, m.array)
+from blocked import blocked_over_prime, unblock
 
 
-def solve(a, b):
-    """One solution X of aX = b over a's field, or None when inconsistent."""
-    if a.ctx is not b.ctx:
-        raise ValueError("matrices live over different fields")
-    if a.rows != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows} rows vs {b.rows}")
-    ctx = a.ctx
-    A, B = (blocked_over_prime(ctx, m.array) for m in (a, b))
-    X = solve_p(A, B, ctx.p)
-    return None if X is None else FFMatrix(ctx, _unblock(ctx, X))
-
-
-def identity(ctx, n):
-    return FFMatrix(ctx, np.eye(n, dtype=np.int64))
+def solve(ctx, A, B):
+    """One solution X of AX = B over ctx, or None when inconsistent; A, B
+    and X are encoded matrices, solved through the blocked embedding."""
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"shape mismatch: {A.shape[0]} rows vs {B.shape[0]}")
+    X = solve_p(blocked_over_prime(ctx, A), blocked_over_prime(ctx, B), ctx.p)
+    return None if X is None else unblock(ctx, X)
 
 
 def brute_irreducible(p, e):
@@ -61,6 +44,11 @@ def brute_irreducible(p, e):
     raise AssertionError
 
 
+def oracle_add(F, a, b):
+    """a + b, digit by digit mod p."""
+    return F.encode(x + y for x, y in zip(F.digits(a), F.digits(b)))
+
+
 def oracle_mul(F, a, b):
     """a * b as a product of digit polynomials reduced by the modulus.
 
@@ -80,7 +68,7 @@ def oracle_matmul(F, A, B):
         for j in range(B.shape[1]):
             acc = 0
             for k in range(A.shape[1]):
-                acc = F.add(acc, oracle_mul(F, int(A[i, k]), int(B[k, j])))
+                acc = oracle_add(F, acc, oracle_mul(F, int(A[i, k]), int(B[k, j])))
             out[i, j] = acc
     return out
 
@@ -142,18 +130,18 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 4)])
     def test_field_axioms_sampled(self, p, e):
         F = build_field(p, e)
-        els = list(F.elements())
         rng = np.random.default_rng(0)
-        sample = rng.choice(els, size=min(12, len(els)), replace=False)
+        sample = rng.choice(range(F.q), size=min(12, F.q), replace=False)
         for a in sample:
             a = int(a)
-            assert F.add(a, F.neg(a)) == 0
+            assert F.encode(F.digits(a)) == a
+            assert oracle_add(F, a, F.encode(-x for x in F.digits(a))) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
             for b in sample:
                 b = int(b)
                 assert F.mul(a, b) == F.mul(b, a)
-                assert F.add(a, b) == F.add(b, a)
+                assert oracle_add(F, a, b) == oracle_add(F, b, a)
 
     @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 4), (5, 2)])
     def test_frobenius_is_additive_and_multiplicative(self, p, e):
@@ -161,16 +149,17 @@ class TestFieldArithmetic:
         rng = np.random.default_rng(1)
         for _ in range(40):
             a, b = int(rng.integers(F.q)), int(rng.integers(F.q))
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+            total = oracle_add(F, a, b)
+            assert F.frobenius(total) == oracle_add(F, F.frobenius(a), F.frobenius(b))
             assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
 
     @pytest.mark.parametrize("p,e", SMALL_FIELDS)
     def test_against_polynomial_oracle(self, p, e):
         # every pair: mul, inv and frobenius against digit-polynomial products
         F = build_field(p, e)
-        table = [[oracle_mul(F, a, b) for b in F.elements()] for a in F.elements()]
-        for a in F.elements():
-            assert [F.mul(a, b) for b in F.elements()] == table[a]
+        table = [[oracle_mul(F, a, b) for b in range(F.q)] for a in range(F.q)]
+        for a in range(F.q):
+            assert [F.mul(a, b) for b in range(F.q)] == table[a]
             if a:
                 assert table[a][F.inv(a)] == 1
             power = 1
@@ -229,8 +218,8 @@ class TestFieldArithmetic:
 
     def test_element_matrix_embedding(self):
         F = build_field(3, 2)
-        for a in F.elements():
-            for b in F.elements():
+        for a in range(F.q):
+            for b in range(F.q):
                 Ma = F.element_matrix(a).astype(np.int64)
                 Mb = F.element_matrix(b).astype(np.int64)
                 assert np.array_equal(
@@ -238,8 +227,12 @@ class TestFieldArithmetic:
                 )
 
 
+# every supported field: e up to 14 at p = 2
 ALL_FIELDS = [
-    (p, e) for p in gfalg.SUPPORTED_PRIMES for e in range(1, 5) if p**e <= gfalg.MAX_FIELD_ORDER
+    (p, e)
+    for p in gfalg.SUPPORTED_PRIMES
+    for e in range(1, 15)
+    if p**e <= gfalg.MAX_FIELD_ORDER
 ]
 
 
@@ -270,7 +263,8 @@ def einsum_blocked(F, M):
 class TestExactProducts:
     """element_matrix, blocked_over_prime and matmul_p, all float BLAS
     products reduced by reduce_p, against formulas that share no code with
-    them, on every field."""
+    them, on every field; and matmul_p on digit vectors against the
+    product of the blocked matrices."""
 
     @pytest.mark.parametrize("p,e", ALL_FIELDS)
     def test_element_matrix_against_polynomial_oracle(self, p, e):
@@ -314,6 +308,27 @@ class TestExactProducts:
             assert got.dtype == np.uint8
             assert np.array_equal(got, A.astype(np.int64) @ B.astype(np.int64) % p)
 
+    @pytest.mark.parametrize("p,e", ALL_FIELDS)
+    def test_digit_matmul_p_equals_blocked_product(self, p, e):
+        # zero-row, zero-inner and zero-column shapes, all-(q-1) factors
+        # (every digit p - 1, the largest sums) and seeded random ones; the
+        # blocked product over GF(p) is read back by unblock
+        F = build_field(p, e)
+        rng = np.random.default_rng((p, e, 2))
+        shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (5, 6, 7), (20, 30, 9)]
+        pairs = [
+            (rng.integers(0, F.q, size=(m, k)), rng.integers(0, F.q, size=(k, n)))
+            for m, k, n in shapes
+        ]
+        pairs.append((np.full((4, 60), F.q - 1), np.full((60, 3), F.q - 1)))
+        for A, B in pairs:
+            digits = [F.digit_array(M).astype(np.uint8) for M in (A, B)]
+            got = gfalg.matmul_p(*digits, p, F)
+            assert got.dtype == np.uint8 and got.shape == (len(A), B.shape[1], e)
+            blocked = [blocked_over_prime(F, M) for M in (A, B)]
+            assert np.array_equal(got @ F.weights, unblock(F, gfalg.matmul_p(*blocked, p)))
+            assert all(np.array_equal(D, F.digit_array(M)) for D, M in zip(digits, (A, B)))
+
 
 def jordan_block(n):
     J = np.zeros((n, n), dtype=np.int64)
@@ -325,8 +340,8 @@ def jordan_block(n):
 class TestRank:
     def test_zero_and_identity(self):
         F = build_field(3)
-        assert rank(FFMatrix(F, np.zeros((3, 3)))) == 0
-        assert rank(identity(F, 5)) == 5
+        assert rank_ext(F, np.zeros((3, 3), dtype=np.int64)) == 0
+        assert rank_ext(F, np.eye(5, dtype=np.int64)) == 5
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_nilpotent_jordan_block_powers(self, p):
@@ -335,7 +350,7 @@ class TestRank:
         J = jordan_block(p)
         Jk = np.eye(p, dtype=np.int64)
         for j in range(p + 1):
-            assert rank(FFMatrix(F, Jk % p)) == p - j
+            assert rank_ext(F, Jk % p) == p - j
             Jk = Jk @ J
 
     def test_rank_over_extension_field(self):
@@ -343,15 +358,14 @@ class TestRank:
         # [[t, 1], [t^2 = t+1, t]] has det t^2 - (t+1) = 0 over GF(4)
         t = 2
         tp1 = 3
-        m = FFMatrix(F, [[t, 1], [tp1, t]])
-        assert rank(m) == 1
-        assert rank_ext(F, m.array) == 1
+        assert rank_ext(F, [[t, 1], [tp1, t]]) == 1
+        assert rank_ext(F, [[t, 1], [t, tp1]]) == 2
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (5, 2), (13, 2)])
     def test_blocked_rank_against_encoded_kernel(self, p, e):
-        # rank, kernel_basis and solve all eliminate on companion blocks, so
-        # their outputs are checked in digit-polynomial arithmetic
-        # (oracle_mul), which shares nothing with the blocks
+        # rank_ext and kernel_basis eliminate on digit vectors and solve on
+        # companion blocks; their outputs are checked in digit-polynomial
+        # arithmetic (oracle_mul), which shares nothing with either
         F = build_field(p, e)
         rng = np.random.default_rng(7 * p + e)
         for _ in range(20):
@@ -361,10 +375,9 @@ class TestRank:
             if rows >= 3:  # a dependent row: c * row 0 + row 1
                 coef = np.array([[int(rng.integers(F.q)), 1]])
                 A[2] = oracle_matmul(F, coef, A[:2])[0]
-            m = FFMatrix(F, A)
-            assert np.array_equal(_unblock(F, blocked_over_prime(F, A)), A)
-            rk = rank(m)
-            K = kernel_basis(m).array
+            assert np.array_equal(unblock(F, blocked_over_prime(F, A)), A)
+            rk = rank_ext(F, A)
+            K = kernel_basis(F, A)
             assert rk + K.shape[1] == cols
             assert not np.any(oracle_matmul(F, A, K))
             # K's rows at the free columns (those in the span of the earlier
@@ -372,17 +385,17 @@ class TestRank:
             free = [
                 c
                 for c in range(cols)
-                if rank(FFMatrix(F, A[:, : c + 1])) == rank(FFMatrix(F, A[:, :c]))
+                if rank_ext(F, A[:, : c + 1]) == rank_ext(F, A[:, :c])
             ]
             assert np.array_equal(K[free], np.eye(len(free), dtype=np.int64))
             # one consistent and one random right-hand side
             X0 = rng.integers(0, F.q, size=(cols, 2))
             for B in (oracle_matmul(F, A, X0), rng.integers(0, F.q, size=(rows, 2))):
-                X = solve(m, FFMatrix(F, B))
+                X = solve(F, A, B)
                 if X is None:
-                    assert rank(FFMatrix(F, np.hstack([A, B]))) > rk
+                    assert rank_ext(F, np.hstack([A, B])) > rk
                 else:
-                    assert np.array_equal(oracle_matmul(F, A, X.array), B)
+                    assert np.array_equal(oracle_matmul(F, A, X), B)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -395,15 +408,14 @@ class TestRank:
         rng = np.random.default_rng(seed)
         A = rng.integers(0, p, size=(r, c))
         F = build_field(p)
-        m = FFMatrix(F, A)
-        rk = rank(m)
-        K = kernel_basis(m)
-        assert rk + K.cols == c
+        rk = rank_ext(F, A)
+        K = kernel_basis(F, A)
+        assert rk + K.shape[1] == c
         # kernel columns actually lie in the kernel
-        assert np.all((A @ K.array) % p == 0)
+        assert np.all((A @ K) % p == 0)
         perm_r = rng.permutation(r)
         perm_c = rng.permutation(c)
-        assert rank(FFMatrix(F, A[perm_r][:, perm_c])) == rk
+        assert rank_ext(F, A[perm_r][:, perm_c]) == rk
 
 
 class TestEchelon:
@@ -498,7 +510,7 @@ def kernel_inputs(p):
     for e in (1, 2, 3, 4):
         ctx = build_field(p, e)
         coords = (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q)))
-        B = blocked_over_prime(ctx, x_alpha(M, Point(ctx, coords)).array)
+        B = blocked_over_prime(ctx, x_alpha(M, Point(ctx, coords)))
         out += [B, gfalg.matmul_p(B, B, p)]
     return out
 
@@ -517,7 +529,7 @@ def blocked_stacks(p):
             Point(ctx, (int(rng.integers(0, ctx.q)), int(rng.integers(1, ctx.q))))
             for _ in range(6)
         ]
-        blocked = [blocked_over_prime(ctx, x_alpha(M, pt).array) for pt in points]
+        blocked = [blocked_over_prime(ctx, x_alpha(M, pt)) for pt in points]
         out.append((M, points, np.array(blocked)))
     return out
 
@@ -531,7 +543,7 @@ def stacked_inputs(p, e):
 
     def product(L, R):  # L @ R over GF(p^e), through the blocked embedding
         A = gfalg.matmul_p(blocked_over_prime(ctx, L), blocked_over_prime(ctx, R), p)
-        return _unblock(ctx, A)
+        return unblock(ctx, A)
 
     mixed = []
     for inner in range(9):
@@ -545,8 +557,8 @@ def stacked_inputs(p, e):
     for shape in [(5, 6, 6), (3, 0, 5), (3, 5, 0), (0, 4, 4)]:
         out.append(np.zeros(shape, dtype=np.int64))
     M, points, B = blocked_stacks(p)[e - 1]
-    out.append(np.array([x_alpha(M, pt).array for pt in points]))
-    out.append(np.array([_unblock(ctx, gfalg.matmul_p(A, A, p)) for A in B]))
+    out.append(np.array([x_alpha(M, pt) for pt in points]))
+    out.append(np.array([unblock(ctx, gfalg.matmul_p(A, A, p)) for A in B]))
     return out
 
 
@@ -583,11 +595,11 @@ def clash_stack(ctx, rng):
     lam[5, :2] = 0
     # lambda @ heads over GF(p^e), through the blocked embedding
     blocked = [blocked_over_prime(ctx, A) for A in (lam, heads)]
-    chains = ctx.digit_array(_unblock(ctx, gfalg.matmul_p(*blocked, p)))
+    chains = ctx.digit_array(unblock(ctx, gfalg.matmul_p(*blocked, p)))
     chains[2:4, 7] += ctx.digit_array(rng.integers(1, q))
     chains[4, 8] += ctx.digit_array(rng.integers(1, q))
     M = np.vstack([heads, chains % p @ ctx.weights])
-    rank_one = _unblock(
+    rank_one = unblock(
         ctx,
         gfalg.matmul_p(
             blocked_over_prime(ctx, rng.integers(1, q, size=(12, 1))),
@@ -714,7 +726,7 @@ class TestEchelonKernel:
             D = _digit_stack(X, points)
             assert D.dtype == np.uint8 and D.shape == (len(points), M.n, M.n, ctx.e)
             for pt, got, want in zip(points, D, B):
-                assert np.array_equal(got @ ctx.weights, x_alpha(M, pt).array)
+                assert np.array_equal(got @ ctx.weights, x_alpha(M, pt))
                 assert np.array_equal(_digit_stack(X, [pt])[0], got)
                 assert np.array_equal(blocked_over_prime(ctx, got @ ctx.weights), want)
 
@@ -733,14 +745,6 @@ class TestEchelonKernel:
             assert np.array_equal(got, x % p)
 
 
-ALL_FIELDS = [
-    (p, e)
-    for p in gfalg.SUPPORTED_PRIMES
-    for e in range(1, 15)
-    if p**e <= gfalg.MAX_FIELD_ORDER
-]
-
-
 def digit_inputs(ctx, rng):
     """Encoded GF(p^e) matrices: random, sparse, rank-deficient (through a
     thinner space), every digit p - 1 (the largest sums), repeated rows,
@@ -753,7 +757,7 @@ def digit_inputs(ctx, rng):
     for inner in (1, 2):
         thin = [rng.integers(0, q, size=shape) for shape in ((6, inner), (inner, 7))]
         product = gfalg.matmul_p(*(blocked_over_prime(ctx, A) for A in thin), p)
-        out.append(_unblock(ctx, product))
+        out.append(unblock(ctx, product))
     out.append(np.full((4, 5), q - 1))
     out.append(out[0][[0, 1, 0, 2, 1]])
     out += [np.zeros((4, 6), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]
@@ -764,7 +768,7 @@ def digit_inputs(ctx, rng):
 
 class TestDigitEchelon:
     """echelon_p over GF(p^e) on digit vectors against the blocked oracle:
-    echelon_p and kernel_p of blocked_over_prime, read back by _unblock."""
+    echelon_p and kernel_p of blocked_over_prime, read back by unblock."""
 
     @pytest.mark.parametrize("p,e", ALL_FIELDS)
     def test_matches_the_blocked_oracle(self, p, e):
@@ -790,10 +794,10 @@ class TestDigitEchelon:
                 reduced, pivots = gfalg.echelon_p(M, p, reduced=True, ctx=ctx)
                 assert pivots == got
                 assert reduced.dtype == np.uint8
-                assert np.array_equal(reduced @ ctx.weights, _unblock(ctx, RB))
+                assert np.array_equal(reduced @ ctx.weights, unblock(ctx, RB))
             K = gfalg.kernel_from_rref(reduced, pivots, cols, p)
             assert K.shape == (cols, cols - len(got), e)
-            assert np.array_equal(K @ ctx.weights, _unblock(ctx, gfalg.kernel_p(B, p)))
+            assert np.array_equal(K @ ctx.weights, unblock(ctx, gfalg.kernel_p(B, p)))
             assert np.array_equal(D, before)
 
     @pytest.mark.parametrize("p", gfalg.SUPPORTED_PRIMES)
@@ -811,50 +815,47 @@ class TestDigitEchelon:
 class TestKernel:
     def test_identity_has_empty_kernel(self):
         F = build_field(5)
-        assert kernel_basis(identity(F, 4)).cols == 0
+        assert kernel_basis(F, np.eye(4, dtype=np.int64)).shape == (4, 0)
 
     def test_zero_matrix_kernel_is_standard_basis(self):
         F = build_field(3)
-        K = kernel_basis(FFMatrix(F, np.zeros((4, 4))))
-        assert np.array_equal(K.array, np.eye(4, dtype=np.int64))
+        K = kernel_basis(F, np.zeros((4, 4), dtype=np.int64))
+        assert K.dtype == np.int64 and np.array_equal(K, np.eye(4, dtype=np.int64))
 
     def test_upper_jordan_block_gf2(self):
         # J_2 = [[0,1],[0,0]]: kernel spanned by e_1 (hand elimination)
         F = build_field(2)
-        K = kernel_basis(FFMatrix(F, [[0, 1], [0, 0]]))
-        assert np.array_equal(K.array, [[1], [0]])
+        K = kernel_basis(F, [[0, 1], [0, 0]])
+        assert np.array_equal(K, [[1], [0]])
 
 
 class TestSolve:
     def test_identity_system(self):
         F = build_field(7)
-        B = FFMatrix(F, [[1, 2], [3, 4], [5, 6]])
-        X = solve(identity(F, 3), B)
-        assert X == B
+        B = np.array([[1, 2], [3, 4], [5, 6]])
+        X = solve(F, np.eye(3, dtype=np.int64), B)
+        assert X.shape == B.shape and np.array_equal(X, B)
 
     def test_zero_zero(self):
         F = build_field(3)
-        Z = FFMatrix(F, np.zeros((2, 2)))
-        assert solve(Z, Z) == Z
+        Z = np.zeros((2, 2), dtype=np.int64)
+        X = solve(F, Z, Z)
+        assert X.shape == Z.shape and np.array_equal(X, Z)
 
     def test_jordan_block_system_gf3(self):
         # J_2 x = e_1 over GF(3): x = e_2
         F = build_field(3)
-        A = FFMatrix(F, [[0, 1], [0, 0]])
-        b = FFMatrix(F, [[1], [0]])
-        X = solve(A, b)
-        assert np.array_equal(X.array, [[0], [1]])
+        X = solve(F, [[0, 1], [0, 0]], [[1], [0]])
+        assert np.array_equal(X, [[0], [1]])
 
     def test_inconsistent_returns_none(self):
         F = build_field(2)
-        A = FFMatrix(F, [[0, 0], [0, 0]])
-        b = FFMatrix(F, [[1], [0]])
-        assert solve(A, b) is None
+        assert solve(F, [[0, 0], [0, 0]], [[1], [0]]) is None
 
     def test_shape_mismatch_raises(self):
         F = build_field(2)
         with pytest.raises(ValueError):
-            solve(FFMatrix(F, [[1]]), FFMatrix(F, [[1], [0]]))
+            solve(F, [[1]], [[1], [0]])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -869,16 +870,14 @@ class TestSolve:
         A = rng.integers(0, p, size=(r, c))
         B = rng.integers(0, p, size=(r, k))
         F = build_field(p)
-        X = solve(FFMatrix(F, A), FFMatrix(F, B))
+        X = solve(F, A, B)
         if X is not None:
-            assert np.all((A @ X.array) % p == B % p)
+            assert np.all((A @ X) % p == B % p)
 
     def test_solve_over_extension(self):
         F = build_field(2, 2)
         t = 2
-        A = FFMatrix(F, [[t, 0], [0, 1]])
-        B = FFMatrix(F, [[1], [t]])
-        X = solve(A, B)
+        X = solve(F, [[t, 0], [0, 1]], [[1], [t]])
         assert X is not None
         # t * x0 = 1 => x0 = t^-1 = t+1 = 3
-        assert X.array[0, 0] == 3 and X.array[1, 0] == t
+        assert X[0, 0] == 3 and X[1, 0] == t

@@ -11,8 +11,6 @@ from cjt.gfalg import (
     MAX_FIELD_ORDER,
     SUPPORTED_PRIMES,
     FieldCtx,
-    _unblock,
-    blocked_over_prime,
     build_field,
     kernel_p,
     matmul_p,
@@ -67,7 +65,8 @@ from cjt.kemod import (
 )
 from cjt.suites import DEFAULT_PAIRS, _battery
 
-from test_gfalg import oracle_mul
+from blocked import blocked_over_prime, unblock
+from test_gfalg import oracle_add, oracle_mul
 from test_random_modules import conjugate, random_closed_span, random_invertible, zoo
 from test_thetasheaf import battery
 
@@ -177,19 +176,19 @@ class TestXAlpha:
     def test_axis_point_regular(self):
         M = builtin("regular", 2, 2)
         pt = axis_point(2, 2, 0)
-        assert np.array_equal(x_alpha(M, pt).array, M.X[0].astype(np.int64))
+        assert np.array_equal(x_alpha(M, pt), M.X[0].astype(np.int64))
 
     def test_rad_quotient_rank_one(self):
         for pt in projective_points(3, 3):
             M = builtin("rad_quotient", 3, 3, m=2)
             from cjt.gfalg import rank_ext
 
-            assert rank_ext(pt.ctx, x_alpha(M, pt).array) == 1
+            assert rank_ext(pt.ctx, x_alpha(M, pt)) == 1
 
     def test_perm_ignores_other_coordinates(self):
         M = builtin("perm", 3, 2, i=1)
         pt = Point(build_field(3), (1, 1))
-        A = x_alpha(M, pt).array
+        A = x_alpha(M, pt)
         assert np.array_equal(A, M.X[0].astype(np.int64))
 
     @pytest.mark.parametrize(
@@ -211,9 +210,18 @@ class TestXAlpha:
             want = np.zeros((M.n, M.n), dtype=np.int64)
             for lam, A in zip(pt.coords, M.X):
                 for (a, b), x in np.ndenumerate(A):
-                    want[a, b] = F.add(int(want[a, b]), oracle_mul(F, lam, int(x)))
-            assert np.array_equal(x_alpha(M, pt).array, want)
+                    want[a, b] = oracle_add(F, int(want[a, b]), oracle_mul(F, lam, int(x)))
+            assert np.array_equal(x_alpha(M, pt), want)
             assert np.array_equal(digits @ F.weights, want)
+
+    def test_returns_a_read_only_encoded_array(self):
+        M = builtin("rad_quotient", 3, 2, m=2)
+        for e in (1, 2):
+            A = x_alpha(M, Point(build_field(3, e), (1, 4 % 3**e)))
+            assert type(A) is np.ndarray and A.dtype == np.int64 and A.shape == (M.n, M.n)
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 1
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
@@ -328,7 +336,7 @@ class TestCheckConstant:
 def full_jordan_type(M, pt):
     """Jordan type from the ranks of all p powers of X_alpha, built through x_alpha."""
     p, e = M.p, pt.ctx.e
-    B = blocked_over_prime(pt.ctx, x_alpha(M, pt).array)
+    B = blocked_over_prime(pt.ctx, x_alpha(M, pt))
     ranks = [M.n] + [rank_p(matpow_p(B, j, p), p) // e for j in range(1, p + 1)] + [0]
     return JordanType(p, tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1]
                                for i in range(1, p + 1)))
@@ -370,7 +378,7 @@ class TestImageChain:
                     if any(coords):
                         pts.append(Point(ctx, coords))
                 for pt in pts:
-                    blocked = blocked_over_prime(ctx, x_alpha(M, pt).array)
+                    blocked = blocked_over_prime(ctx, x_alpha(M, pt))
                     digits = _digit_stack(np.array(M.X, dtype=np.float32), [pt])[0]
                     got = blocked_over_prime(ctx, digits @ ctx.weights)
                     assert got.dtype == blocked.dtype == np.uint8
@@ -633,7 +641,7 @@ class TestOrbitMemo:
     @pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2), (13, 2)])
     def test_frobenius_matrix_matches_frobenius(self, p, e):
         F = build_field(p, e)
-        for a in F.elements():
+        for a in range(F.q):
             image = F.frobenius_matrix @ np.array(F.digits(a)) % p
             assert F.encode(image) == F.frobenius(a)
 
@@ -874,8 +882,8 @@ class TestDigitSampler:
         points = [axis_point(p, 2, 1, e)]
         points += [Point(ctx, (rng.randrange(1, ctx.q), rng.randrange(ctx.q))) for _ in range(2)]
         for M in mods:
-            blocked = [blocked_over_prime(ctx, x_alpha(M, pt).array) for pt in points]
-            want = [_unblock(ctx, matpow_p(B, j, p)) for j in range(1, p) for B in blocked]
+            blocked = [blocked_over_prime(ctx, x_alpha(M, pt)) for pt in points]
+            want = [unblock(ctx, matpow_p(B, j, p)) for j in range(1, p) for B in blocked]
             want = ctx.digit_array(np.array(want))
             for dtype in (np.float32, np.float64):
                 terms = _power_terms(np.array(M.X, dtype=dtype), p - 1, p)

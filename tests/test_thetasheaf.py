@@ -13,7 +13,6 @@ from operator import le
 
 from cjt.gfalg import (
     SUPPORTED_PRIMES,
-    blocked_over_prime,
     build_field,
     echelon_p,
     kernel_p,
@@ -55,6 +54,7 @@ from cjt.thetasheaf import (
     twist_shift_check,
 )
 from cjt.suites import _battery
+from blocked import blocked_over_prime
 from test_random_modules import conjugate, zoo
 
 
@@ -206,7 +206,7 @@ class TestFiber:
         # the meets from every power B^i formed in full, 0 <= i <= p, with
         # fiber's intersection formula
         def full_power_dims(M, alpha):
-            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha).array)
+            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha))
             K = kernel_p(B, p)
             Bi = np.eye(B.shape[0], dtype=np.uint8)
             meets = []
@@ -239,7 +239,7 @@ class TestFiber:
         # kernel_p and W_1 from a separate echelon_p, as fiber once did
         def two_elimination_dims(M, alpha):
             p, e = M.p, alpha.ctx.e
-            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha).array)
+            B = blocked_over_prime(alpha.ctx, x_alpha(M, alpha))
             K = kernel_p(B, p)
             meets = [K.shape[1] // e] + [0] * p
             W = B
@@ -431,9 +431,11 @@ class TestCertificate:
                 assert closed == counted(at_T, M.r, t) == dims[t], (name, a, t)
 
     @pytest.mark.parametrize("name,M", battery())
-    def test_fitted_matches_interpolated_count(self, name, M):
+    def test_fitted_matches_interpolated_count(self, name, M, monkeypatch):
         # the closed-form polynomial against one interpolated from counted
-        # Hilbert values on r + 3 degrees from stable_from
+        # Hilbert values on r + 3 degrees from stable_from; the battery's perm
+        # modules are not of constant Jordan type, so the check is switched off
+        monkeypatch.setattr(thetasheaf, "_require_constant", lambda M: None)
         leading = {a: certified_leading(M, a) for a in range(1, M.p)}
 
         def rank(a, e):
@@ -442,7 +444,7 @@ class TestCertificate:
             return M.n * s_dim(M.r, e) if a == 0 else counted(leading[a], M.r, e + a)
 
         for i in range(1, M.p + 1):
-            hd = hilbert(M, i, skip_constancy_check=True)
+            hd = hilbert(M, i)
 
             def dim(d):
                 e = d - i
