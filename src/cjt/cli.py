@@ -255,7 +255,7 @@ def build_parser():
     sp.add_argument("--field-ext-point", type=_at_least(1), help="default 1")
 
     sampled = (algebra, max_dim, sampling)
-    sp = add("check-constant", _cmd_check_constant, "sampling constancy check", sampled)
+    sp = add("check-constant", _cmd_check_constant, "constancy check (exact on Z^r-graded modules)", sampled)
     sp.add_argument("module")
 
     sp = add("fiber", _cmd_fiber, "fiber dimensions at a point")

@@ -16,12 +16,15 @@ a left inverse on the socle for a hull, and an n x n system for the
 free-summand retraction in strip_free_with_inclusion.  apply_monomials
 gives both maps, applying every monomial X^v to the n x b matrix at hand.
 
-The constancy sampler (check_constant) ranks every power X_alpha^j, a
-combination of the products X^m with |m| = j, at many points at once, in
-a basis adapted to the radical series M, JM, J^2 M, ... (layered_actions),
-where X_alpha maps each layer into deeper ones; the change of basis is
-over GF(p), so it keeps every rank and every answer.  Jordan types at
-single points (jordan_type_at, the sampler's oracle) stay on M.X.
+check_constant decides a Z^r-graded module (multigrading) exactly from
+its Jordan types at the 2^r - 1 points with 0/1 coordinates, one per
+torus orbit of P^{r-1}.  On any other module it samples: it ranks every
+power X_alpha^j, a combination of the products X^m with |m| = j, at many
+points at once, in a basis adapted to the radical series M, JM, J^2 M,
+... (layered_actions), where X_alpha maps each layer into deeper ones;
+the change of basis is over GF(p), so it keeps every rank and every
+answer.  Jordan types at single points (jordan_type_at, the sampler's
+oracle) stay on M.X.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import random
 import numpy as np
 
 from . import gfalg
+from ._support import find_grading, is_acyclic
 from .errors import Failure, InputError
 from .gfalg import FieldCtx, build_field, matmul_p, matpow_p
 
@@ -575,27 +579,6 @@ def _digit_stack(X, points):
     return stack.astype(np.uint8).reshape(len(points), n, n, ctx.e)
 
 
-def _support_is_acyclic(X, n):
-    """Whether the nonzeros of the n x n matrices X, as edges j -> i for
-    each entry [i, j], form a DAG: then some permutation makes every matrix
-    strictly triangular.  One topological sort, O(n + nonzeros) steps."""
-    # the transposed support lists the edges by source
-    sources, targets = np.any(np.array(X, dtype=bool), axis=0).T.nonzero()
-    starts = np.searchsorted(sources, np.arange(n + 1)).tolist()
-    indegree = np.bincount(targets, minlength=n).tolist()
-    targets = targets.tolist()
-    ready = [v for v in range(n) if indegree[v] == 0]
-    done = 0
-    while ready:
-        v = ready.pop()
-        done += 1
-        for w in targets[starts[v] : starts[v + 1]]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    return done == n
-
-
 def _radical_layers(M: KEModule):
     """Row bases of the layers of M's radical series, top layer first.
 
@@ -627,11 +610,11 @@ def layered_actions(M: KEModule):
     row of layer k has its nonzeros in the columns of the layers above k.
     The rows of a stack so lead in many columns, not all near column 0,
     and gfalg.stacked_pivots clears them in fewer rounds.  When the support
-    of the X_i is already a DAG (_support_is_acyclic), a change of basis
+    of the X_i is already a DAG (is_acyclic), a change of basis
     gains nothing on it, and M.X itself is returned.  Cached on M.
     """
     if "layered" not in M._cache:
-        if _support_is_acyclic(M.X, M.n):
+        if is_acyclic(M.X, M.n):
             actions = M.X
         else:
             P = np.vstack(_radical_layers(M)[::-1]).T
@@ -668,84 +651,107 @@ def _power_terms(X, J, p):
     return terms
 
 
-def _power_stack(terms, points):
-    """Digits of X_alpha^1 .. X_alpha^J at points all over one field, a
-    (J b, n, n, e) uint8 stack, power by power; terms = _power_terms(X, J,
-    p).  The X_i commute, so X_alpha^j = sum_{|m| = j} (j!/m!) alpha^m X^m:
-    one product of the (n^2, M_j) terms with the points' (b, M_j, e) digits
-    of (j!/m!) alpha^m, the alpha^m one FieldCtx.mul_array from degree
-    j - 1.  Degree 1 is _digit_stack."""
+def _power_stack(terms, points, lo=0, hi=None):
+    """Digits of X_alpha^(lo+1) .. X_alpha^hi (by default all J powers) at
+    points all over one field, a ((hi - lo) b, n, n, e) uint8 stack, power
+    by power; terms = _power_terms(X, J, p).  The X_i commute, so
+    X_alpha^j = sum_{|m| = j} (j!/m!) alpha^m X^m: one product of the
+    (n^2, M_j) terms with the points' (b, M_j, e) digits of (j!/m!)
+    alpha^m, the alpha^m one FieldCtx.mul_array from degree j - 1.
+    Degree 1 is _digit_stack."""
     ctx, X, b = points[0].ctx, terms[0][0], len(points)
-    n = X.shape[1]
-    out = np.empty((len(terms), b, n, n, ctx.e), dtype=np.uint8)
-    out[0] = _digit_stack(X, points)
+    n, hi = X.shape[1], len(terms) if hi is None else hi
+    out = np.empty((hi - lo, b, n, n, ctx.e), dtype=np.uint8)
+    if lo == 0:
+        out[0] = _digit_stack(X, points)
     coords = values = np.array([pt.coords for pt in points], dtype=np.int64)
-    for j, (P, first, parent, coef) in enumerate(terms[1:], 1):
+    for j, (P, first, parent, coef) in enumerate(terms[1:hi], 1):
         values = ctx.mul_array(coords[:, first], values[:, parent])
-        digits = (ctx.digit_array(values) * coef % ctx.p).astype(X.dtype)
-        power = gfalg.reduce_p(P.reshape(len(P), n * n).T @ digits, ctx.p)
-        out[j] = power.reshape(b, n, n, ctx.e)
-    return out.reshape(len(terms) * b, n, n, ctx.e)
+        if j >= lo:
+            digits = (ctx.digit_array(values) * coef % ctx.p).astype(X.dtype)
+            power = gfalg.reduce_p(P.reshape(len(P), n * n).T @ digits, ctx.p)
+            out[j - lo] = power.reshape(b, n, n, ctx.e)
+    return out.reshape((hi - lo) * b, n, n, ctx.e)
 
 
 def _rank_mismatches(terms, points, ranks):
     """Indices of the points, all over one field, whose Jordan type differs
     from the one with ranks[j] = rank X_alpha^j over GF(p^e), where terms
     = _power_terms(X, J, p) and ranks[J] = 0 or J = p - 1 (X_alpha^p = 0).
-    The J powers (_power_stack) of a stack of STACK_CELLS // (2 J e n^2)
-    points are ranked in one gfalg.stacked_pivots call; a point fails when
-    any of its powers has a rank off the reference."""
+    A power of one point takes 2 e n^2 cells (its digits and
+    stacked_pivots' float copy).  The J powers (_power_stack) of a stack
+    of STACK_CELLS // (2 J e n^2) points are ranked in one
+    gfalg.stacked_pivots call; when not even one point's J powers fit, its
+    powers are ranked in groups that do, one power a group at the least.
+    A point fails when any of its powers has a rank off the reference."""
     ctx, J, n = points[0].ctx, len(terms), terms[0][0].shape[1]
-    per_stack = max(1, STACK_CELLS // max(1, 2 * J * ctx.e * n * n))
+    cells = max(1, 2 * ctx.e * n * n)
+    group = min(J, max(1, STACK_CELLS // cells))
+    per_stack = max(1, STACK_CELLS // (group * cells))
     out = []
     for start in range(0, len(points), per_stack):
-        powers = _power_stack(terms, points[start : start + per_stack])
-        found = np.reshape([len(pv) for pv in gfalg.stacked_pivots(powers, ctx)], (J, -1))
-        off = (found != np.c_[ranks[1 : J + 1]]).any(axis=0)
+        stack = points[start : start + per_stack]
+        off = np.zeros(len(stack), dtype=bool)
+        for lo in range(0, J, group):
+            hi = min(lo + group, J)
+            pivots = gfalg.stacked_pivots(_power_stack(terms, stack, lo, hi), ctx)
+            found = np.reshape([len(pv) for pv in pivots], (hi - lo, -1))
+            off |= (found != np.c_[ranks[lo + 1 : hi + 1]]).any(axis=0)
         out += (start + off.nonzero()[0]).tolist()
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _sampling_schedule(p, r, plan: SamplingPlan):
-    """The points check_constant visits at (p, r) under plan, as
-    (points_checked, fields_used, chunks).
-
-    The points are every GF(p)-point of P^{r-1} (more than RATIONAL_CAP
-    are refused before any is built), every GF(p^2)-point when
-    there are at most QUADRATIC_CAP of them, and plan.extra seeded-random
-    points over GF(p^e) with e <= plan.max_ext_degree.  The earliest point
-    of each Galois orbit stands for the orbit, and these representatives
-    are taken in chunks of 1, 2, 4, ... points.  Each chunk is a tuple of
-    groups, one per field in first-visit order, and a group is a tuple of
-    (index in the chunk, point) pairs in visit order.  The schedule
-    depends on no module, so it is built once per (p, r, plan).
-    """
-    count_rational = (p**r - 1) // (p - 1)
-    if count_rational > RATIONAL_CAP:
+def _schedule_counts(p, r, plan: SamplingPlan):
+    """(points_checked, fields_used) of _sampling_schedule(p, r, plan),
+    worked out with no point built: the GF(p)-points of P^{r-1}, the
+    GF(p^2)-points when there are at most QUADRATIC_CAP of them, and
+    plan.extra more.  More than RATIONAL_CAP GF(p)-points are refused."""
+    count = (p**r - 1) // (p - 1)
+    if count > RATIONAL_CAP:
         raise ResourceCapError(
-            f"P^{r - 1} has {count_rational} GF({p})-points, above the cap "
+            f"P^{r - 1} has {count} GF({p})-points, above the cap "
             f"{RATIONAL_CAP} on the points a constancy check visits"
         )
     fields_used = [f"GF({p})"]
-    points = projective_points(p, r, 1)
     count_quadratic = (p ** (2 * r) - 1) // (p**2 - 1)
     if count_quadratic <= QUADRATIC_CAP:
-        points += projective_points(p, r, 2)
+        count += count_quadratic
         fields_used.append(f"GF({p}^2)")
+    # the k-th extra point is over GF(p^e), e = ext_degrees[k % len(ext_degrees)]
+    ext_degrees = sorted({min(e, plan.max_ext_degree) for e in EXTRA_DEGREES})
+    extra_fields = {f"GF({p}^{e})" if e > 1 else f"GF({p})" for e in ext_degrees[: plan.extra]}
+    fields_used += sorted(extra_fields - set(fields_used))
+    return count + plan.extra, tuple(fields_used)
 
+
+@functools.lru_cache(maxsize=16)
+def _sampling_schedule(p, r, plan: SamplingPlan):
+    """The points check_constant samples at (p, r) under plan, as
+    (points_checked, fields_used, chunks).
+
+    The points are every GF(p)-point of P^{r-1}, every GF(p^2)-point when
+    there are at most QUADRATIC_CAP of them, and plan.extra seeded-random
+    points over GF(p^e) with e <= plan.max_ext_degree; the counts come
+    from _schedule_counts, which refuses more than RATIONAL_CAP
+    GF(p)-points before any is built.  The earliest point of each Galois
+    orbit stands for the orbit, and these representatives are taken in
+    chunks of 1, 2, 4, ... points.  Each chunk is a tuple of groups, one
+    per field in first-visit order, and a group is a tuple of (index in
+    the chunk, point) pairs in visit order.  The schedule depends on no
+    module, so it is built once per (p, r, plan).
+    """
+    points_checked, fields_used = _schedule_counts(p, r, plan)
+    points = projective_points(p, r, 1)
+    if points_checked > len(points) + plan.extra:  # the GF(p^2)-points are counted
+        points += projective_points(p, r, 2)
     rng = random.Random(plan.seed)
     ext_degrees = sorted({min(e, plan.max_ext_degree) for e in EXTRA_DEGREES})
-    extra_fields = set()
     for k in range(plan.extra):
-        e = ext_degrees[k % len(ext_degrees)]
-        ctx = build_field(p, e)
+        ctx = build_field(p, ext_degrees[k % len(ext_degrees)])
         coords = tuple(rng.randrange(ctx.q) for _ in range(r))
         if all(c == 0 for c in coords):
             coords = (1,) + coords[1:]
         points.append(Point(ctx, coords))
-        extra_fields.add(f"GF({p}^{e})" if e > 1 else f"GF({p})")
-    fields_used += sorted(extra_fields - set(fields_used))
 
     # the earliest point of each Galois orbit stands for the orbit: a later
     # one was preceded by a point of the same type, the reference type, or
@@ -759,29 +765,81 @@ def _sampling_schedule(p, r, plan: SamplingPlan):
             by_field.setdefault(pt.ctx, []).append((i, pt))
         chunks.append(tuple(tuple(group) for group in by_field.values()))
         size *= 2
-    return len(points), tuple(fields_used), tuple(chunks)
+    return points_checked, fields_used, tuple(chunks)
+
+
+def multigrading(M: KEModule):
+    """Weights w: basis -> Z^r with w(t) = w(s) + e_i for every nonzero
+    (X_i)[t, s], one base weight 0 per connected component of the support,
+    as a read-only (n, r) int64 array; None when M's basis has none
+    (find_grading).  Cached on M."""
+    if "grading" not in M._cache:
+        M._cache["grading"] = find_grading(M.X, M.n, M.r)
+    return M._cache["grading"]
+
+
+def _torus_points(p, r):
+    """The 2^r - 1 points of P^{r-1} with 0/1 coordinates, over GF(p), in
+    the order of projective_points: the first point 1_S with support S for
+    each nonempty S, the reference point (1, 0, ..., 0) first."""
+    ctx = build_field(p, 1)  # the field object of projective_points' points
+    return [
+        Point(ctx, (0,) * lead + (1,) + tail)
+        for lead in range(r)
+        for tail in itertools.product((0, 1), repeat=r - lead - 1)
+    ]
 
 
 def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVerdict:
-    """Sampling-based constancy check; a falsifier, never a certificate.
+    """Constancy check: exact on a Z^r-graded module, a sampled falsifier
+    on any other.
 
-    Evaluates the Jordan type at the points of _sampling_schedule(p, r,
-    plan): only the first point of each Galois orbit, since the points of
-    one orbit share a Jordan type; points_checked counts every point
-    covered.  Each chunk's points of one field are checked against the
-    reference ranks (_rank_mismatches) at the powers 1 .. J, J the first
-    of reference rank 0, or p - 1, whose products X^m are built once
-    (_power_terms) from layered_actions(M); the first failing point in
-    visit order is the witness.  The reference and the witness take their
-    types from jordan_type_at, which shares no elimination and no power
-    with the stacks, and stays on M.X, so the two check each other across
-    two bases.  A change of basis over GF(p) keeps every rank of every
-    power of X_alpha, so no answer depends on the basis M comes in.
+    Graded (multigrading(M) is not None): for t in the torus (K^x)^r, D_t
+    scaling basis vector b by t^w(b) has D_t X_i D_t^-1 = t_i X_i, so
+    X_{t alpha} = D_t X_alpha D_t^-1 and the Jordan type is constant on
+    each torus orbit {supp alpha = S}.  So M has constant Jordan type over
+    every field exactly when jordan_type_at agrees at the 2^r - 1 points
+    1_S (_torus_points).  The verdict is the sampler's: every GF(p)-point
+    is sampled first, 1_S the first of those with support S, so the first
+    failing 1_S is the sampler's witness, and points_checked and
+    fields_used are the plan's counts (_schedule_counts).
+
+    Ungraded: evaluates the Jordan type at the points of
+    _sampling_schedule(p, r, plan): only the first point of each Galois
+    orbit, since the points of one orbit share a Jordan type;
+    points_checked counts every point covered.  Each chunk's points of one
+    field are checked against the reference ranks (_rank_mismatches) at
+    the powers 1 .. J, J the first of reference rank 0, or p - 1, whose
+    products X^m are built once (_power_terms) from layered_actions(M);
+    the first failing point in visit order is the witness.  The reference
+    and the witness take their types from jordan_type_at, which shares no
+    elimination and no power with the stacks, and stays on M.X, so the two
+    check each other across two bases.  A change of basis over GF(p) keeps
+    every rank of every power of X_alpha, so no answer depends on the
+    basis M comes in.
     """
     plan = plan or SamplingPlan()
-    cached = M._cache.get(("constancy", plan))
-    if cached is not None:
-        return cached
+    key = ("constancy", plan)
+    if key not in M._cache:
+        decide = _sampled_constancy if multigrading(M) is None else _torus_constancy
+        M._cache[key] = decide(M, plan)
+    return M._cache[key]
+
+
+def _torus_constancy(M: KEModule, plan: SamplingPlan) -> ConstancyVerdict:
+    """check_constant on a graded M: the types at the points 1_S."""
+    points_checked, fields_used = _schedule_counts(M.p, M.r, plan)
+    points = _torus_points(M.p, M.r)
+    reference = jordan_type_at(M, points[0])
+    for pt in points[1:]:
+        t = jordan_type_at(M, pt)
+        if t != reference:
+            return Falsified(pt, t, reference)
+    return ConstantSoFar(reference, points_checked, fields_used)
+
+
+def _sampled_constancy(M: KEModule, plan: SamplingPlan) -> ConstancyVerdict:
+    """check_constant by sampling the points of _sampling_schedule."""
     points_checked, fields_used, chunks = _sampling_schedule(M.p, M.r, plan)
     reference = reference_jordan_type(M)
     # rank of X_alpha^j on the reference type: each block of length i > j gives i - j
@@ -801,12 +859,8 @@ def check_constant(M: KEModule, plan: SamplingPlan | None = None) -> ConstancyVe
         ]
         if failing:
             witness = min(failing)[1]  # the indices differ, so no points are compared
-            verdict = Falsified(witness, jordan_type_at(M, witness), reference)
-            M._cache[("constancy", plan)] = verdict
-            return verdict
-    verdict = ConstantSoFar(reference, points_checked, fields_used)
-    M._cache[("constancy", plan)] = verdict
-    return verdict
+            return Falsified(witness, jordan_type_at(M, witness), reference)
+    return ConstantSoFar(reference, points_checked, fields_used)
 
 
 def reference_jordan_type(M: KEModule) -> JordanType:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cjt import kemod, realize
+from cjt._support import find_grading, is_acyclic
 from cjt.errors import InputError
+from cjt.formats import parse_spec
 from cjt.gfalg import (
     MAX_FIELD_ORDER,
     SUPPORTED_PRIMES,
@@ -43,8 +45,10 @@ from cjt.kemod import (
     _power_terms,
     _radical_layers,
     _rank_mismatches,
+    _sampled_constancy,
     _sampling_schedule,
-    _support_is_acyclic,
+    _schedule_counts,
+    _torus_constancy,
     builtin,
     check_constant,
     direct_sum,
@@ -53,6 +57,7 @@ from cjt.kemod import (
     jordan_type_at,
     layered_actions,
     minimal_generators,
+    multigrading,
     new_module,
     omega,
     projective_cover,
@@ -553,18 +558,21 @@ class TestOrbitMemo:
         make, witness_degrees = DIFFERENTIAL_MODULES[name]
         M, plan = make(), DIFFERENTIAL_PLANS[k]
         M._cache.pop(("constancy", plan), None)
-        got, want = check_constant(M, plan), brute_force_check_constant(M, plan)
-        if witness_degrees[k] is None:
-            assert isinstance(want, ConstantSoFar)
-            assert got == want
-        else:
-            assert isinstance(want, Falsified)
-            assert want.witness.ctx.e == witness_degrees[k]
-            assert isinstance(got, Falsified)
-            assert got.witness.coords == want.witness.coords
-            assert got.witness.ctx is want.witness.ctx
-            assert got.type_at_witness == want.type_at_witness
-            assert got.reference_type == want.reference_type
+        want = brute_force_check_constant(M, plan)
+        # check_constant, and the sampler on the modules check_constant
+        # decides at the torus points
+        for got in (check_constant(M, plan), _sampled_constancy(M, plan)):
+            if witness_degrees[k] is None:
+                assert isinstance(want, ConstantSoFar)
+                assert got == want
+            else:
+                assert isinstance(want, Falsified)
+                assert want.witness.ctx.e == witness_degrees[k]
+                assert isinstance(got, Falsified)
+                assert got.witness.coords == want.witness.coords
+                assert got.witness.ctx is want.witness.ctx
+                assert got.type_at_witness == want.type_at_witness
+                assert got.reference_type == want.reference_type
 
     @pytest.mark.parametrize("name,k", FALSIFIED)
     def test_at_most_twice_the_orbits_of_one_at_a_time(self, name, k, monkeypatch):
@@ -577,11 +585,10 @@ class TestOrbitMemo:
             kemod, "_digit_stack", lambda X, pts: built.extend(pts) or original(X, pts)
         )
         M, plan = DIFFERENTIAL_MODULES[name][0](), DIFFERENTIAL_PLANS[k]
-        M._cache.pop(("constancy", plan), None)
         want = one_orbit_at_a_time(M, plan)
         one_at_a_time = len(built)
         built.clear()
-        assert check_constant(M, plan) == want
+        assert _sampled_constancy(M, plan) == want
         assert len(built) <= 2 * one_at_a_time
 
     @pytest.mark.parametrize(
@@ -605,7 +612,8 @@ class TestOrbitMemo:
     def test_schedule_is_the_visit_order_built_once(self, p, r, k):
         # the cached schedule holds the orbit representatives of the visit
         # order in chunks of 1, 2, 4, ..., each grouped by field with its
-        # indices in the chunk; modules of one (p, r) share it
+        # indices in the chunk; the sampler's checks of modules of one
+        # (p, r) share it
         plan = DIFFERENTIAL_PLANS[k]
         points, fields = visit_order(builtin("trivial", p, r), plan)
         count, fields_used, chunks = _sampling_schedule(p, r, plan)
@@ -622,8 +630,7 @@ class TestOrbitMemo:
         assert flat == orbit_representatives(points)
         hits = _sampling_schedule.cache_info().hits
         for M in (builtin("trivial", p, r), builtin("rad_quotient", p, r, m=2)):
-            M._cache.pop(("constancy", plan), None)
-            check_constant(M, plan)
+            _sampled_constancy(M, plan)
         assert _sampling_schedule.cache_info().hits == hits + 2
 
     @pytest.mark.parametrize("name", ["omega1 p=5 r=2", "conic3 p=2 r=2", "euler p=2 r=3"])
@@ -702,7 +709,7 @@ class TestOrbitMemo:
         plan = SamplingPlan(extra=200)
         # fields and their Frobenius matrices are built once per process
         for r in (2, 3):
-            check_constant(builtin("trivial", 3, r), plan)
+            _sampled_constancy(builtin("trivial", 3, r), plan)
         calls = []
         for name in ("mul", "inv"):
             scalar = getattr(FieldCtx, name)
@@ -712,7 +719,7 @@ class TestOrbitMemo:
                 lambda self, *args, name=name, scalar=scalar: calls.append(name)
                 or scalar(self, *args),
             )
-        constant = check_constant(builtin("rad_quotient", 3, 3, m=2), plan)
+        constant = _sampled_constancy(builtin("rad_quotient", 3, 3, m=2), plan)
         assert isinstance(constant, ConstantSoFar) and constant.points_checked > 200
         assert isinstance(check_constant(conic_module(3, 2, 2), plan), Falsified)
         assert calls == []
@@ -767,7 +774,7 @@ class TestDigitSampler:
             reference = reference_jordan_type(M)
             want = [i for i, pt in enumerate(points) if jordan_type_at(M, pt) != reference]
             off += len(want)
-            # the default stacks, and one point per stack
+            # the default stacks, and one power of one point per stack
             for cells in (kemod.STACK_CELLS, 1):
                 monkeypatch.setattr(kemod, "STACK_CELLS", cells)
                 got = mismatches(M, points, ranks_of(reference))
@@ -803,7 +810,7 @@ class TestDigitSampler:
             assert reference_jordan_type(M) == t, name
             assert jordan_type_at(M, pt) == t, name
         with pytest.raises(AssertionError, match="stacked_pivots"):
-            check_constant(builtin("zigzag", 3, 2, n=4))
+            _sampled_constancy(builtin("zigzag", 3, 2, n=4), SamplingPlan())
 
     def test_sampler_shares_no_kernel_with_the_oracle(self, monkeypatch):
         # _rank_mismatches ranks with stacked_pivots and forms the powers
@@ -854,14 +861,12 @@ class TestDigitSampler:
     def test_one_point_per_stack_keeps_every_verdict(self, k, monkeypatch):
         plan = DIFFERENTIAL_PLANS[k]
         modules = sampler_modules()
-        for _, M in modules:
-            M._cache.pop(("constancy", plan), None)
-        want = [check_constant(M, plan) for _, M in modules]
+        want = [_sampled_constancy(M, plan) for _, M in modules]
         assert any(isinstance(v, Falsified) for v in want)
+        # one power of one point per stacked_pivots call
         monkeypatch.setattr(kemod, "STACK_CELLS", 1)
         for (name, M), verdict in zip(modules, want):
-            M._cache.pop(("constancy", plan), None)
-            assert check_constant(M, plan) == verdict, name
+            assert _sampled_constancy(M, plan) == verdict, name
 
     @pytest.mark.parametrize(
         "p,e",
@@ -962,9 +967,252 @@ class TestPowerDepth:
         assert refused_peak < 2**16
         assert [P.shape[0] for P, *_ in terms] == [2, 3, 4, 5]
         assert nbytes <= peak < nbytes + 5 * 300 * 300 * 4 + 2**16
+        # check_constant builds them only to sample an ungraded module: a
+        # conjugated copy is refused, the graded module is decided without them
         monkeypatch.setattr(kemod, "DEFAULT_MEMORY_BUDGET", 16)
+        M = builtin("rad_quotient", 3, 2, m=3)
+        dense = conjugate(M, np.random.default_rng(3))
+        assert multigrading(dense) is None
         with pytest.raises(ResourceCapError, match="memory budget"):
-            check_constant(builtin("rad_quotient", 3, 2, m=3))
+            check_constant(dense)
+        assert isinstance(check_constant(M), ConstantSoFar)
+
+
+# Z^r-graded modules: the torus decision, the grading, the closed-form counts
+
+TORUS_PAIRS = ((2, 2), (3, 2), (2, 3), (3, 3), (5, 2))
+SHIFTS = (1, -1, 2, -2, 3, -3, 4, -4)
+# the GF(p)- and GF(p^2)-points and six seeded points, two over each of
+# GF(p^2), GF(p^3) and GF(p^4): few enough for the brute force at (3, 3)
+TORUS_PLAN = SamplingPlan(extra=6, seed=3)
+
+# the Euler and line-bundle specs of the realize benchmark workload
+REALIZED_SPECS = {
+    **{f"euler p={p} r={r}": (p, r, None) for p, r in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))},
+    **{
+        f"O({a}) p={p} r={r}": (p, r, a)
+        for p, r, a in ((2, 3, -2), (3, 2, -1), (3, 3, -1), (5, 2, -1))
+    },
+}
+
+ZETA_SPEC = "2 2 1\nlevel 0: 0\nlevel 1: -5\nmap 1\n1 1: 1 5 0 + 1 2 3 + 1 0 5\n"
+
+
+@functools.cache
+def graded_modules(p, r):
+    """The perm modules and Omega^n k, n = +-1 .. +-4, at (p, r)."""
+    mods = [(f"perm{i}", builtin("perm", p, r, i=i)) for i in range(1, r + 1)]
+    k = builtin("trivial", p, r)
+    mods += [(f"Omega^{n} k", omega(k, n)) for n in SHIFTS]
+    return mods
+
+
+GRADED = [
+    (p, r, name)
+    for p, r in TORUS_PAIRS
+    for name in [f"perm{i}" for i in range(1, r + 1)] + [f"Omega^{n} k" for n in SHIFTS]
+]
+
+
+def realized_graded(name):
+    p, r, a = REALIZED_SPECS[name]
+    spec = realize.euler_spec(p, r) if a is None else realize.line_bundle_spec(p, r, a)
+    return realized(spec)
+
+
+def ungraded_modules(tmp_path):
+    """Conjugated Heller shifts (dimension 24 and up: a small module can
+    have a graded basis by chance), stripped tensors, duals at odd p and the
+    module realize_bundle builds from O(-5) -> O by y1^5 + y1^2 y2^3 +
+    y2^5, whose cokernel is torsion."""
+    rng = np.random.default_rng(17)
+    mods = [
+        (f"dense {name} p={p} r={r}", conjugate(M, rng))
+        for p, r in ((5, 2), (3, 3))
+        for name, M in graded_modules(p, r)
+        if name.startswith("Omega")
+    ]
+    mods += [
+        ("radq2 * Omega^1 k p=2 r=3", tensor(builtin("rad_quotient", 2, 3, m=2),
+                                            omega(builtin("trivial", 2, 3), 1))),
+        ("radq2 * Omega^2 k p=3 r=2", tensor(builtin("rad_quotient", 3, 2, m=2),
+                                            omega(builtin("trivial", 3, 2), 2))),
+    ]
+    mods = [(name, strip_free(M)[0]) if "*" in name else (name, M) for name, M in mods]
+    mods += [
+        (f"dual Omega^{n} k p={p}", dual(omega(builtin("trivial", p, 2), n)))
+        for p, n in ((3, 1), (3, -2), (5, 2))
+    ]
+    path = tmp_path / "zeta.spec"
+    path.write_text(ZETA_SPEC)
+    mods.append(("zeta", realize.realize_bundle(parse_spec(path))[0]))
+    return mods
+
+
+class TestTorusDecision:
+    """check_constant decides a graded module from its types at the 2^r - 1
+    points 1_S; the verdict must be the brute force's and the sampler's,
+    witness included."""
+
+    @pytest.mark.parametrize("p,r,name", GRADED)
+    def test_matches_brute_force_and_the_sampler(self, p, r, name):
+        M = dict(graded_modules(p, r))[name]
+        assert multigrading(M) is not None
+        M._cache.pop(("constancy", TORUS_PLAN), None)
+        got = check_constant(M, TORUS_PLAN)
+        assert got == _torus_constancy(M, TORUS_PLAN)
+        assert got == brute_force_check_constant(M, TORUS_PLAN)
+        assert got == _sampled_constancy(M, TORUS_PLAN)
+        # every perm module is falsified, every Heller shift of k constant
+        assert isinstance(got, Falsified if name.startswith("perm") else ConstantSoFar)
+
+    @pytest.mark.parametrize("name", REALIZED_SPECS)
+    def test_realized_modules(self, name):
+        M = realized_graded(name)
+        assert multigrading(M) is not None
+        for plan in (TORUS_PLAN, SamplingPlan(extra=0)):
+            M._cache.pop(("constancy", plan), None)
+            got = check_constant(M, plan)
+            assert isinstance(got, ConstantSoFar)
+            assert got == brute_force_check_constant(M, plan) == _sampled_constancy(M, plan)
+
+    def test_witness_is_the_first_failing_stratum(self):
+        # perm_i has type [p] where alpha_i != 0 and [1]^p where alpha_i = 0,
+        # so the witness is the first 0/1 point in visit order on the other
+        # side of alpha_i = 0 from the reference point (1, 0, 0)
+        for i, coords in ((1, (0, 1, 0)), (3, (1, 0, 1))):
+            M = builtin("perm", 3, 3, i=i)
+            got = check_constant(M, TORUS_PLAN)
+            assert got.witness.coords == coords
+            assert got == brute_force_check_constant(M, TORUS_PLAN)
+
+    @pytest.mark.parametrize("p,r,n", [(5, 3, 2), (3, 4, 2), (13, 2, 1)])
+    def test_graded_checks_never_sample(self, p, r, n, monkeypatch):
+        # with the sampler's kernel, its power builder and its schedule all
+        # broken, the graded Heller shifts are still decided
+        M = omega(builtin("trivial", p, r), n)
+        assert multigrading(M) is not None
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a graded module was sampled")
+
+        monkeypatch.setattr(kemod.gfalg, "stacked_pivots", broken)
+        monkeypatch.setattr(kemod, "_power_terms", broken)
+        monkeypatch.setattr(kemod, "_sampling_schedule", broken)
+        plan = SamplingPlan()
+        got = check_constant(M, plan)
+        assert isinstance(got, ConstantSoFar)
+        assert got.type == reference_jordan_type(M)
+        assert (got.points_checked, got.fields_used) == _schedule_counts(p, r, plan)
+
+
+class TestMultigrading:
+    def test_weights_step_by_e_i(self):
+        mods = [M for p, r in TORUS_PAIRS for _, M in graded_modules(p, r)]
+        mods += [realized_graded(name) for name in REALIZED_SPECS]
+        mods += [M for _, M in battery()] + [builtin("zigzag", 3, 2, n=3)]
+        mods.append(new_module(3, 2, [np.zeros((0, 0))] * 2))
+        for M in mods:
+            w = multigrading(M)
+            assert w is not None and w is multigrading(M) and w is M._cache["grading"]
+            assert w.shape == (M.n, M.r) and w.dtype == np.int64 and not w.flags.writeable
+            for A, step in zip(M.X, np.eye(M.r, dtype=np.int64)):
+                t, s = A.nonzero()
+                assert np.array_equal(w[t], w[s] + step)
+
+    def test_one_base_weight_per_component(self):
+        # each component starts at weight 0 from its first basis vector, so
+        # the two copies of a connected M in M + M get M's weights
+        M = omega(builtin("trivial", 3, 3), 2)
+        w = multigrading(M)
+        assert not w[0].any()
+        w2 = multigrading(direct_sum(M, M))
+        assert np.array_equal(w2[: M.n], w) and np.array_equal(w2[M.n :], w)
+        # the trivial summands of k + k + k are three components
+        S = direct_sum(direct_sum(builtin("trivial", 2, 2), builtin("trivial", 2, 2)),
+                       builtin("trivial", 2, 2))
+        assert not multigrading(S).any()
+
+    def test_none_off_a_grading(self, tmp_path):
+        mods = ungraded_modules(tmp_path)
+        assert len(mods) == 2 * 8 + 2 + 3 + 1
+        for name, M in mods:
+            assert multigrading(M) is None, name
+            assert multigrading(M) is None and M._cache["grading"] is None, name
+
+    def test_a_dense_basis_stops_at_its_first_scan(self):
+        # on a conjugated module the first vector's neighbours already
+        # contradict: the walk reads its column and row of each X_i, 2 r n
+        # cells, and no more
+        M = conjugate(omega(builtin("trivial", 3, 3), 4), np.random.default_rng(4))
+        read = []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                out = np.asarray(self)[key]
+                read.append(out.size)
+                return out
+
+        assert find_grading([A.view(Counted) for A in M.X], M.n, M.r) is None
+        assert 0 < sum(read) <= 2 * M.r * M.n
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_closed_form_counts_match_the_schedule(self, p):
+        # every plan's (points_checked, fields_used), and the refusal of more
+        # than RATIONAL_CAP GF(p)-points with the same message
+        for r in range(1, 6):
+            for extra in (0, 1, 2, 40, 200):
+                for degree in range(1, 5):
+                    plan = SamplingPlan(extra=extra, max_ext_degree=degree)
+                    if (p**r - 1) // (p - 1) <= RATIONAL_CAP:
+                        assert _schedule_counts(p, r, plan) == _sampling_schedule(p, r, plan)[:2]
+                        continue
+                    messages = []
+                    for count in (_schedule_counts, _sampling_schedule):
+                        with pytest.raises(ResourceCapError) as refused:
+                            count(p, r, plan)
+                        messages.append(str(refused.value))
+                    assert messages[0] == messages[1]
+                    assert "above the cap" in messages[0]
+
+
+class TestStackCells:
+    def test_one_points_powers_ranked_in_groups_that_fit(self, monkeypatch):
+        # conjugated Omega^1 k at (13, 2), ungraded, so sampled: n = 168 and
+        # J = 12, so one GF(13^4)-point's powers take 2 J e n^2 = 2.7M cells,
+        # ten times STACK_CELLS.  Ranked one power at a time, the traced peak
+        # past the X^m is at most a few STACK_CELLS of float32 (all 12 powers
+        # in one stack peaked at 17.8 MB)
+        M = conjugate(omega(builtin("trivial", 13, 2), 1), np.random.default_rng(5))
+        assert multigrading(M) is None
+        reference = reference_jordan_type(M)
+        ranks = ranks_of(reference)
+        assert ranks[12] > 0  # so J = p - 1
+        terms = _power_terms(np.array(layered_actions(M), dtype=np.float32), 12, 13)
+        rng = random.Random(13)
+        for e in (2, 4):
+            ctx = build_field(13, e)
+            points = [Point(ctx, (1, rng.randrange(ctx.q))) for _ in range(2)]
+            assert 2 * 12 * e * M.n**2 > 4 * kemod.STACK_CELLS
+            _rank_mismatches(terms, points, ranks)  # the field's tables, built once
+            tracemalloc.start()
+            try:
+                assert _rank_mismatches(terms, points, ranks) == []
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 4 * kemod.STACK_CELLS, e
+        # a point off the reference type is still found, in groups of 1 and 2
+        # powers and with all of them in one stack
+        squares = direct_sum(squares_module(5), builtin("trivial", 5, 2))
+        ctx = build_field(5, 2)
+        points = [Point(ctx, (1, c)) for c in range(ctx.q)]
+        reference = reference_jordan_type(squares)
+        want = [i for i, pt in enumerate(points) if jordan_type_at(squares, pt) != reference]
+        assert want
+        for cells in (1, 2 * 2 * 2 * squares.n**2, kemod.STACK_CELLS):
+            monkeypatch.setattr(kemod, "STACK_CELLS", cells)
+            assert sorted(mismatches(squares, points, ranks_of(reference))) == want
 
 
 def radical_dims(M):
@@ -988,7 +1236,7 @@ def layered_modules():
         for name in dict(FALSIFIED)
     ]
     mods.append(("dense Omega^4 k(2,2)", conjugate(omega(builtin("trivial", 2, 2), 4), rng)))
-    cyclic = [(name, M) for name, M in mods if not _support_is_acyclic(M.X, M.n)]
+    cyclic = [(name, M) for name, M in mods if not is_acyclic(M.X, M.n)]
     assert len(cyclic) > 20
     return cyclic
 
@@ -1062,7 +1310,7 @@ class TestLayeredActions:
                 X = [(rng.random((n, n)) < density).astype(np.uint8) for _ in range(2)]
                 A = np.any(np.array(X, dtype=bool), axis=0).astype(np.int64)
                 power = np.linalg.matrix_power(A, n) if n else A
-                assert _support_is_acyclic(X, n) == (not power.any())
+                assert is_acyclic(X, n) == (not power.any())
 
 
 class TestSumTensorDual:
