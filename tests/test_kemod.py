@@ -1033,12 +1033,10 @@ def ungraded_modules(tmp_path):
         if name.startswith("Omega")
     ]
     mods += [
-        ("radq2 * Omega^1 k p=2 r=3", tensor(builtin("rad_quotient", 2, 3, m=2),
-                                            omega(builtin("trivial", 2, 3), 1))),
-        ("radq2 * Omega^2 k p=3 r=2", tensor(builtin("rad_quotient", 3, 2, m=2),
-                                            omega(builtin("trivial", 3, 2), 2))),
+        (f"radq2 * Omega^{n} k p={p} r={r}", strip_free(tensor(
+            builtin("rad_quotient", p, r, m=2), omega(builtin("trivial", p, r), n)))[0])
+        for p, r, n in ((2, 3, 1), (3, 2, 2))
     ]
-    mods = [(name, strip_free(M)[0]) if "*" in name else (name, M) for name, M in mods]
     mods += [
         (f"dual Omega^{n} k p={p}", dual(omega(builtin("trivial", p, 2), n)))
         for p, n in ((3, 1), (3, -2), (5, 2))
